@@ -23,7 +23,7 @@ a = BirthDeathSpec(N=3, p=(0.10, 0.12), q=(0.08, 0.06))
 b = BirthDeathSpec(N=3, p=(0.09, 0.11), q=(0.07, 0.05))
 game = preset_r_of_d([a, b], 1)
 chain = build_game(game)
-link, dual = build_dual(game, chain=chain)
+link, dual = build_dual(game)
 
 print("link is lower triangular with the win column isolated:")
 print(np.array_str(link.matrix, precision=3, suppress_small=True))

@@ -19,7 +19,7 @@ from .birth_death import (
     tridiag_block_eigs,
 )
 from .errors import HorizonError, SpecError
-from .game import GameSpec
+from .game import GameSpec, build_game
 from .intertwine import PureBirthChain, SpectralLink, build_dual, dual_initial
 from .pgf import GeometricProductPgf, MixturePgf, SeriesPgf
 
@@ -98,6 +98,14 @@ class AbsorptionDist:
     def mass(self) -> float:
         return float(self.pmf.sum() + self.tail)
 
+    def mean(self) -> float:
+        """Partial expectation sum(t * P(T = t, target)); needs a negligible tail."""
+        if self.tail > self.eps:
+            raise HorizonError(
+                f"tail {self.tail:.3e} above eps {self.eps:.3e}; extend the horizon"
+            )
+        return float(np.dot(np.arange(len(self.pmf)), self.pmf))
+
 
 def _absorbing_states(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     n = p.shape[0]
@@ -110,6 +118,50 @@ def _absorbing_states(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.array(out, dtype=int)
 
 
+def _power_iteration(p: np.ndarray, starts: np.ndarray, target: int,
+                     horizon: int | None, eps: float) -> tuple:
+    """Absorption pmfs at ``target`` for every row of ``starts`` at once.
+
+    Rows may be signed. Iteration stops once every row's transient mass is
+    below eps or after ``horizon`` steps; without a horizon, failing to
+    converge within MAX_HORIZON steps raises. Returns the pmfs, one row per
+    start, and each start's total absorption mass at the target, solved
+    exactly from the fundamental matrix.
+    """
+    n = p.shape[0]
+    absorbing = _absorbing_states(p)
+    if target not in absorbing:
+        raise ValueError(f"state {target} is not absorbing")
+    transient = np.setdiff1d(np.arange(n), absorbing)
+    cap = MAX_HORIZON if horizon is None else int(horizon)
+
+    def transient_mass(v):
+        return np.abs(v[:, transient]).sum(axis=1).max(initial=0.0)
+
+    v = starts
+    reached = [v[:, target].copy()]
+    for _ in range(cap):
+        if transient_mass(v) < eps:
+            break
+        v = v @ p
+        reached.append(v[:, target].copy())
+    else:
+        if horizon is None:
+            raise HorizonError(
+                f"transient mass {transient_mass(v):.3e} after {cap} steps"
+            )
+    pmf = np.diff(np.column_stack(reached), axis=1, prepend=0.0)
+
+    h = np.zeros(n)
+    h[target] = 1.0
+    if len(transient):
+        q = p[np.ix_(transient, transient)]
+        h[transient] = np.linalg.solve(
+            np.eye(len(transient)) - q, p[transient, target]
+        )
+    return pmf, v @ h
+
+
 def absorb_dist(
     chain,
     nu,
@@ -120,73 +172,40 @@ def absorb_dist(
     """Law of the absorption time at ``target`` by power iteration.
 
     ``chain`` is a stochastic matrix, an AbsorbingChain, or a PureBirthChain;
-    ``nu`` may be signed (mixtures of dual weights). Iteration stops once the
-    transient mass drops below eps or the horizon is reached; without an
-    explicit horizon, failing to converge within 10^6 steps raises.
+    ``nu`` is a full-length start vector and may be signed (mixtures of dual
+    weights), in which case a clearly negative pmf entry raises. Iteration
+    stops once the transient mass drops below eps or the horizon is reached;
+    without an explicit horizon, failing to converge within 10^6 steps
+    raises. The check that the dual mixture reproduces this law for a game
+    is ``distribution_equality`` in :func:`krongambler.verify.run_checks`.
     """
-    if isinstance(chain, PureBirthChain):
-        p = chain.matrix
-        target = chain.win_index if target is None else target
-    elif hasattr(chain, "matrix"):
+    if hasattr(chain, "matrix"):
         p = chain.matrix
         target = chain.win_index if target is None else target
     else:
         p = np.asarray(chain, dtype=float)
         if target is None:
             raise ValueError("target index required for a bare matrix")
-    n = p.shape[0]
-    nu_arr = np.asarray(nu, dtype=float).ravel()
-    if nu_arr.size == n - 1 and getattr(chain, "sink_index", None) == 0:
-        nu_arr = np.concatenate([[0.0], nu_arr])
-    absorbing = _absorbing_states(p)
-    if target not in absorbing:
-        raise ValueError(f"state {target} is not absorbing")
-    transient = np.array([i for i in range(n) if i not in set(absorbing)])
-
-    nu = nu_arr.reshape(n)
-    cap = MAX_HORIZON if horizon is None else int(horizon)
-
-    # exact absorption-at-target probabilities, for the tail
-    h = np.zeros(n)
-    h[target] = 1.0
-    if len(transient):
-        q = p[np.ix_(transient, transient)]
-        rhs = p[transient, target]
-        h[transient] = np.linalg.solve(np.eye(len(transient)) - q, rhs)
-
-    pmf = [float(nu[target])]
-    v = nu
-    t = 0
-    while t < cap:
-        trans_mass = float(np.abs(v[transient]).sum()) if len(transient) else 0.0
-        if trans_mass < eps:
-            break
-        v = v @ p
-        t += 1
-        prev = sum(pmf)
-        pmf.append(float(v[target]) - prev)
-    else:
-        if horizon is None:
-            raise HorizonError(
-                f"transient mass {float(np.abs(v[transient]).sum()):.3e} "
-                f"after {cap} steps"
-            )
-    pmf = np.asarray(pmf)
+    start = np.asarray(nu, dtype=float).reshape(1, p.shape[0])
+    pmfs, absorbed = _power_iteration(p, start, target, horizon, eps)
+    pmf = pmfs[0]
     low = float(pmf.min(initial=0.0))
     if low < -1e-12:
         raise SpecError(f"mixture pmf entry {low:.3e}; inconsistent weights")
     np.clip(pmf, 0.0, None, out=pmf)
-    tail = float(v @ h - pmf.sum())
+    tail = float(absorbed[0] - pmf.sum())
     return AbsorptionDist(pmf=pmf, tail=tail, target=int(target), eps=eps)
 
 
 def pgf_multidim(game: GameSpec, nu_star, eps: float = 1e-12) -> MixturePgf:
     """Pipeline pgf of the game's time to the win corner, start law nu_star.
 
-    Builds the pure-birth dual, converts each charged dual start state into a
-    series-backed pgf by power iteration, and scales the signed mixture by
-    the product of the per-dimension winning probabilities from state 1.
+    Validates the game by building it, builds the pure-birth dual, converts
+    each charged dual start state into a series-backed pgf by power
+    iteration, and scales the signed mixture by the product of the
+    per-dimension winning probabilities from state 1.
     """
+    build_game(game)
     link, dual = build_dual(game)
     weights = dual_initial(link, nu_star).values
     return pgf_from_dual(link, dual, weights, eps=eps)
@@ -201,56 +220,20 @@ def pgf_from_dual(
     """
     weights = np.asarray(weights, dtype=float)
     charged = np.nonzero(np.abs(weights) > 1e-14)[0]
-    pmfs, tails = _absorb_dist_batch(dual.matrix, charged, dual.win_index, eps)
+    starts = np.zeros((len(charged), dual.size))
+    starts[np.arange(len(charged)), charged] = 1.0
+    pmfs, absorbed = _power_iteration(dual.matrix, starts, dual.win_index, None, eps)
+    tails = absorbed - pmfs.sum(axis=1)
     parts = tuple(
-        SeriesPgf(pmf=pmf, tail=tail, eps=eps) for pmf, tail in zip(pmfs, tails)
+        SeriesPgf(pmf=pmf, tail=float(tail), eps=eps)
+        for pmf, tail in zip(pmfs, tails)
     )
     used = tuple(float(weights[i]) for i in charged)
     return MixturePgf(scale=link.iso_value, weights=used, parts=parts)
 
 
-def _absorb_dist_batch(p: np.ndarray, starts, target: int, eps: float):
-    """Absorption pmfs at ``target`` for several point-mass starts at once."""
-    n = p.shape[0]
-    absorbing = set(_absorbing_states(p))
-    transient = np.array([i for i in range(n) if i not in absorbing])
-    v = np.zeros((len(starts), n))
-    for row, s in enumerate(starts):
-        v[row, int(s)] = 1.0
-    pmf = [v[:, target].copy()]
-    reached = pmf[0].copy()
-    t = 0
-    while t < MAX_HORIZON:
-        mass = np.abs(v[:, transient]).sum(axis=1).max() if len(transient) else 0.0
-        if mass < eps:
-            break
-        v = v @ p
-        t += 1
-        now = v[:, target]
-        pmf.append(now - reached)
-        reached = now.copy()
-    else:
-        raise HorizonError(f"batch power iteration did not converge in {t} steps")
-    pmf = np.column_stack(pmf) if pmf else np.zeros((len(starts), 1))
-    h = np.zeros(n)
-    h[target] = 1.0
-    if len(transient):
-        q = p[np.ix_(transient, transient)]
-        h[transient] = np.linalg.solve(
-            np.eye(len(transient)) - q, p[transient, target]
-        )
-    tails = v @ h - pmf.sum(axis=1)
-    return [pmf[k] for k in range(len(starts))], [float(x) for x in tails]
-
-
 def expected_time(obj) -> float:
     """Partial expectation sum(t * P(T = t, target)) of a pgf or distribution."""
-    if isinstance(obj, AbsorptionDist):
-        if obj.tail > obj.eps:
-            raise HorizonError(
-                f"tail {obj.tail:.3e} above eps {obj.eps:.3e}; extend the horizon"
-            )
-        return float(np.dot(np.arange(len(obj.pmf)), obj.pmf))
     return obj.mean()
 
 

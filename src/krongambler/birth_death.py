@@ -115,20 +115,29 @@ def bd_restricted(spec: BirthDeathSpec) -> np.ndarray:
     return bd_matrix(spec)[1:, 1:].copy()
 
 
+def _sym_tridiag_eigs(diag, upper, lower) -> np.ndarray:
+    """Ascending eigenvalues of the tridiagonal matrix (lower, diag, upper).
+
+    Positive products upper[i] * lower[i] make it similar, through a
+    diagonal scaling, to the symmetric tridiagonal matrix with off-diagonal
+    sqrt(upper * lower), so the spectrum is real.
+    """
+    return eigvalsh_tridiagonal(diag, np.sqrt(np.multiply(upper, lower)))
+
+
 def tridiag_block_eigs(spec: BirthDeathSpec, lo: int, hi: int) -> np.ndarray:
     """Ascending eigenvalues of the strict transient block on states {lo..hi}.
 
     The block is symmetrizable because the interior products p(i)q(i+1) are
-    positive, so a diagonal similarity reduces it to a symmetric tridiagonal
-    problem with real spectrum.
+    positive.
     """
     if hi < lo:
         return np.empty(0)
-    diag = np.array([1.0 - spec.p[i - 1] - spec.q[i - 1] for i in range(lo, hi + 1)])
-    off = np.array(
-        [np.sqrt(spec.p[i - 1] * spec.q[i]) for i in range(lo, hi)]
+    p = np.asarray(spec.p)
+    q = np.asarray(spec.q)
+    return _sym_tridiag_eigs(
+        1.0 - p[lo - 1 : hi] - q[lo - 1 : hi], p[lo - 1 : hi - 1], q[lo:hi]
     )
-    return eigvalsh_tridiagonal(diag, off)
 
 
 def bd_eigenvalues(spec: BirthDeathSpec) -> np.ndarray:
@@ -208,14 +217,9 @@ def _spectrum(spec) -> np.ndarray:
     if isinstance(spec, BirthDeathSpec):
         return bd_eigenvalues(spec)
     # detailed balance symmetrizes the ergodic matrix the same way
-    m = spec.M
-    diag = np.empty(m)
-    for i in range(1, m + 1):
-        up = spec.p[i - 1] if i < m else 0.0
-        down = spec.q[i - 2] if i >= 2 else 0.0
-        diag[i - 1] = 1.0 - up - down
-    off = np.array([np.sqrt(spec.p[i - 1] * spec.q[i - 1]) for i in range(1, m)])
-    return eigvalsh_tridiagonal(diag, off)
+    up = np.append(spec.p, 0.0)
+    down = np.append(0.0, spec.q)
+    return _sym_tridiag_eigs(1.0 - up - down, spec.p, spec.q)
 
 
 def bd_is_monotone(spec) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 from .absorption import absorb_dist, pgf_from_dual
 from .birth_death import bd_win_prob
 from .errors import CouplingError, HorizonError, SpecError
-from .game import build_game, multi_index
+from .game import build_game, lattice_point_mass, multi_index
 from .intertwine import build_dual, dual_initial
 from .siegmund import win_prob_product, win_prob_solve
 from .specfile import load_spec
@@ -60,6 +60,11 @@ def _parse_start(arg: str | None, parsed):
         coords = tuple(int(c) for c in arg.split(","))
     except ValueError:
         raise SpecError(f"--start must be comma-separated integers, got {arg!r}")
+    shape = parsed.game.shape
+    if len(coords) != len(shape) or not all(
+        1 <= c <= n for c, n in zip(coords, shape)
+    ):
+        raise SpecError(f"--start {arg!r} is not a lattice state of {shape}")
     return coords
 
 
@@ -83,19 +88,13 @@ def cmd_win_prob(args) -> int:
     return 0
 
 
-def _delta_start(game, start):
-    nu = np.zeros(game.size)
-    nu[int(np.ravel_multi_index([c - 1 for c in start], game.shape))] = 1.0
-    return nu
-
-
 def cmd_absorb_dist(args) -> int:
     parsed = load_spec(args.spec)
     game = parsed.game
     start = _parse_start(args.start, parsed)
     chain = build_game(game)
     target = chain.win_index if args.target == "win" else chain.sink_index
-    nu = np.concatenate([[0.0], _delta_start(game, start)])
+    nu = np.concatenate([[0.0], lattice_point_mass(game.shape, start)])
     horizon = args.horizon if args.horizon is not None else parsed.horizon
     eps = args.eps if args.eps is not None else parsed.eps
     dist = absorb_dist(chain, nu, target=target, horizon=horizon, eps=eps)
@@ -114,8 +113,8 @@ def cmd_pgf(args) -> int:
     game = parsed.game
     start = _parse_start(args.start, parsed)
     chain = build_game(game)
-    link, dual = build_dual(game, chain=chain)
-    nu = _delta_start(game, start)
+    link, dual = build_dual(game)
+    nu = lattice_point_mass(game.shape, start)
     weights = dual_initial(link, nu)
     mix = pgf_from_dual(link, dual, weights.values, eps=parsed.eps)
     points = [float(s) for s in args.eval.split(",")] if args.eval else [1.0]
@@ -135,7 +134,8 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else parsed.seed
     cfg = SimConfig(runs=runs, seed=seed, workers=_workers())
     if args.coupled:
-        report = simulate_coupled(game, _delta_start(game, start), cfg)
+        nu = lattice_point_mass(game.shape, start)
+        report = simulate_coupled(game, nu, cfg)
     else:
         chain = build_game(game)
         report = simulate(chain, start, cfg)

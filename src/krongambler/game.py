@@ -37,6 +37,13 @@ def linear_index(dims: tuple, multi) -> int:
     return 1 + int(np.ravel_multi_index([c - 1 for c in multi], dims))
 
 
+def lattice_point_mass(dims: tuple, multi) -> np.ndarray:
+    """Start vector over the lattice states (no ruin entry) charging ``multi``."""
+    nu = np.zeros(prod(dims))
+    nu[linear_index(dims, multi) - 1] = 1.0
+    return nu
+
+
 def multi_index(dims: tuple, linear: int):
     """Inverse of :func:`linear_index`; returns None for the ruin state."""
     size = prod(dims)

@@ -7,6 +7,12 @@ pure-birth chain on the same lattice. Absorption of the game at the win
 corner then has the same (suitably weighted) law as absorption of the
 pure-birth chain, which is cheap to analyze.
 
+:func:`build_dual` assembles the dual once, as a Kronecker mixture, and
+gates it on the per-dimension link identities. The global intertwining
+residual against the built game is the ``intertwining`` check of
+:func:`krongambler.verify.run_checks`; the entry-by-entry dual formula is a
+test oracle.
+
 The module also carries the classical sharp-dual construction for ergodic
 chains, and the closed forms of the lazy two-urn diffusion family, whose link
 can be reached both spectrally and through the classical route.
@@ -14,7 +20,6 @@ can be reached both spectrally and through the classical route.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, prod
 
@@ -22,6 +27,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .birth_death import (
+    _EIG_TOL,
     BirthDeathSpec,
     ErgodicBDSpec,
     bd_eigenvalues,
@@ -36,11 +42,10 @@ from .errors import (
     MonotonicityError,
     SpecError,
 )
-from .game import AbsorbingChain, GameSpec, build_game
+from .game import GameSpec
 from .linalg import kron_all
 from .pgf import GeometricProductPgf, MixturePgf
 
-_EIG_TOL = 1e-10
 _DEGENERATE_TOL = 1e-12
 _INTERTWINE_TOL = 1e-10
 
@@ -59,25 +64,30 @@ def _checked_eigenvalues(spec: BirthDeathSpec) -> np.ndarray:
     return lam
 
 
-def spectral_link_1d(spec: BirthDeathSpec) -> np.ndarray:
-    """Lower-triangular link with rows Q_k(1, .) of the spectral polynomials.
+def _spectral_recurrence(spec: BirthDeathSpec, q: np.ndarray) -> list:
+    """[q Q_1, .., q Q_N] for Q_1 = I, Q_{k+1} = Q_k (P' - lam_k I) / (1 - lam_k).
 
-    Q_1 = I and Q_{k+1} = Q_k (P' - lam_k I) / (1 - lam_k) with eigenvalues
-    taken in ascending order; only first rows are materialized. Row k is
-    supported on columns 1..k, the (1,1) entry is 1, and the (N,N) entry is
-    the winning probability from state 1.
+    Eigenvalues are taken in ascending order; ``q`` is a row vector or a
+    matrix multiplying from the left.
     """
     lam = _checked_eigenvalues(spec)
     p_res = bd_restricted(spec)
-    n = spec.N
-    rows = np.zeros((n, n))
-    v = np.zeros(n)
-    v[0] = 1.0
-    rows[0] = v
-    for k in range(1, n):
-        v = v @ (p_res - lam[k - 1] * np.eye(n)) / (1.0 - lam[k - 1])
-        rows[k] = v
-    return rows
+    eye = np.eye(spec.N)
+    out = [q]
+    for k in range(1, spec.N):
+        q = q @ (p_res - lam[k - 1] * eye) / (1.0 - lam[k - 1])
+        out.append(q)
+    return out
+
+
+def spectral_link_1d(spec: BirthDeathSpec) -> np.ndarray:
+    """Lower-triangular link with rows Q_k(1, .) of the spectral polynomials.
+
+    Only first rows are materialized. Row k is supported on columns 1..k,
+    the (1,1) entry is 1, and the (N,N) entry is the winning probability
+    from state 1.
+    """
+    return np.array(_spectral_recurrence(spec, np.eye(spec.N)[0]))
 
 
 def spectral_polynomials(spec: BirthDeathSpec) -> list:
@@ -85,13 +95,7 @@ def spectral_polynomials(spec: BirthDeathSpec) -> list:
 
     Materialized only for verification; the link itself needs first rows.
     """
-    lam = _checked_eigenvalues(spec)
-    p_res = bd_restricted(spec)
-    n = spec.N
-    out = [np.eye(n)]
-    for k in range(1, n):
-        out.append(out[-1] @ (p_res - lam[k - 1] * np.eye(n)) / (1.0 - lam[k - 1]))
-    return out
+    return _spectral_recurrence(spec, np.eye(spec.N))
 
 
 def pure_birth_1d(eigenvalues) -> np.ndarray:
@@ -144,30 +148,16 @@ class PureBirthChain:
         return np.diag(self.matrix).copy()
 
 
-def _move_sets(subsets) -> list:
-    """Nonempty coordinate sets contained in at least one mixture subset."""
-    seen = set()
-    for a in subsets:
-        a = sorted(a)
-        for r in range(1, len(a) + 1):
-            for b in itertools.combinations(a, r):
-                seen.add(frozenset(b))
-    return sorted(seen, key=lambda b: (len(b), sorted(b)))
-
-
-def build_dual(
-    game: GameSpec,
-    chain: AbsorbingChain | None = None,
-    tol: float = 1e-12,
-) -> tuple:
+def build_dual(game: GameSpec, tol: float = 1e-12) -> tuple:
     """Construct the link and the pure-birth dual of a scalar-coefficient game.
 
-    The dual kernel is filled in directly from the mixture: a step raising
-    exactly the coordinates in B has probability
-    prod_{j in B} (1 - lam_j) * sum_{k: B subset A_k} b_k prod_{j in A_k - B} lam_j,
-    and the holding probability is sum_k b_k prod_{j in A_k} lam_j. The same
-    kernel is rebuilt as a Kronecker mixture and both must agree; the
-    intertwining residual against the built game is also enforced here.
+    The dual kernel is the Kronecker mixture sum_k b_k kron_j F_kj with
+    F_kj the one-dimensional pure-birth kernel for j in A_k and the identity
+    otherwise; a step raising exactly the coordinates in B then has
+    probability prod_{j in B} (1 - lam_j) * sum_{k: B subset A_k} b_k
+    prod_{j in A_k - B} lam_j. By the mixed-product rule the per-dimension
+    identities L_j P_j = P_hat_j L_j imply the global intertwining, so only
+    those are enforced here; the global residual is left to ``verify``.
     """
     if not game.scalar_coeffs:
         raise SpecError(
@@ -178,38 +168,18 @@ def build_dual(
             raise MonotonicityError("every component must be monotone")
     eigs = [_checked_eigenvalues(s) for s in game.dims]
     links = [spectral_link_1d(s) for s in game.dims]
-    lam_big = kron_all(links)
+    births = [pure_birth_1d(lam) for lam in eigs]
     iso = float(prod(bd_win_prob(s)[0] for s in game.dims))
 
     shape = game.shape
-    d = game.d
-    size = game.size
-    subsets = game.subsets
-    coeffs = np.asarray(game.coeffs, dtype=float)
-    moves = _move_sets(subsets)
-
-    p_hat = np.zeros((size, size))
-    for lin, multi0 in enumerate(np.ndindex(*shape)):
-        lam_here = np.array([eigs[j][multi0[j]] for j in range(d)])
-        hold = 0.0
-        for b_k, a_k in zip(coeffs, subsets):
-            hold += b_k * float(np.prod([lam_here[j - 1] for j in a_k]))
-        p_hat[lin, lin] = hold
-        for bset in moves:
-            if any(multi0[j - 1] + 1 >= shape[j - 1] for j in bset):
-                continue
-            up = float(np.prod([1.0 - lam_here[j - 1] for j in bset]))
-            mix = 0.0
-            for b_k, a_k in zip(coeffs, subsets):
-                if bset <= a_k:
-                    mix += b_k * float(
-                        np.prod([lam_here[j - 1] for j in a_k - bset])
-                    )
-            w = up * mix
-            target = tuple(
-                multi0[j] + (1 if (j + 1) in bset else 0) for j in range(d)
-            )
-            p_hat[lin, int(np.ravel_multi_index(target, shape))] = w
+    eyes = {n: np.eye(n) for n in set(shape)}
+    p_hat = np.zeros((game.size, game.size))
+    for b_k, a_k in zip(game.coeffs, game.subsets):
+        factors = [
+            births[j] if (j + 1) in a_k else eyes[shape[j]]
+            for j in range(game.d)
+        ]
+        p_hat += b_k * kron_all(factors)
 
     low = float(p_hat.min())
     if low < -tol:
@@ -222,24 +192,15 @@ def build_dual(
         )
     np.clip(p_hat, 0.0, None, out=p_hat)
 
-    # independent assembly of the same kernel as a Kronecker mixture
-    eyes = {n: np.eye(n) for n in set(shape)}
-    alt = np.zeros((size, size))
-    for b_k, a_k in zip(coeffs, subsets):
-        factors = [
-            pure_birth_1d(eigs[j]) if (j + 1) in a_k else eyes[shape[j]]
-            for j in range(d)
-        ]
-        alt += b_k * kron_all(factors)
-    if np.max(np.abs(alt - p_hat)) > 1e-12:
-        raise InternalCheckError("direct and Kronecker dual kernels disagree")
+    for j, (s, link, birth) in enumerate(zip(game.dims, links, births)):
+        residual = np.max(np.abs(link @ bd_restricted(s) - birth @ link))
+        if residual > _INTERTWINE_TOL:
+            raise InternalCheckError(
+                f"intertwining residual {residual:.3e} in dimension {j + 1} "
+                f"(N={s.N})"
+            )
 
-    if chain is None:
-        chain = build_game(game)
-    residual = np.max(np.abs(lam_big @ chain.restricted() - p_hat @ lam_big))
-    if residual > _INTERTWINE_TOL:
-        raise InternalCheckError(f"intertwining residual {residual:.3e}")
-
+    lam_big = kron_all(links)
     if np.max(np.abs(lam_big[:-1, -1])) != 0.0 or abs(
         lam_big[-1, -1] - iso
     ) > 1e-10:

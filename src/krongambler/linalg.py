@@ -71,10 +71,6 @@ def kron_sum(a, b) -> np.ndarray:
     return kron(a, np.eye(b.shape[0])) + kron(np.eye(a.shape[0]), b)
 
 
-def row_sums(m) -> np.ndarray:
-    return as_matrix(m).sum(axis=1)
-
-
 def classify(m, tol: float = DEFAULT_TOL) -> StochKind:
     """Return the strictest row-sum classification that holds within tol."""
     m = as_matrix(m)

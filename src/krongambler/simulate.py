@@ -200,7 +200,7 @@ def simulate_coupled(
     dual_state) pairs per step, dual states as 0-based lattice indices.
     """
     chain = build_game(game)
-    link, dual = build_dual(game, chain=chain)
+    link, dual = build_dual(game)
     init = dual_initial(link, nu_star)
     if not init.is_distribution:
         raise CouplingError(

@@ -18,7 +18,7 @@ import numpy as np
 from .absorption import absorb_dist, geometric_convolution_pmf, pgf_from_dual
 from .birth_death import bd_eigenvalues, bd_win_prob
 from .errors import SpecError
-from .game import GameSpec, build_game, check_communication
+from .game import GameSpec, build_game, check_communication, lattice_point_mass
 from .intertwine import build_dual, dual_initial, spectral_polynomials
 from .siegmund import (
     product_order,
@@ -152,7 +152,7 @@ def run_checks(
         return checks
 
     try:
-        link, dual = build_dual(game, chain=chain)
+        link, dual = build_dual(game)
     except SpecError as exc:
         checks.append(
             CheckResult("dual_nonnegative", False, float("nan"), str(exc))
@@ -188,8 +188,7 @@ def run_checks(
 
     checks.append(diagonal_eigenvalue_check(restricted, dual.diag))
 
-    nu_star = np.zeros(prod(dims))
-    nu_star[int(np.ravel_multi_index([c - 1 for c in start], dims))] = 1.0
+    nu_star = lattice_point_mass(dims, start)
     weights = dual_initial(link, nu_star)
     mix = pgf_from_dual(link, dual, weights.values, eps=eps)
     full_nu = np.concatenate([[0.0], nu_star])

@@ -1,10 +1,16 @@
 """Shared generators and oracles for the test suite."""
 
+import itertools
 from math import comb
 
 import numpy as np
 
-from krongambler import BirthDeathSpec, ErgodicBDSpec, preset_r_of_d
+from krongambler import (
+    BirthDeathSpec,
+    ErgodicBDSpec,
+    bd_eigenvalues,
+    preset_r_of_d,
+)
 
 
 def rand_bd(rng, n, q1_zero=False, budget=0.9, min_rate=0.3):
@@ -103,6 +109,44 @@ def direct_game_matrix(dims):
                     out[row, lin(target)] += down
         out[row, 0] = ruin
         out[row, row] = 1.0 - total_move
+    return out
+
+
+def direct_dual_kernel(game):
+    """Pure-birth dual kernel filled in state by state from the mixture.
+
+    Independent of the Kronecker assembly in ``build_dual``: a step raising
+    exactly the coordinates in B has probability
+    prod_{j in B} (1 - lam_j) * sum_{k: B subset A_k} b_k prod_{j in A_k - B} lam_j,
+    and the holding probability is sum_k b_k prod_{j in A_k} lam_j, with the
+    eigenvalues lam_j taken at the current lattice state. No clipping.
+    """
+    shape = game.shape
+    eigs = [bd_eigenvalues(s) for s in game.dims]
+    moves = set()
+    for a in game.subsets:
+        for r in range(1, len(a) + 1):
+            moves.update(frozenset(b) for b in itertools.combinations(a, r))
+    out = np.zeros((game.size, game.size))
+    for lin, multi0 in enumerate(np.ndindex(*shape)):
+        lam = {j + 1: eigs[j][multi0[j]] for j in range(game.d)}
+        out[lin, lin] = sum(
+            b_k * float(np.prod([lam[j] for j in a_k]))
+            for b_k, a_k in zip(game.coeffs, game.subsets)
+        )
+        for bset in moves:
+            if any(multi0[j - 1] + 1 >= shape[j - 1] for j in bset):
+                continue
+            up = float(np.prod([1.0 - lam[j] for j in bset]))
+            mix = sum(
+                b_k * float(np.prod([lam[j] for j in a_k - bset]))
+                for b_k, a_k in zip(game.coeffs, game.subsets)
+                if bset <= a_k
+            )
+            target = tuple(
+                c + 1 if (j + 1) in bset else c for j, c in enumerate(multi0)
+            )
+            out[lin, int(np.ravel_multi_index(target, shape))] = up * mix
     return out
 
 

@@ -250,7 +250,7 @@ def test_multidim_no_ruin_start_bottom_equals_dual_time():
     for _ in range(8):
         game = rand_game(rng, q1_zero=True)
         chain = build_game(game)
-        link, dual = build_dual(game, chain=chain)
+        link, dual = build_dual(game)
         nu = np.zeros(game.size)
         nu[0] = 1.0
         direct = absorb_dist(chain, np.concatenate([[0.0], nu]),
@@ -267,7 +267,7 @@ def test_multidim_signed_mixture_matches_win_conditioned_law():
     for _ in range(8):
         game = rand_game(rng)
         chain = build_game(game)
-        link, dual = build_dual(game, chain=chain)
+        link, dual = build_dual(game)
         start = np.zeros(game.size)
         start[int(rng.integers(0, game.size - 1))] = 1.0
         weights = dual_initial(link, start).values

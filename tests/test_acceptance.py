@@ -114,7 +114,7 @@ def test_criterion_3_distribution_equality():
     for _ in range(25):
         game = rand_game(rng, q1_zero=True)
         chain = build_game(game)
-        link, dual = build_dual(game, chain=chain)
+        link, dual = build_dual(game)
         nu = np.zeros(game.size)
         nu[0] = 1.0
         direct = absorb_dist(chain, np.concatenate([[0.0], nu]),
@@ -129,7 +129,7 @@ def test_criterion_3_distribution_equality():
     for _ in range(10):
         game = rand_game(rng, q1_zero=False)
         chain = build_game(game)
-        link, dual = build_dual(game, chain=chain)
+        link, dual = build_dual(game)
         nu = np.zeros(game.size)
         nu[0] = 1.0
         direct = absorb_dist(chain, np.concatenate([[0.0], nu]),
@@ -155,7 +155,7 @@ def test_criterion_4_intertwining_and_isolation():
     for _ in range(30):
         game = rand_game(rng)
         chain = build_game(game)
-        link, dual = build_dual(game, chain=chain)
+        link, dual = build_dual(game)
         worst_resid = max(
             worst_resid,
             float(
@@ -187,7 +187,7 @@ def test_criterion_5_dual_diagonal_is_spectrum():
     cases += [rand_game(rng, d=3, n_max=2) for _ in range(5)]
     for game in cases:
         chain = build_game(game)
-        _, dual = build_dual(game, chain=chain)
+        _, dual = build_dual(game)
         worst = max(worst, char_poly_residual(chain.restricted(), dual.diag))
     report(
         5,

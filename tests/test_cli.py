@@ -226,6 +226,15 @@ def test_malformed_start_flag_exits_two(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("command", ["absorb-dist", "pgf", "simulate"])
+@pytest.mark.parametrize("start", ["0,1", "3,4", "1"])
+def test_start_flag_off_the_lattice_exits_two(tmp_path, capsys, command, start):
+    path = write_spec(tmp_path, lazy_two_dim_doc(runs=50))
+    code, _, err = run_cli(capsys, [command, path, "--start", start])
+    assert code == 2
+    assert "--start" in json.loads(err)["error"]
+
+
 def test_pgf_eval_beyond_radius_exits_two(tmp_path, capsys):
     path = write_spec(tmp_path, lazy_two_dim_doc())
     code, _, err = run_cli(capsys, ["pgf", path, "--eval", "1.5"])

@@ -1,0 +1,82 @@
+"""CLI stdout on a fixed corpus of spec files, against recorded outputs.
+
+The expected outputs in ``data/cli_corpus/expected.json`` were recorded
+before the pure-birth dual and the power iteration were each reduced to a
+single construction. Exit codes, line counts and all non-numeric text (JSON
+keys, check names, pass flags) must match exactly. Numbers must agree within
+1e-12 * max(1, |x|) rather than byte for byte: the Kronecker assembly of the
+dual and the cumulative-difference pmf round a few results differently in the
+last one or two bits.
+
+Record the outputs again (only when a change of output is intended) with
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import pathlib
+import re
+
+import pytest
+
+from krongambler.cli import ENV_WORKERS, main
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
+EXPECTED = CORPUS / "expected.json"
+SPECS = sorted(p.stem for p in CORPUS.glob("*.json") if p != EXPECTED)
+COMMANDS = {
+    "win-prob": ["win-prob"],
+    "absorb-dist": ["absorb-dist"],
+    "pgf": ["pgf", "--eval", "0.25,0.5,0.9,1.0"],
+    "simulate": ["simulate"],
+    "simulate-coupled": ["simulate", "--coupled"],
+    "verify": ["verify"],
+}
+NUMBER = re.compile(r"NaN|-?Infinity|-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+REL_TOL = 1e-12
+
+
+def run(spec: str, command: str) -> dict:
+    name, *flags = COMMANDS[command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([name, str(CORPUS / f"{spec}.json"), *flags])
+    return {"code": code, "stdout": out.getvalue()}
+
+
+def close(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b or abs(a - b) <= REL_TOL * max(1.0, abs(b))
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(EXPECTED.read_text())
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("spec", SPECS)
+def test_cli_output_matches_recorded(spec, command, expected, monkeypatch):
+    monkeypatch.delenv(ENV_WORKERS, raising=False)
+    want = expected[f"{spec} {command}"]
+    got = run(spec, command)
+    assert got["code"] == want["code"]
+    lines_got = got["stdout"].splitlines()
+    lines_want = want["stdout"].splitlines()
+    assert len(lines_got) == len(lines_want)
+    for line_got, line_want in zip(lines_got, lines_want):
+        assert NUMBER.sub("#", line_got) == NUMBER.sub("#", line_want)
+        nums_got = [float(x) for x in NUMBER.findall(line_got)]
+        nums_want = [float(x) for x in NUMBER.findall(line_want)]
+        assert all(map(close, nums_got, nums_want)), (line_got, line_want)
+
+
+if __name__ == "__main__":
+    os.environ.pop(ENV_WORKERS, None)
+    record = {f"{s} {c}": run(s, c) for s in SPECS for c in COMMANDS}
+    EXPECTED.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from krongambler import intertwine
 from krongambler import (
     BirthDeathSpec,
     DegenerateSpectrumError,
@@ -18,6 +19,7 @@ from krongambler import (
     spectral_link_1d,
 )
 from krongambler.birth_death import bd_restricted, ergodic_matrix
+from krongambler.errors import InternalCheckError
 from krongambler.intertwine import (
     ehrenfest_binomial_link,
     ehrenfest_binomial_link_inv,
@@ -30,7 +32,7 @@ from krongambler.intertwine import (
 )
 from krongambler.verify import diagonal_eigenvalue_check
 
-from conftest import rand_bd, rand_ergodic, rand_game
+from conftest import direct_dual_kernel, rand_bd, rand_ergodic, rand_game
 
 
 def one_dim_game(spec):
@@ -149,12 +151,47 @@ def test_dual_nonnegativity_violation_names_states():
         build_dual(game)
 
 
+def test_dual_kernel_matches_direct_formula():
+    rng = np.random.default_rng(40)
+    games = [
+        rand_game(rng, d=d, r=r, n_max=4)
+        for d in (1, 2, 3)
+        for r in range(1, d + 1)
+        for _ in range(3)
+    ]
+    a = rand_bd(rng, 3, budget=0.1)
+    b = rand_bd(rng, 4, budget=0.1)
+    mixture = GameSpec(
+        dims=(a, b),
+        subsets=(frozenset({1}), frozenset({2}), frozenset({1, 2}), frozenset()),
+        coeffs=(0.6, 0.6, 0.2, -0.4),
+    )
+    build_game(mixture)  # a valid game, negative weight and all
+    for game in games + [mixture]:
+        _, dual = build_dual(game)
+        assert np.max(np.abs(dual.matrix - direct_dual_kernel(game))) < 1e-12
+
+
+def test_per_dimension_intertwining_gate_fails_on_bad_link(monkeypatch):
+    game = rand_game(np.random.default_rng(41), d=2, r=1, n_max=4)
+    exact = intertwine.spectral_link_1d
+
+    def perturbed(spec):
+        link = exact(spec)
+        link[1, 0] += 1e-8
+        return link
+
+    monkeypatch.setattr(intertwine, "spectral_link_1d", perturbed)
+    with pytest.raises(InternalCheckError, match="intertwining residual"):
+        build_dual(game)
+
+
 def test_intertwining_and_isolation_on_random_games():
     rng = np.random.default_rng(34)
     for _ in range(15):
         game = rand_game(rng)
         chain = build_game(game)
-        link, dual = build_dual(game, chain=chain)
+        link, dual = build_dual(game)
         resid = np.max(
             np.abs(link.matrix @ chain.restricted() - dual.matrix @ link.matrix)
         )
@@ -172,7 +209,7 @@ def test_dual_diagonal_is_game_spectrum():
         d = int(rng.integers(1, 3))
         game = rand_game(rng, d=d, n_max=4)
         chain = build_game(game)
-        _, dual = build_dual(game, chain=chain)
+        _, dual = build_dual(game)
         result = diagonal_eigenvalue_check(chain.restricted(), dual.diag)
         assert result.passed, result
 

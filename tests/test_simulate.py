@@ -136,7 +136,7 @@ def test_coupled_conditional_kernel_two_state_by_hand():
     spec = BirthDeathSpec(N=2, p=(alpha,), q=(beta,))
     game = one_dim_game(spec)
     chain = build_game(game)
-    link, dual = build_dual(game, chain=chain)
+    link, dual = build_dual(game)
     lam1 = 1.0 - alpha - beta
     # dual kernel and link have closed forms for two states
     assert np.allclose(dual.matrix, [[lam1, alpha + beta], [0.0, 1.0]],
