@@ -27,7 +27,7 @@ for r in (1, 2):
     print(f"at most {r} coordinate(s) per step: subsets "
           f"{[sorted(s) for s in game.subsets]} weights {game.coeffs}")
     chain = build_game(game)
-    print("  states:", chain.matrix.shape[0],
+    print("  lattice states:", chain.size,
           "| communicating:", check_communication(chain))
     rho_prod = win_prob_product(game)
     rho_solve = win_prob_solve(chain)
@@ -37,7 +37,7 @@ for r in (1, 2):
     print("  duality route vs solve:     ",
           np.max(np.abs(rho_dual - rho_solve)))
     start = chain.to_linear((2, 2))
-    print(f"  win probability from (2, 2): {rho_prod[start - 1]:.6f}")
+    print(f"  win probability from (2, 2): {rho_prod[start]:.6f}")
     print()
 
 # the r = 1 game is the classic one-coordinate-at-a-time ruin problem;

@@ -30,27 +30,26 @@ print(np.array_str(link.matrix, precision=3, suppress_small=True))
 print("\nlink corner value = product of per-coordinate win probabilities:",
       link.iso_value)
 
-resid = np.max(np.abs(link.matrix @ chain.restricted()
+resid = np.max(np.abs(link.matrix @ chain.matrix
                       - dual.matrix @ link.matrix))
 print("intertwining residual:", resid)
 
 print("\ndual chain (holding probabilities on the diagonal):")
 print(np.array_str(dual.matrix, precision=3, suppress_small=True))
-spectrum = np.sort(np.linalg.eigvals(chain.restricted()).real)
+spectrum = np.sort(np.linalg.eigvals(chain.matrix).real)
 print("game spectrum vs sorted dual diagonal, max diff:",
       np.max(np.abs(spectrum - np.sort(dual.diag))))
 
 # start away from the bottom corner: dual weights go signed, the mixed law
 # still reproduces the game's winning-time law exactly
 start = np.zeros(game.size)
-start[chain.to_linear((2, 2)) - 1] = 1.0
+start[chain.to_linear((2, 2))] = 1.0
 weights = dual_initial(link, start)
 print("\nstart (2,2) dual weights:", np.round(weights.values, 4),
       "| proper distribution:", weights.is_distribution)
 
 mix = pgf_from_dual(link, dual, weights.values)
-direct = absorb_dist(chain, np.concatenate([[0.0], start]),
-                     target=chain.win_index)
+direct = absorb_dist(chain, start, target=chain.win_index)
 horizon = len(direct.pmf)
 mixture = np.zeros(horizon)
 for w, part in zip(mix.weights, mix.parts):

@@ -26,7 +26,7 @@ chain = build_game(game)
 
 cfg = SimConfig(runs=50_000, seed=123, workers=4)
 report = simulate(chain, (2, 2), cfg)
-exact = win_prob_product(game)[chain.to_linear((2, 2)) - 1]
+exact = win_prob_product(game)[chain.to_linear((2, 2))]
 print(f"empirical win frequency: {report.win_freq:.5f} "
       f"(exact {exact:.5f}, standard error {report.win_se:.5f})")
 
@@ -43,7 +43,7 @@ print(f"\ncoupled runs: {coupled.runs}, wins {coupled.n_win}, "
       f"synchronization violations {coupled.coupling_violations}")
 
 one = paths[0]
-print("one joint path (game state, dual lattice index):", one[:10])
+print("one joint path (game, dual lattice index):", one[:10])
 coords = [np.unravel_index(h, (3, 3)) for _, h in one]
 print("dual coordinates never decrease:",
       all(all(a >= b for a, b in zip(x, y))

@@ -54,7 +54,7 @@ from .intertwine import (
     ehrenfest_closed_forms,
     spectral_link_1d,
 )
-from .linalg import StochKind, augment_sink, classify, kron, kron_sum, restrict_sink
+from .linalg import StochKind, augment_sink, classify, kron, kron_sum
 from .pgf import GeometricProductPgf, MixturePgf, SeriesPgf
 from .siegmund import (
     OrderMatrix,

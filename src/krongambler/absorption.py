@@ -4,6 +4,10 @@ One-dimensional chains get exact rational pgfs built from eigenvalue factor
 lists. Multidimensional games go through the pure-birth dual: the absorption
 law of the dual is extracted by power iteration and mixed with the (possibly
 signed) dual start weights.
+
+Power iteration runs on a chain's kernel over lattice indices, whose last
+state is the win corner. Ruin, the kernel's row deficit, is a state only
+for the ``"ruin"`` target, which prepends it as a sink.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .birth_death import (
 from .errors import HorizonError, SpecError
 from .game import GameSpec, build_game
 from .intertwine import PureBirthChain, SpectralLink, build_dual, dual_initial
+from .linalg import augment_sink
 from .pgf import GeometricProductPgf, MixturePgf, SeriesPgf
 
 MAX_HORIZON = 10**6
@@ -84,12 +89,12 @@ class AbsorptionDist:
 
     ``tail`` is the target mass beyond the horizon, computed exactly from the
     fundamental matrix, so pmf.sum() + tail equals the total absorption
-    probability at the target.
+    probability at the target, a state index or ``"ruin"``.
     """
 
     pmf: np.ndarray
     tail: float
-    target: int
+    target: int | str
     eps: float
 
     def cdf(self) -> np.ndarray:
@@ -107,17 +112,6 @@ class AbsorptionDist:
         return float(np.dot(np.arange(len(self.pmf)), self.pmf))
 
 
-def _absorbing_states(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    n = p.shape[0]
-    out = []
-    for i in range(n):
-        unit = np.zeros(n)
-        unit[i] = 1.0
-        if np.max(np.abs(p[i] - unit)) <= tol:
-            out.append(i)
-    return np.array(out, dtype=int)
-
-
 def _power_iteration(p: np.ndarray, starts: np.ndarray, target: int,
                      horizon: int | None, eps: float) -> tuple:
     """Absorption pmfs at ``target`` for every row of ``starts`` at once.
@@ -129,10 +123,10 @@ def _power_iteration(p: np.ndarray, starts: np.ndarray, target: int,
     exactly from the fundamental matrix.
     """
     n = p.shape[0]
-    absorbing = _absorbing_states(p)
-    if target not in absorbing:
+    absorbing = np.diag(p) >= 1.0 - 1e-12
+    if not absorbing[target]:
         raise ValueError(f"state {target} is not absorbing")
-    transient = np.setdiff1d(np.arange(n), absorbing)
+    transient = np.flatnonzero(~absorbing)
     cap = MAX_HORIZON if horizon is None else int(horizon)
 
     def transient_mass(v):
@@ -165,36 +159,39 @@ def _power_iteration(p: np.ndarray, starts: np.ndarray, target: int,
 def absorb_dist(
     chain,
     nu,
-    target: int | None = None,
+    target: int | str | None = None,
     horizon: int | None = None,
     eps: float = 1e-12,
 ) -> AbsorptionDist:
     """Law of the absorption time at ``target`` by power iteration.
 
-    ``chain`` is a stochastic matrix, an AbsorbingChain, or a PureBirthChain;
-    ``nu`` is a full-length start vector and may be signed (mixtures of dual
-    weights), in which case a clearly negative pmf entry raises. Iteration
-    stops once the transient mass drops below eps or the horizon is reached;
+    ``chain`` is a substochastic matrix, an AbsorbingChain, or a
+    PureBirthChain, and ``nu`` a start vector over its states; it may be
+    signed (mixtures of dual weights), in which case a clearly negative pmf
+    entry raises. ``target`` defaults to the last state (the win corner of
+    a chain); ``"ruin"`` targets the row deficits, collected in a sink
+    prepended by :func:`krongambler.linalg.augment_sink`. Iteration stops
+    once the transient mass drops below eps or the horizon is reached;
     without an explicit horizon, failing to converge within 10^6 steps
     raises. The check that the dual mixture reproduces this law for a game
     is ``distribution_equality`` in :func:`krongambler.verify.run_checks`.
     """
-    if hasattr(chain, "matrix"):
-        p = chain.matrix
-        target = chain.win_index if target is None else target
-    else:
-        p = np.asarray(chain, dtype=float)
-        if target is None:
-            raise ValueError("target index required for a bare matrix")
+    p = np.asarray(getattr(chain, "matrix", chain), dtype=float)
     start = np.asarray(nu, dtype=float).reshape(1, p.shape[0])
-    pmfs, absorbed = _power_iteration(p, start, target, horizon, eps)
+    if target == "ruin":
+        p = augment_sink(p)
+        start = np.pad(start, ((0, 0), (1, 0)))
+        index = 0
+    else:
+        target = index = p.shape[0] - 1 if target is None else int(target)
+    pmfs, absorbed = _power_iteration(p, start, index, horizon, eps)
     pmf = pmfs[0]
     low = float(pmf.min(initial=0.0))
     if low < -1e-12:
         raise SpecError(f"mixture pmf entry {low:.3e}; inconsistent weights")
     np.clip(pmf, 0.0, None, out=pmf)
     tail = float(absorbed[0] - pmf.sum())
-    return AbsorptionDist(pmf=pmf, tail=tail, target=int(target), eps=eps)
+    return AbsorptionDist(pmf=pmf, tail=tail, target=target, eps=eps)
 
 
 def pgf_multidim(game: GameSpec, nu_star, eps: float = 1e-12) -> MixturePgf:

@@ -14,11 +14,10 @@ import sys
 
 import numpy as np
 
-from .absorption import absorb_dist, pgf_from_dual
+from .absorption import absorb_dist, pgf_multidim
 from .birth_death import bd_win_prob
 from .errors import CouplingError, HorizonError, SpecError
 from .game import build_game, lattice_point_mass, multi_index
-from .intertwine import build_dual, dual_initial
 from .siegmund import win_prob_product, win_prob_solve
 from .specfile import load_spec
 from .simulate import SimConfig, simulate, simulate_coupled
@@ -77,10 +76,10 @@ def cmd_win_prob(args) -> int:
     dims = game.shape
     out = {
         "rho": {
-            _state_key(dims, i + 1): float(v) for i, v in enumerate(rho_prod)
+            _state_key(dims, i): float(v) for i, v in enumerate(rho_prod)
         },
         "rho_solve": {
-            _state_key(dims, i + 1): float(v) for i, v in enumerate(rho_solve)
+            _state_key(dims, i): float(v) for i, v in enumerate(rho_solve)
         },
         "method_agreement": float(np.max(np.abs(rho_prod - rho_solve))),
     }
@@ -93,8 +92,8 @@ def cmd_absorb_dist(args) -> int:
     game = parsed.game
     start = _parse_start(args.start, parsed)
     chain = build_game(game)
-    target = chain.win_index if args.target == "win" else chain.sink_index
-    nu = np.concatenate([[0.0], lattice_point_mass(game.shape, start)])
+    target = None if args.target == "win" else "ruin"
+    nu = lattice_point_mass(game.shape, start)
     horizon = args.horizon if args.horizon is not None else parsed.horizon
     eps = args.eps if args.eps is not None else parsed.eps
     dist = absorb_dist(chain, nu, target=target, horizon=horizon, eps=eps)
@@ -112,11 +111,8 @@ def cmd_pgf(args) -> int:
     parsed = load_spec(args.spec)
     game = parsed.game
     start = _parse_start(args.start, parsed)
-    chain = build_game(game)
-    link, dual = build_dual(game)
     nu = lattice_point_mass(game.shape, start)
-    weights = dual_initial(link, nu)
-    mix = pgf_from_dual(link, dual, weights.values, eps=parsed.eps)
+    mix = pgf_multidim(game, nu, eps=parsed.eps)
     points = [float(s) for s in args.eval.split(",")] if args.eval else [1.0]
     values = {repr(s): mix.evaluate(s) for s in points}
     rho = float(

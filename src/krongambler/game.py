@@ -2,9 +2,14 @@
 
 A game is a signed mixture of Kronecker products: each term picks a subset of
 coordinates that move together in one step, the remaining coordinates are
-frozen by identity factors, and the mixture weights sum to one. Augmenting
-the mixed substochastic matrix with a common ruin state yields the absorbing
-game chain.
+frozen by identity factors, and the mixture weights sum to one. The mixture
+is the game's kernel on the lattice: a substochastic matrix whose row
+deficits are the one-step probabilities of the common ruin state.
+
+States are lattice points indexed 0..n-1 in row-major order (coordinate d
+varies fastest), so the win corner (N_1, ..., N_d) is the last index. Ruin
+is not a state index; it becomes an explicit state only where a law needs
+it as a category (``linalg.augment_sink``).
 """
 
 from __future__ import annotations
@@ -18,40 +23,33 @@ from scipy.sparse.csgraph import connected_components
 
 from .birth_death import BirthDeathSpec, bd_restricted
 from .errors import CommunicationError, SpecError, StochasticityError
-from .linalg import DEFAULT_TOL, augment_sink, kron_all, restrict_sink
+from .linalg import DEFAULT_TOL, kron_all
 
 
 def linear_index(dims: tuple, multi) -> int:
-    """Linear index of a multi-index (1-based coordinates, coordinate d fastest).
-
-    The ruin state maps to 0; lattice states occupy 1..prod(dims).
-    """
-    if multi is None:
-        return 0
+    """Lattice index 0..prod(dims)-1 of 1-based coordinates, coordinate d fastest."""
     multi = tuple(int(c) for c in multi)
     if len(multi) != len(dims):
         raise IndexError(f"multi-index {multi} has wrong length for dims {dims}")
     for c, n in zip(multi, dims):
         if not 1 <= c <= n:
             raise IndexError(f"coordinate {c} out of range 1..{n}")
-    return 1 + int(np.ravel_multi_index([c - 1 for c in multi], dims))
+    return int(np.ravel_multi_index([c - 1 for c in multi], dims))
 
 
 def lattice_point_mass(dims: tuple, multi) -> np.ndarray:
-    """Start vector over the lattice states (no ruin entry) charging ``multi``."""
+    """Start vector over the lattice states charging ``multi``."""
     nu = np.zeros(prod(dims))
-    nu[linear_index(dims, multi) - 1] = 1.0
+    nu[linear_index(dims, multi)] = 1.0
     return nu
 
 
-def multi_index(dims: tuple, linear: int):
-    """Inverse of :func:`linear_index`; returns None for the ruin state."""
+def multi_index(dims: tuple, linear: int) -> tuple:
+    """Inverse of :func:`linear_index`: 1-based coordinates of a lattice index."""
     size = prod(dims)
-    if not 0 <= linear <= size:
-        raise IndexError(f"linear index {linear} out of range 0..{size}")
-    if linear == 0:
-        return None
-    return tuple(int(c) + 1 for c in np.unravel_index(linear - 1, dims))
+    if not 0 <= linear < size:
+        raise IndexError(f"linear index {linear} out of range 0..{size - 1}")
+    return tuple(int(c) + 1 for c in np.unravel_index(linear, dims))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,48 +123,43 @@ class GameSpec:
 
 @dataclass(frozen=True, eq=False)
 class AbsorbingChain:
-    """Built game chain on {ruin} + lattice, with index bookkeeping.
+    """Built game chain: its kernel on the lattice, with index bookkeeping.
 
-    ``matrix`` is stochastic; linear state 0 is the ruin sink and the last
-    linear state is the win corner (N_1..N_d). Both are absorbing.
+    ``matrix`` is the substochastic kernel over lattice indices 0..n-1; the
+    last index is the absorbing win corner (N_1..N_d). Each row's deficit
+    is its one-step probability of ruin.
     """
 
     matrix: np.ndarray
     dims: tuple
 
     @property
-    def sink_index(self) -> int:
-        return 0
+    def size(self) -> int:
+        return prod(self.dims)
 
     @property
     def win_index(self) -> int:
-        return prod(self.dims)
+        return self.size - 1
 
     @property
-    def size(self) -> int:
-        return prod(self.dims)
+    def ruin(self) -> np.ndarray:
+        """One-step ruin probability of every lattice state."""
+        return np.clip(1.0 - self.matrix.sum(axis=1), 0.0, None)
 
     def to_linear(self, multi) -> int:
         return linear_index(self.dims, multi)
 
-    def to_multi(self, linear: int):
+    def to_multi(self, linear: int) -> tuple:
         return multi_index(self.dims, linear)
-
-    def restricted(self) -> np.ndarray:
-        """Sink-restricted matrix on the lattice states."""
-        return restrict_sink(self.matrix, 0)
-
-    def transient_indices(self) -> np.ndarray:
-        return np.arange(1, self.win_index)
 
 
 def build_game(spec: GameSpec, tol: float = DEFAULT_TOL) -> AbsorbingChain:
-    """Mix the Kronecker terms, absorb the leak into a ruin sink, and validate.
+    """Mix the Kronecker terms into the game's kernel and validate it.
 
     Cancellation in signed mixtures may leave entries in [-tol, 0); these are
-    clamped to zero. Anything more negative means the mixture is not a valid
-    chain and raises. The transient lattice states must form one
-    communication class.
+    clamped to zero. Anything more negative, or a row summing above 1 + tol,
+    means the mixture is not a valid chain and raises. The transient lattice
+    states must form one communication class.
     """
     shape = spec.shape
     eyes = {n: np.eye(n) for n in set(shape)}
@@ -184,10 +177,15 @@ def build_game(spec: GameSpec, tol: float = DEFAULT_TOL) -> AbsorbingChain:
         i, j = np.unravel_index(int(mixed.argmin()), mixed.shape)
         raise StochasticityError(
             f"mixture entry {low:.3e} at states "
-            f"{multi_index(shape, i + 1)} -> {multi_index(shape, j + 1)}"
+            f"{multi_index(shape, i)} -> {multi_index(shape, j)}"
         )
     np.clip(mixed, 0.0, None, out=mixed)
-    chain = AbsorbingChain(matrix=augment_sink(mixed, tol), dims=shape)
+    excess = float(mixed.sum(axis=1).max()) - 1.0
+    if excess > tol:
+        raise StochasticityError(
+            f"row sum exceeds 1 by {excess:.3e}; not substochastic"
+        )
+    chain = AbsorbingChain(matrix=mixed, dims=shape)
     if not check_communication(chain):
         raise CommunicationError("transient states split into several classes")
     return chain
@@ -198,24 +196,19 @@ def check_communication(chain: AbsorbingChain) -> bool:
 
     Two requirements, both on the positive-entry digraph restricted to
     transient states: the graph is connected (no state or block is isolated
-    from the rest of the game), and every transient state can reach an
-    absorbing state. States with a coordinate already at its top cannot move
+    from the rest of the game), and every transient state can reach ruin or
+    the win corner. States with a coordinate already at its top cannot move
     that coordinate back down, so strong connectivity is deliberately not
     required; it fails even for the plain one-coordinate-at-a-time game.
     """
-    idx = chain.transient_indices()
-    if len(idx) == 0:
-        return True
-    sub = chain.matrix[np.ix_(idx, idx)] > 0.0
-    if len(idx) > 1:
+    sub = chain.matrix[:-1, :-1] > 0.0
+    if len(sub) > 1:
         n_comp, _ = connected_components(sub, directed=True, connection="weak")
         if n_comp != 1:
             return False
     # absorption reachable from everywhere: walk the digraph backwards from
-    # the absorbing states
-    exits = (chain.matrix[idx, chain.sink_index] > 0.0) | (
-        chain.matrix[idx, chain.win_index] > 0.0
-    )
+    # the states that step straight into ruin or the win corner
+    exits = (chain.ruin[:-1] > 0.0) | (chain.matrix[:-1, -1] > 0.0)
     reach = exits.copy()
     frontier = exits.copy()
     while frontier.any():

@@ -129,7 +129,7 @@ class PureBirthChain:
     """Pure-birth dual on the lattice: no coordinate ever decreases.
 
     ``diag`` holds the holding probabilities; the diagonal doubles as the
-    spectrum of the game's restricted matrix.
+    spectrum of the game's kernel.
     """
 
     matrix: np.ndarray

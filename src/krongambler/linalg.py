@@ -1,4 +1,4 @@
-"""Dense matrix helpers: Kronecker algebra and sink augmentation/restriction.
+"""Dense matrix helpers: Kronecker algebra, classification and sink augmentation.
 
 Matrices are plain ``numpy.ndarray`` objects in row-major layout. Every
 function returns a fresh array; inputs are never mutated. All state spaces
@@ -108,25 +108,3 @@ def augment_sink(p_sub, tol: float = DEFAULT_TOL) -> np.ndarray:
     out[1:, 1:] = np.clip(p_sub, 0.0, None)
     out[1:, 0] = np.clip(leak, 0.0, None)
     return out
-
-
-def restrict_sink(p, sink_index: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Drop the row and column of an absorbing state from a stochastic matrix.
-
-    Inverse of :func:`augment_sink` for chains whose only leak is the sink.
-    """
-    p = as_matrix(p)
-    n = p.shape[0]
-    if p.shape[1] != n:
-        raise ValueError(f"square matrix required, got {p.shape}")
-    if not 0 <= sink_index < n:
-        raise IndexError(f"sink index {sink_index} out of range for size {n}")
-    if classify(p, tol) is not StochKind.STOCHASTIC:
-        raise StochasticityError("matrix is not stochastic")
-    row = p[sink_index]
-    unit = np.zeros(n)
-    unit[sink_index] = 1.0
-    if np.max(np.abs(row - unit)) > tol:
-        raise StochasticityError(f"state {sink_index} is not absorbing")
-    keep = [i for i in range(n) if i != sink_index]
-    return p[np.ix_(keep, keep)].copy()

@@ -63,14 +63,14 @@ def siegmund_dual(p_x, order: OrderMatrix) -> np.ndarray:
 
 
 def reconstruct_primal(chain: AbsorbingChain, order: OrderMatrix) -> np.ndarray:
-    """Ergodic partner C (P')^T C^-1 of a built game's restricted matrix.
+    """Ergodic partner C (P')^T C^-1 of a built game's kernel P'.
 
     Row sums are exactly 1; entrywise nonnegativity is equivalent to the
     Mobius monotonicity of the partner and holds for valid games.
     """
     c = order.c.astype(float)
     mobius = order.mobius.astype(float)
-    return c @ chain.restricted().T @ mobius
+    return c @ chain.matrix.T @ mobius
 
 
 def win_prob_product(game: GameSpec) -> np.ndarray:
@@ -83,14 +83,9 @@ def win_prob_product(game: GameSpec) -> np.ndarray:
 
 def win_prob_solve(chain: AbsorbingChain) -> np.ndarray:
     """Winning probabilities from the fundamental-matrix solve on the built chain."""
-    size = chain.size
-    win = chain.win_index
-    idx = chain.transient_indices()
-    out = np.ones(size)
-    if len(idx):
-        q = chain.matrix[np.ix_(idx, idx)]
-        rhs = chain.matrix[idx, win]
-        out[: size - 1] = np.linalg.solve(np.eye(len(idx)) - q, rhs)
+    q = chain.matrix[:-1, :-1]
+    out = np.ones(chain.size)
+    out[:-1] = np.linalg.solve(np.eye(len(q)) - q, chain.matrix[:-1, -1])
     return out
 
 

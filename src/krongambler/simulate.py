@@ -4,6 +4,10 @@ Streams are split deterministically: worker w draws from a PCG64 generator
 seeded with ``SeedSequence(seed).spawn(workers)[w]``, and worker results are
 merged in worker order, so a report depends only on (seed, runs, workers,
 max_steps) and is reproducible bit for bit.
+
+Runs move over lattice indices 0..n-1, the win corner last. A step samples
+the categories [ruin | lattice states] of the current kernel row, so a run
+absorbed in ruin holds the state ``RUIN`` (-1), which indexes no state.
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ import numpy as np
 from .errors import CouplingError
 from .game import AbsorbingChain, GameSpec, build_game
 from .intertwine import build_dual, dual_initial
+from .linalg import augment_sink
+
+#: State of a run that ended in ruin; lattice states are 0..n-1.
+RUIN = -1
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,13 @@ class SimReport:
 
 
 def _sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-cdf draw along each row of precomputed cumulative sums."""
-    return (u[:, None] >= cum_rows).sum(axis=1)
+    """Inverse-cdf draw of each run's next state from its ``_cum_rows`` row.
+
+    Category 0 of a row is ruin and category k + 1 lattice state k, so the
+    drawn category less one is the state: ``RUIN`` for ruin. Counting from
+    -1 subtracts the one without another array per step.
+    """
+    return (u[:, None] >= cum_rows).sum(axis=1, initial=RUIN)
 
 
 def _merge(counts_win, counts_lose):
@@ -115,20 +128,24 @@ def _merge(counts_win, counts_lose):
     return win, lose
 
 
-def _cum_rows(matrix: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(matrix, axis=1)
+def _cum_rows(chain: AbsorbingChain) -> np.ndarray:
+    """Per lattice state, cumulative step probabilities over [ruin | lattice]."""
+    cum = np.cumsum(augment_sink(chain.matrix)[1:], axis=1)
     # rounding guard: the last column must be a sure upper bound for u < 1
     cum[:, -1] = np.maximum(cum[:, -1], 1.0)
     return cum
 
 
 def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
-    """Estimate the winning frequency and absorption-time laws empirically."""
+    """Estimate the winning frequency and absorption-time laws empirically.
+
+    ``start`` is a lattice index or a tuple of 1-based coordinates.
+    """
     s0 = int(start) if np.isscalar(start) else chain.to_linear(start)
-    if s0 in (chain.sink_index, chain.win_index):
+    if not 0 <= s0 < chain.win_index:
         raise ValueError("start state must be transient")
-    cum = _cum_rows(chain.matrix)
-    win, sink = chain.win_index, chain.sink_index
+    cum = _cum_rows(chain)
+    win = chain.win_index
 
     counts_win, counts_lose = [], []
     n_win = n_lose = n_timeout = 0
@@ -142,11 +159,11 @@ def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
             u = rng.random(len(active))
             nxt = _sample_rows(cum[states[active]], u)
             states[active] = nxt
-            done = (nxt == win) | (nxt == sink)
+            done = (nxt == win) | (nxt == RUIN)
             times[active[done]] = step
             active = active[~done]
         w_mask = states == win
-        l_mask = states == sink
+        l_mask = states == RUIN
         w_mask[active] = False
         l_mask[active] = False
         n_win += int(w_mask.sum())
@@ -197,7 +214,7 @@ def simulate_coupled(
     Requires the dual start weights to form a distribution (always true when
     the game starts at the minimal corner). With ``record_paths`` the return
     value is ``(report, paths)`` where each path lists (game_state,
-    dual_state) pairs per step, dual states as 0-based lattice indices.
+    dual_state) pairs per step, both as lattice indices.
     """
     chain = build_game(game)
     link, dual = build_dual(game)
@@ -212,10 +229,10 @@ def simulate_coupled(
 
     lam = link.matrix
     p_hat = dual.matrix
-    win, sink = chain.win_index, chain.sink_index
+    win = chain.win_index
     dual_win = dual.win_index
 
-    cum = _cum_rows(chain.matrix)
+    cum = _cum_rows(chain)
     cum_nu = np.cumsum(nu_star)
     cum_nu[-1] = max(cum_nu[-1], 1.0)
 
@@ -225,13 +242,9 @@ def simulate_coupled(
     paths = [] if record_paths else None
 
     for rng, n_runs in zip(cfg.streams(), cfg.chunks()):
-        estar = (
-            np.searchsorted(cum_nu, rng.random(n_runs), side="right").astype(
-                np.int64
-            )
-            + 1
-        )
-        w0 = nu_hat[None, :] * lam[:, estar - 1].T
+        u = rng.random(n_runs)
+        estar = np.searchsorted(cum_nu, u, side="right").astype(np.int64)
+        w0 = nu_hat[None, :] * lam[:, estar].T
         ehat = _conditional_draw(w0, rng.random(n_runs))
         times = np.zeros(n_runs, dtype=np.int64)
         outcome = np.zeros(n_runs, dtype=np.int8)  # 0 active, 1 win, 2 lose
@@ -247,7 +260,7 @@ def simulate_coupled(
             u = rng.random(len(active))
             nxt = _sample_rows(cum[estar[active]], u)
 
-            lost = nxt == sink
+            lost = nxt == RUIN
             lost_runs = active[lost]
             outcome[lost_runs] = 2
             times[lost_runs] = step
@@ -255,7 +268,7 @@ def simulate_coupled(
             alive = active[~lost]
             nxt_alive = nxt[~lost]
             if len(alive):
-                rows = p_hat[ehat[alive]] * lam[:, nxt_alive - 1].T
+                rows = p_hat[ehat[alive]] * lam[:, nxt_alive].T
                 new_hat = _conditional_draw(rows, rng.random(len(alive)))
                 violations += int(
                     np.sum((new_hat == dual_win) != (nxt_alive == win))

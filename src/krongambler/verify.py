@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -61,9 +60,9 @@ def char_poly_residual(matrix: np.ndarray, values) -> float:
 
 
 def diagonal_eigenvalue_check(
-    restricted: np.ndarray, diag: np.ndarray, tol: float = 1e-7
+    kernel: np.ndarray, diag: np.ndarray, tol: float = 1e-7
 ) -> CheckResult:
-    """Spectrum of the restricted game vs the dual's diagonal.
+    """Spectrum of the game's kernel vs the dual's diagonal.
 
     Uses the characteristic-polynomial residual, except for near-degenerate
     diagonals (min gap < 1e-9) where a sorted multiset comparison at 1e-6 is
@@ -75,11 +74,11 @@ def diagonal_eigenvalue_check(
             "near-degenerate dual diagonal; comparing spectra as multisets",
             stacklevel=2,
         )
-        spectrum = np.sort(np.linalg.eigvals(restricted).real)
+        spectrum = np.sort(np.linalg.eigvals(kernel).real)
         residual = float(np.max(np.abs(spectrum - np.sort(diag))))
         return _result("diagonal_eigenvalues", residual, 1e-6, "multiset")
     return _result(
-        "diagonal_eigenvalues", char_poly_residual(restricted, diag), tol
+        "diagonal_eigenvalues", char_poly_residual(kernel, diag), tol
     )
 
 
@@ -98,12 +97,11 @@ def run_checks(
     except SpecError as exc:
         checks.append(CheckResult("build", False, float("nan"), str(exc)))
         return checks
+    kernel = chain.matrix
+    row_excess = float(kernel.sum(axis=1).max()) - 1.0
     checks.append(
-        _result(
-            "build_stochastic",
-            np.max(np.abs(chain.matrix.sum(axis=1) - 1.0)),
-            1e-12,
-        )
+        _result("build_stochastic",
+                max(0.0, row_excess, -float(kernel.min())), 1e-12)
     )
     checks.append(
         CheckResult(
@@ -124,13 +122,12 @@ def run_checks(
         _result("mobius_monotone", max(0.0, -float(primal.min())), 1e-10)
     )
     c_float = order.c.astype(float)
-    restricted = chain.restricted()
     resid = 0.0
     lhs = np.eye(len(primal))
     rhs = np.eye(len(primal))
     for _ in range(4):
         lhs = lhs @ primal
-        rhs = rhs @ restricted.T
+        rhs = rhs @ kernel.T
         resid = max(resid, float(np.max(np.abs(lhs @ c_float - c_float @ rhs))))
     checks.append(_result("siegmund_identity_n1_4", resid, 1e-10))
 
@@ -163,7 +160,7 @@ def run_checks(
     checks.append(
         _result(
             "intertwining",
-            np.max(np.abs(link.matrix @ restricted - dual.matrix @ link.matrix)),
+            np.max(np.abs(link.matrix @ kernel - dual.matrix @ link.matrix)),
             1e-10,
         )
     )
@@ -186,13 +183,12 @@ def run_checks(
             qk_resid = max(qk_resid, -float(qk.min()))
     checks.append(_result("spectral_polynomials_substochastic", qk_resid, 1e-10))
 
-    checks.append(diagonal_eigenvalue_check(restricted, dual.diag))
+    checks.append(diagonal_eigenvalue_check(kernel, dual.diag))
 
     nu_star = lattice_point_mass(dims, start)
     weights = dual_initial(link, nu_star)
     mix = pgf_from_dual(link, dual, weights.values, eps=eps)
-    full_nu = np.concatenate([[0.0], nu_star])
-    direct = absorb_dist(chain, full_nu, target=chain.win_index, eps=eps)
+    direct = absorb_dist(chain, nu_star, eps=eps)
     horizon = len(direct.pmf)
     mixture_pmf = np.zeros(horizon)
     for w, part in zip(mix.weights, mix.parts):
@@ -210,9 +206,8 @@ def run_checks(
         # the factorization law concerns the time from the bottom state
         spec = game.dims[0]
         lam = bd_eigenvalues(spec)[:-1]
-        bottom = np.zeros(prod(dims) + 1)
-        bottom[1] = 1.0
-        dist = absorb_dist(chain, bottom, target=chain.win_index, eps=eps)
+        bottom = lattice_point_mass(dims, (1,))
+        dist = absorb_dist(chain, bottom, eps=eps)
         conv = geometric_convolution_pmf(1.0 - lam, len(dist.pmf) - 1)
         checks.append(
             _result(
@@ -231,7 +226,7 @@ def bd_stationary_of_game_dim(game: GameSpec, j: int) -> np.ndarray:
     increments pi(i) = rho(i) - rho(i-1); normalization is built in.
     """
     rho = bd_win_prob(game.dims[j])
-    return np.diff(np.concatenate([[0.0], rho]))
+    return np.diff(rho, prepend=0.0)
 
 
 def all_passed(checks) -> bool:

@@ -74,18 +74,19 @@ def rand_game(rng, d=None, r=None, n_max=4, q1_zero=False, dual_safe=True):
 
 
 def direct_game_matrix(dims):
-    """Hand-coded transition matrix of the one-coordinate-at-a-time game.
+    """Hand-coded kernel and ruin vector of the one-coordinate-at-a-time game.
 
     Independent of the Kronecker construction: iterates lattice states and
-    applies the displayed move/ruin/hold rules directly.
+    applies the displayed move/ruin/hold rules directly. Returns the kernel
+    over lattice indices and each state's one-step ruin probability.
     """
     shape = tuple(s.N for s in dims)
     size = int(np.prod(shape))
-    out = np.zeros((size + 1, size + 1))
-    out[0, 0] = 1.0
+    out = np.zeros((size, size))
+    ruin_of = np.zeros(size)
 
     def lin(multi):
-        return 1 + int(np.ravel_multi_index([c - 1 for c in multi], shape))
+        return int(np.ravel_multi_index([c - 1 for c in multi], shape))
 
     for multi0 in np.ndindex(*shape):
         multi = tuple(c + 1 for c in multi0)
@@ -107,9 +108,9 @@ def direct_game_matrix(dims):
                     target = list(multi)
                     target[j] -= 1
                     out[row, lin(target)] += down
-        out[row, 0] = ruin
+        ruin_of[row] = ruin
         out[row, row] = 1.0 - total_move
-    return out
+    return out, ruin_of
 
 
 def direct_dual_kernel(game):

@@ -18,6 +18,7 @@ from krongambler import (
     preset_r_of_d,
 )
 from krongambler.absorption import geometric_convolution_pmf, pgf_from_dual
+from krongambler.game import lattice_point_mass
 from krongambler.birth_death import bd_restricted
 from krongambler.intertwine import build_dual, dual_initial, pure_birth_1d
 from krongambler.pgf import GeometricProductPgf, SeriesPgf
@@ -174,7 +175,7 @@ def test_absorb_dist_matches_series_of_closed_form():
     chain = build_game(
         GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
     )
-    nu = np.array([0.0, 0.0, 1.0, 0.0])
+    nu = np.array([0.0, 1.0, 0.0])
     dist = absorb_dist(chain, nu, target=chain.win_index)
     # series coefficients of the closed form, via geometric expansions
     lam = bd_eigenvalues(spec)[:-1]
@@ -204,6 +205,34 @@ def test_absorb_dist_rejects_non_absorbing_target():
     spec = golden_spec()
     with pytest.raises(ValueError):
         absorb_dist(bd_restricted(spec), np.array([1.0, 0.0, 0.0]), target=1)
+
+
+def test_ruin_target_matches_two_sided_lose_branch():
+    rng = np.random.default_rng(48)
+    for _ in range(10):
+        spec = rand_bd(rng, int(rng.integers(2, 6)), budget=0.6)
+        start = int(rng.integers(1, spec.N))
+        chain = build_game(
+            GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
+        )
+        nu = lattice_point_mass(chain.dims, (start,))
+        dist = absorb_dist(chain, nu, target="ruin")
+        rho = float(bd_win_prob(spec)[start - 1])
+        _, lose = pgf_two_sided(spec, start)
+        assert abs(dist.mass() - (1.0 - rho)) < 1e-12
+        assert abs(dist.mean() - lose.mean()) < 1e-9 * max(1.0, lose.mean())
+
+
+def test_win_and_ruin_masses_sum_to_one():
+    rng = np.random.default_rng(49)
+    for _ in range(8):
+        game = rand_game(rng, d=2, dual_safe=False)
+        chain = build_game(game)
+        nu = np.zeros(game.size)
+        nu[int(rng.integers(0, game.size - 1))] = 1.0
+        win = absorb_dist(chain, nu)
+        ruin = absorb_dist(chain, nu, target="ruin")
+        assert abs(win.mass() + ruin.mass() - 1.0) < 1e-12
 
 
 def test_expected_time_two_routes_agree():
@@ -253,7 +282,7 @@ def test_multidim_no_ruin_start_bottom_equals_dual_time():
         link, dual = build_dual(game)
         nu = np.zeros(game.size)
         nu[0] = 1.0
-        direct = absorb_dist(chain, np.concatenate([[0.0], nu]),
+        direct = absorb_dist(chain, nu,
                              target=chain.win_index)
         dual_dist = absorb_dist(dual, nu)
         horizon = min(len(direct.pmf), len(dual_dist.pmf))
@@ -272,7 +301,7 @@ def test_multidim_signed_mixture_matches_win_conditioned_law():
         start[int(rng.integers(0, game.size - 1))] = 1.0
         weights = dual_initial(link, start).values
         mix = pgf_from_dual(link, dual, weights)
-        direct = absorb_dist(chain, np.concatenate([[0.0], start]),
+        direct = absorb_dist(chain, start,
                              target=chain.win_index)
         horizon = len(direct.pmf)
         mixture_pmf = np.zeros(horizon)

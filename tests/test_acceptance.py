@@ -117,7 +117,7 @@ def test_criterion_3_distribution_equality():
         link, dual = build_dual(game)
         nu = np.zeros(game.size)
         nu[0] = 1.0
-        direct = absorb_dist(chain, np.concatenate([[0.0], nu]),
+        direct = absorb_dist(chain, nu,
                              target=chain.win_index, eps=1e-12)
         dual_dist = absorb_dist(dual, nu, eps=1e-12)
         horizon = min(len(direct.pmf), len(dual_dist.pmf))
@@ -132,7 +132,7 @@ def test_criterion_3_distribution_equality():
         link, dual = build_dual(game)
         nu = np.zeros(game.size)
         nu[0] = 1.0
-        direct = absorb_dist(chain, np.concatenate([[0.0], nu]),
+        direct = absorb_dist(chain, nu,
                              target=chain.win_index, eps=1e-12)
         mix = pgf_from_dual(link, dual, dual_initial(link, nu).values)
         mixture = mixture_pmf_against(direct.pmf, mix)
@@ -161,7 +161,7 @@ def test_criterion_4_intertwining_and_isolation():
             float(
                 np.max(
                     np.abs(
-                        link.matrix @ chain.restricted()
+                        link.matrix @ chain.matrix
                         - dual.matrix @ link.matrix
                     )
                 )
@@ -188,7 +188,7 @@ def test_criterion_5_dual_diagonal_is_spectrum():
     for game in cases:
         chain = build_game(game)
         _, dual = build_dual(game)
-        worst = max(worst, char_poly_residual(chain.restricted(), dual.diag))
+        worst = max(worst, char_poly_residual(chain.matrix, dual.diag))
     report(
         5,
         worst < 1e-7,
@@ -235,7 +235,7 @@ def test_criterion_7_monte_carlo_concordance():
     chain = build_game(game)
     cfg = SimConfig(runs=100_000, seed=20240901, workers=4)
     rep = simulate(chain, (2, 2), cfg)
-    exact = float(win_prob_product(game)[chain.to_linear((2, 2)) - 1])
+    exact = float(win_prob_product(game)[chain.to_linear((2, 2))])
     freq_ok = abs(rep.win_freq - exact) < 4 * rep.win_se
     identical = json.dumps(rep.as_dict()) == json.dumps(
         simulate(chain, (2, 2), cfg).as_dict()

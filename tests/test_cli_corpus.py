@@ -31,6 +31,7 @@ SPECS = sorted(p.stem for p in CORPUS.glob("*.json") if p != EXPECTED)
 COMMANDS = {
     "win-prob": ["win-prob"],
     "absorb-dist": ["absorb-dist"],
+    "absorb-dist-lose": ["absorb-dist", "--target", "lose"],
     "pgf": ["pgf", "--eval", "0.25,0.5,0.9,1.0"],
     "simulate": ["simulate"],
     "simulate-coupled": ["simulate", "--coupled"],

@@ -25,9 +25,10 @@ def test_single_dimension_reduces_to_component_matrix():
     spec = BirthDeathSpec(N=4, p=(0.2, 0.3, 0.2), q=(0.1, 0.1, 0.2))
     game = GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
     chain = build_game(game)
-    assert np.allclose(chain.matrix, bd_matrix(spec), atol=1e-15)
-    assert chain.sink_index == 0
-    assert chain.win_index == 4
+    full = bd_matrix(spec)
+    assert np.allclose(chain.matrix, full[1:, 1:], atol=1e-15)
+    assert np.allclose(chain.ruin, full[1:, 0], atol=1e-15)
+    assert chain.win_index == 3
 
 
 def test_one_move_preset_matches_direct_construction():
@@ -39,7 +40,9 @@ def test_one_move_preset_matches_direct_construction():
             for _ in range(d)
         ]
         chain = build_game(preset_r_of_d(dims, 1))
-        assert np.max(np.abs(chain.matrix - direct_game_matrix(dims))) < 1e-14
+        kernel, ruin = direct_game_matrix(dims)
+        assert np.max(np.abs(chain.matrix - kernel)) < 1e-14
+        assert np.max(np.abs(chain.ruin - ruin)) < 1e-14
 
 
 def test_full_move_preset_is_kronecker_product():
@@ -48,7 +51,7 @@ def test_full_move_preset_is_kronecker_product():
     b = rand_bd(rng, 4, budget=0.4)
     chain = build_game(preset_r_of_d([a, b], 2))
     expected = np.kron(bd_restricted(a), bd_restricted(b))
-    assert np.allclose(chain.restricted(), expected, atol=1e-15)
+    assert np.allclose(chain.matrix, expected, atol=1e-15)
 
 
 def test_preset_subsets_and_coefficients():
@@ -119,7 +122,7 @@ def test_mixture_eigenvalues_are_products_over_subsets():
             for b, a in zip(game.coeffs, game.subsets):
                 value += b * np.prod([eigs[j - 1][multi[j - 1]] for j in a])
             candidates.append(value)
-        assert char_poly_residual(chain.restricted(), candidates) < 1e-8
+        assert char_poly_residual(chain.matrix, candidates) < 1e-8
 
 
 def test_negative_mixture_entry_is_rejected():
@@ -149,13 +152,12 @@ def test_build_rejects_immobilized_coordinate():
 
 
 def test_communication_detects_isolated_state():
-    # hand-built chain on {sink, 1, 2, 3}: state 1 never meets state 2
+    # hand-built kernel on lattice states 0, 1, 2: state 0 never meets state 1
     m = np.array(
         [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.5, 0.5, 0.0, 0.0],
-            [0.0, 0.0, 0.5, 0.5],
-            [0.0, 0.0, 0.0, 1.0],
+            [0.5, 0.0, 0.0],
+            [0.0, 0.5, 0.5],
+            [0.0, 0.0, 1.0],
         ]
     )
     chain = AbsorbingChain(matrix=m, dims=(3,))
@@ -170,17 +172,15 @@ def test_communication_single_dimension():
 
 def test_index_round_trip():
     dims = (2, 3)
-    assert multi_index(dims, 0) is None
-    assert linear_index(dims, None) == 0
-    assert linear_index(dims, (1, 1)) == 1
-    assert linear_index(dims, (2, 3)) == 6  # win corner is the last state
-    assert linear_index(dims, (2, 1)) == 4
-    for lin in range(1, 7):
+    assert linear_index(dims, (1, 1)) == 0
+    assert linear_index(dims, (2, 3)) == 5  # win corner is the last state
+    assert linear_index(dims, (2, 1)) == 3
+    for lin in range(6):
         assert linear_index(dims, multi_index(dims, lin)) == lin
     with pytest.raises(IndexError):
         linear_index(dims, (3, 1))
     with pytest.raises(IndexError):
-        multi_index(dims, 7)
+        multi_index(dims, 6)
 
 
 def test_matrix_coefficients_state_dependent_laziness():

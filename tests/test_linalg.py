@@ -11,7 +11,6 @@ from krongambler import (
     classify,
     kron,
     kron_sum,
-    restrict_sink,
 )
 from krongambler.birth_death import bd_matrix, bd_restricted
 from krongambler.linalg import kron_all
@@ -93,16 +92,9 @@ def test_augment_restrict_round_trip_matches_game_matrix():
     for _ in range(20):
         spec = rand_bd(rng, int(rng.integers(2, 7)))
         full = bd_matrix(spec)
-        interior = restrict_sink(full, 0)
+        interior = full[1:, 1:]
         assert np.array_equal(interior, bd_restricted(spec))
         assert np.allclose(augment_sink(interior), full, atol=1e-15)
-
-
-def test_restrict_requires_absorbing_row():
-    m = np.array([[0.5, 0.5], [0.0, 1.0]])
-    with pytest.raises(StochasticityError):
-        restrict_sink(m, 0)
-    assert np.array_equal(restrict_sink(np.eye(3), 0), np.eye(2))
 
 
 def test_classify_cases():

@@ -99,14 +99,14 @@ def test_win_prob_product_fair_walks():
     for i in range(1, 4):
         for j in range(1, 4):
             expected = (i / 3) * (j / 3)
-            assert abs(rho[chain.to_linear((i, j)) - 1] - expected) < 1e-12
+            assert abs(rho[chain.to_linear((i, j))] - expected) < 1e-12
 
 
 def test_win_prob_product_golden_two_dim():
     spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.1, 0.1))
     game = preset_r_of_d([spec, spec], 1)
     chain = build_game(game)
-    idx = chain.to_linear((2, 2)) - 1
+    idx = chain.to_linear((2, 2))
     assert abs(win_prob_product(game)[idx] - (12.0 / 13.0) ** 2) < 1e-12
     assert abs(win_prob_solve(chain)[idx] - (12.0 / 13.0) ** 2) < 1e-10
 
@@ -142,7 +142,7 @@ def test_duality_identity_at_powers():
         order = product_order(game.shape)
         primal = reconstruct_primal(chain, order)
         c = order.c.astype(float)
-        restricted = chain.restricted()
+        restricted = chain.matrix
         lhs = np.eye(len(primal))
         rhs = np.eye(len(primal))
         for _ in range(4):

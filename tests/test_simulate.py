@@ -47,7 +47,7 @@ def test_two_dim_frequency_matches_product():
     chain = build_game(game)
     cfg = SimConfig(runs=100_000, seed=3, workers=4)
     report = simulate(chain, (2, 2), cfg)
-    exact = win_prob_product(game)[chain.to_linear((2, 2)) - 1]
+    exact = win_prob_product(game)[chain.to_linear((2, 2))]
     assert abs(report.win_freq - exact) < 4 * report.win_se
 
 
@@ -77,6 +77,17 @@ def test_start_state_must_be_transient():
         simulate(chain, (3,), SimConfig(runs=10, seed=0))
 
 
+def test_scalar_start_is_lattice_index():
+    spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.1, 0.1))
+    chain = build_game(one_dim_game(spec))
+    cfg = SimConfig(runs=500, seed=11)
+    by_index = simulate(chain, chain.to_linear((2,)), cfg)
+    assert by_index.as_dict() == simulate(chain, (2,), cfg).as_dict()
+    for bad in (-1, chain.win_index, chain.size):
+        with pytest.raises(ValueError):
+            simulate(chain, bad, cfg)
+
+
 def test_coupled_no_violations_and_matching_paths():
     spec = BirthDeathSpec(N=4, p=(0.3, 0.25, 0.3), q=(0.0, 0.1, 0.1))
     game = one_dim_game(spec)
@@ -92,7 +103,7 @@ def test_coupled_no_violations_and_matching_paths():
     for path in paths:
         game_states = [e for e, _ in path]
         dual_states = [h for _, h in path]
-        t_game = next(i for i, e in enumerate(game_states) if e == 4)
+        t_game = next(i for i, e in enumerate(game_states) if e == 3)
         t_dual = next(i for i, h in enumerate(dual_states) if h == 3)
         assert t_game == t_dual
 
@@ -159,7 +170,7 @@ def test_coupled_win_times_pass_chi_square():
     nu[0] = 1.0
     report = simulate_coupled(game, nu, SimConfig(runs=30_000, seed=7))
     chain = build_game(game)
-    exact = absorb_dist(chain, np.concatenate([[0.0], nu]),
+    exact = absorb_dist(chain, nu,
                         target=chain.win_index)
     obs, exp = chi_square_bins(
         report.counts_win.astype(float),
@@ -177,8 +188,8 @@ def test_plain_win_times_pass_chi_square():
     game = one_dim_game(spec)
     chain = build_game(game)
     report = simulate(chain, (2,), SimConfig(runs=30_000, seed=17, workers=2))
-    nu = np.zeros(5)
-    nu[2] = 1.0
+    nu = np.zeros(4)
+    nu[1] = 1.0
     exact = absorb_dist(chain, nu, target=chain.win_index)
     obs, exp = chi_square_bins(
         report.counts_win.astype(float),
@@ -188,7 +199,7 @@ def test_plain_win_times_pass_chi_square():
     _, pvalue = chisquare(obs, exp)
     assert pvalue > 0.001
     # lose-conditioned law against the ruin-absorption law
-    exact_lose = absorb_dist(chain, nu, target=chain.sink_index)
+    exact_lose = absorb_dist(chain, nu, target="ruin")
     obs, exp = chi_square_bins(
         report.counts_lose.astype(float),
         exact_lose.pmf / exact_lose.pmf.sum(),

@@ -1,6 +1,8 @@
 import numpy as np
 
-from krongambler import BirthDeathSpec, GameSpec, preset_r_of_d
+from krongambler import AbsorbingChain, BirthDeathSpec, GameSpec, preset_r_of_d
+from krongambler import verify
+from krongambler.game import build_game
 from krongambler.verify import all_passed, char_poly_residual, run_checks
 
 from conftest import rand_bd
@@ -49,6 +51,19 @@ def test_keilson_check_uses_bottom_start_regardless_of_game_start():
     by_name = {c.name: c for c in checks}
     assert by_name["keilson_factorization"].passed
     assert all_passed(checks)
+
+
+def test_build_stochastic_fails_on_overfull_kernel_row(monkeypatch):
+    rng = np.random.default_rng(62)
+    game = preset_r_of_d([rand_bd(rng, 3, budget=0.2) for _ in range(2)], 1)
+    chain = build_game(game)
+    kernel = chain.matrix.copy()
+    kernel[0, 0] += 1.0 - kernel[0].sum() + 1e-9  # row 0 sums to 1 + 1e-9
+    bad = AbsorbingChain(matrix=kernel, dims=chain.dims)
+    monkeypatch.setattr(verify, "build_game", lambda _: bad)
+    by_name = {c.name: c for c in run_checks(game)}
+    assert not by_name["build_stochastic"].passed
+    assert abs(by_name["build_stochastic"].residual - 1e-9) < 1e-12
 
 
 def test_char_poly_residual_detects_wrong_values():
