@@ -97,13 +97,14 @@ def cmd_absorb_dist(args) -> int:
     horizon = args.horizon if args.horizon is not None else parsed.horizon
     eps = args.eps if args.eps is not None else parsed.eps
     dist = absorb_dist(chain, nu, target=target, horizon=horizon, eps=eps)
-    print("t,pmf,cdf")
+    lines = ["t,pmf,cdf"]
     cdf = 0.0
-    for t, mass in enumerate(dist.pmf):
-        cdf += float(mass)
-        print(f"{t},{float(mass)!r},{cdf!r}")
+    for t, mass in enumerate(dist.pmf.tolist()):
+        cdf += mass
+        lines.append(f"{t},{mass!r},{cdf!r}")
     if dist.tail > eps:
-        print(f"# tail,{float(dist.tail)!r}")
+        lines.append(f"# tail,{float(dist.tail)!r}")
+    print("\n".join(lines))
     return 0
 
 

@@ -1,9 +1,11 @@
 """Dense matrix helpers: Kronecker algebra, classification and sink augmentation.
 
 Matrices are plain ``numpy.ndarray`` objects in row-major layout. Every
-function returns a fresh array; inputs are never mutated. All state spaces
-in this package are small enough that dense arithmetic doubles as the
-correctness anchor, so there is deliberately no sparse code path.
+function returns a fresh array; inputs are never mutated. Every kernel is
+built and validated densely here, and dense arithmetic doubles as the
+correctness anchor. The power iteration in :mod:`krongambler.absorption`
+is the one place that multiplies in sparse storage: it copies kernels of at
+least ``SPARSE_MIN_STATES`` states into CSR form for its repeated products.
 """
 
 from __future__ import annotations

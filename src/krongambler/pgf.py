@@ -78,7 +78,8 @@ class SeriesPgf:
     def evaluate(self, s: float) -> float:
         if abs(s) > 1.0:
             raise ValueError("series-backed pgf is only evaluable for |s| <= 1")
-        return float(np.polynomial.polynomial.polyval(s, self.pmf))
+        powers = np.power(s, np.arange(len(self.pmf)))
+        return float(np.dot(self.pmf, powers))
 
     __call__ = evaluate
 

@@ -8,6 +8,8 @@ import numpy as np
 from krongambler import (
     BirthDeathSpec,
     ErgodicBDSpec,
+    HorizonError,
+    absorption,
     bd_eigenvalues,
     preset_r_of_d,
 )
@@ -179,3 +181,44 @@ def power_iteration_pmf(matrix, start, target, horizon):
         pmf.append(v[target] - prev)
         prev = v[target]
     return np.array(pmf)
+
+
+def reference_power_iteration(p, starts, target, horizon, eps):
+    """Step-by-step dense power iteration: the oracle for the blocked engine.
+
+    Same contract as ``krongambler.absorption._power_iteration``: one
+    vector-matrix product per step, the transient-mass test before every
+    step, and the exact fundamental-matrix solve for the absorbed mass.
+    """
+    n = p.shape[0]
+    absorbing = np.diag(p) >= 1.0 - 1e-12
+    if not absorbing[target]:
+        raise ValueError(f"state {target} is not absorbing")
+    transient = np.flatnonzero(~absorbing)
+    cap = absorption.MAX_HORIZON if horizon is None else int(horizon)
+
+    def transient_mass(v):
+        return np.abs(v[:, transient]).sum(axis=1).max(initial=0.0)
+
+    v = starts
+    reached = [v[:, target].copy()]
+    for _ in range(cap):
+        if transient_mass(v) < eps:
+            break
+        v = v @ p
+        reached.append(v[:, target].copy())
+    else:
+        if horizon is None:
+            raise HorizonError(
+                f"transient mass {transient_mass(v):.3e} after {cap} steps"
+            )
+    pmf = np.diff(np.column_stack(reached), axis=1, prepend=0.0)
+
+    h = np.zeros(n)
+    h[target] = 1.0
+    if len(transient):
+        q = p[np.ix_(transient, transient)]
+        h[transient] = np.linalg.solve(
+            np.eye(len(transient)) - q, p[transient, target]
+        )
+    return pmf, v @ h

@@ -314,8 +314,23 @@ def test_multidim_signed_mixture_matches_win_conditioned_law():
 
 def test_series_pgf_rejects_s_above_one():
     pgf = SeriesPgf(pmf=np.array([0.0, 1.0]), tail=0.0)
-    with pytest.raises(ValueError):
-        pgf.evaluate(1.5)
+    for s in (1.5, -1.5):
+        with pytest.raises(ValueError):
+            pgf.evaluate(s)
+
+
+@pytest.mark.parametrize("s", [-1.0, -0.5, 0.0, 0.25, 0.9, 1.0])
+def test_series_pgf_matches_horner(s):
+    alpha = 0.01
+    geometric = alpha * (1 - alpha) ** np.arange(3000)
+    geometric[0] = 0.0
+    rng = np.random.default_rng(50)
+    for pmf in (geometric, rng.random(1300) / 650, np.array([0.25])):
+        want = float(np.polynomial.polynomial.polyval(s, pmf))
+        got = SeriesPgf(pmf=pmf, tail=0.0).evaluate(s)
+        # both forms round within 2 * len * eps of the sum of |terms|
+        bound = 4 * len(pmf) * np.finfo(float).eps * np.abs(pmf).sum()
+        assert abs(got - want) <= bound
 
 
 def test_geometric_product_pole_detection():

@@ -1,0 +1,163 @@
+"""The blocked power-iteration engine against the step-by-step dense oracle.
+
+Every case asks for the same pmf length as the oracle and agreement within
+1e-12 on the pmfs and the absorbed masses.
+"""
+
+import numpy as np
+import pytest
+
+from krongambler import (
+    HorizonError,
+    absorb_dist,
+    absorption,
+    build_game,
+    preset_r_of_d,
+)
+from krongambler.absorption import _power_iteration
+from krongambler.game import lattice_point_mass
+from krongambler.intertwine import build_dual
+from krongambler.linalg import augment_sink
+
+from conftest import dual_safe_budget, rand_bd, reference_power_iteration
+
+TOL = 1e-12
+
+
+def assert_matches_reference(p, starts, target, horizon=None, eps=1e-12):
+    got_pmf, got_absorbed = _power_iteration(p, starts, target, horizon, eps)
+    want_pmf, want_absorbed = reference_power_iteration(
+        p, starts, target, horizon, eps
+    )
+    assert got_pmf.shape == want_pmf.shape
+    assert np.max(np.abs(got_pmf - want_pmf)) <= TOL
+    assert np.max(np.abs(got_absorbed - want_absorbed)) <= TOL
+    return got_pmf, got_absorbed
+
+
+def random_game(rng, shape, r=1):
+    d = len(shape)
+    dims = [rand_bd(rng, n, budget=dual_safe_budget(d, r)) for n in shape]
+    return preset_r_of_d(dims, r)
+
+
+def transient_masses(p, start, steps):
+    """Transient l1 mass of start @ p^t for t = 0..steps."""
+    transient = np.diag(p) < 1.0 - 1e-12
+    v = start
+    out = [np.abs(v[transient]).sum()]
+    for _ in range(steps):
+        v = v @ p
+        out.append(np.abs(v[transient]).sum())
+    return np.array(out)
+
+
+# Two shapes on each side of the dense/CSR storage cutoff.
+SHAPES = [(4, 4, 4), (9, 9), (6, 6, 6), (15, 15)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_game_kernel_matches_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    game = random_game(rng, shape)
+    chain = build_game(game)
+    start = np.zeros((1, game.size))
+    start[0, int(rng.integers(0, game.size - 1))] = 1.0
+    assert_matches_reference(chain.matrix, start, chain.win_index)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_dual_batch_matches_reference(shape):
+    rng = np.random.default_rng(100 + sum(shape))
+    game = random_game(rng, shape)
+    _, dual = build_dual(game)
+    charged = rng.choice(dual.size - 1, size=6, replace=False)
+    starts = np.zeros((len(charged), dual.size))
+    starts[np.arange(len(charged)), charged] = 1.0
+    assert_matches_reference(dual.matrix, starts, dual.win_index)
+
+
+def test_storage_cutoff_splits_the_shapes():
+    sizes = sorted(int(np.prod(s)) for s in SHAPES)
+    cut = absorption.SPARSE_MIN_STATES
+    assert sizes[1] < cut <= sizes[2]
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (15, 15)])
+def test_signed_start_row_matches_reference(shape):
+    rng = np.random.default_rng(7)
+    game = random_game(rng, shape)
+    chain = build_game(game)
+    start = rng.normal(size=(1, game.size))
+    start /= np.abs(start).sum()
+    assert_matches_reference(chain.matrix, start, chain.win_index)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("shape", [(3, 3), (15, 15)])
+def test_stop_at_block_boundary(shape, offset):
+    rng = np.random.default_rng(11)
+    chain = build_game(random_game(rng, shape))
+    stop = absorption.BLOCK_STEPS + offset
+    start = lattice_point_mass(chain.dims, (1,) * len(shape))
+    masses = transient_masses(chain.matrix, start, stop)
+    assert np.all(np.diff(masses) < 0.0)
+    # eps between the masses at stop - 1 and stop: the first step whose
+    # transient mass falls below eps is exactly ``stop``.
+    eps = float(np.sqrt(masses[stop - 1] * masses[stop]))
+    pmf, _ = assert_matches_reference(
+        chain.matrix, start[None], chain.win_index, eps=eps
+    )
+    assert pmf.shape == (1, stop + 1)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_horizon_shorter_than_convergence(offset):
+    rng = np.random.default_rng(12)
+    chain = build_game(random_game(rng, (15, 15)))
+    horizon = absorption.BLOCK_STEPS + offset
+    start = lattice_point_mass(chain.dims, (1, 1))
+    pmf, absorbed = assert_matches_reference(
+        chain.matrix, start[None], chain.win_index, horizon=horizon
+    )
+    assert pmf.shape == (1, horizon + 1)
+    dist = absorb_dist(chain, start, horizon=horizon)
+    assert dist.tail > dist.eps
+    assert abs(dist.tail - (absorbed[0] - pmf.sum())) <= TOL
+
+
+def test_non_convergence_raises_like_reference(monkeypatch):
+    monkeypatch.setattr(absorption, "MAX_HORIZON", absorption.BLOCK_STEPS + 5)
+    rng = np.random.default_rng(13)
+    chain = build_game(random_game(rng, (6, 6)))
+    start = lattice_point_mass(chain.dims, (1, 1))[None]
+    with pytest.raises(HorizonError) as want:
+        reference_power_iteration(chain.matrix, start, chain.win_index, None, 1e-12)
+    with pytest.raises(HorizonError) as got:
+        _power_iteration(chain.matrix, start, chain.win_index, None, 1e-12)
+    assert str(got.value) == str(want.value)
+    assert f"after {absorption.BLOCK_STEPS + 5} steps" in str(got.value)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (15, 15)])
+def test_ruin_target_matches_reference(shape):
+    rng = np.random.default_rng(14)
+    chain = build_game(random_game(rng, shape))
+    nu = lattice_point_mass(chain.dims, (2,) * len(shape))
+    dist = absorb_dist(chain, nu, target="ruin")
+    want_pmf, want_absorbed = reference_power_iteration(
+        augment_sink(chain.matrix), np.pad(nu, (1, 0))[None], 0, None, 1e-12
+    )
+    assert dist.pmf.shape == want_pmf[0].shape
+    assert np.max(np.abs(dist.pmf - want_pmf[0])) <= TOL
+    assert abs(dist.mass() - want_absorbed[0]) <= TOL
+
+
+def test_shortened_blocks_match_reference(monkeypatch):
+    rng = np.random.default_rng(15)
+    game = random_game(rng, (6, 6))
+    _, dual = build_dual(game)
+    starts = np.eye(dual.size)[rng.choice(dual.size - 1, size=8, replace=False)]
+    # room for three steps of an n x 8 batch plus the carried iterate
+    monkeypatch.setattr(absorption, "BLOCK_BYTES", 4 * 8 * dual.size * 8)
+    assert_matches_reference(dual.matrix, starts, dual.win_index)
