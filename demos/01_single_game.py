@@ -14,7 +14,6 @@ from krongambler import (
     bd_matrix,
     bd_win_prob,
     bd_win_prob_solve,
-    expected_time,
     pgf_two_sided,
 )
 
@@ -44,4 +43,4 @@ nu[start] = 1.0
 dist = absorb_dist(bd_matrix(spec), nu, target=5)
 print("\nfirst win-time probabilities:", np.round(dist.pmf[:8], 6))
 print("their total plus tail:", dist.pmf.sum() + dist.tail)
-print("expectation from the law:", expected_time(dist))
+print("expectation from the law:", dist.mean())

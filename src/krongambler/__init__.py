@@ -8,7 +8,6 @@ everything through Siegmund duality and spectral intertwining.
 from .absorption import (
     AbsorptionDist,
     absorb_dist,
-    expected_time,
     pgf_interior,
     pgf_keilson,
     pgf_multidim,

@@ -294,23 +294,3 @@ def pgf_from_dual(
     used = tuple(float(weights[i]) for i in charged)
     return MixturePgf(scale=link.iso_value, weights=used, parts=parts)
 
-
-def expected_time(obj) -> float:
-    """Partial expectation sum(t * P(T = t, target)) of a pgf or distribution."""
-    return obj.mean()
-
-
-def geometric_convolution_pmf(rates, horizon: int) -> np.ndarray:
-    """pmf of a sum of independent geometric times with the given success rates.
-
-    Brute-force convolution; serves as the oracle for the factorized pgf of
-    one-sided chains.
-    """
-    pmf = np.zeros(horizon + 1)
-    pmf[0] = 1.0
-    for a in rates:
-        g = np.zeros(horizon + 1)
-        t = np.arange(1, horizon + 1)
-        g[1:] = a * (1.0 - a) ** (t - 1)
-        pmf = np.convolve(pmf, g)[: horizon + 1]
-    return pmf

@@ -153,13 +153,13 @@ class AbsorbingChain:
         return multi_index(self.dims, linear)
 
 
-def build_game(spec: GameSpec, tol: float = DEFAULT_TOL) -> AbsorbingChain:
+def build_game(spec: GameSpec) -> AbsorbingChain:
     """Mix the Kronecker terms into the game's kernel and validate it.
 
-    Cancellation in signed mixtures may leave entries in [-tol, 0); these are
-    clamped to zero. Anything more negative, or a row summing above 1 + tol,
-    means the mixture is not a valid chain and raises. The transient lattice
-    states must form one communication class.
+    Cancellation in signed mixtures may leave entries in [-DEFAULT_TOL, 0);
+    these are clamped to zero. Anything more negative, or a row summing above
+    1 + DEFAULT_TOL, means the mixture is not a valid chain and raises. The
+    transient lattice states must form one communication class.
     """
     shape = spec.shape
     eyes = {n: np.eye(n) for n in set(shape)}
@@ -173,7 +173,7 @@ def build_game(spec: GameSpec, tol: float = DEFAULT_TOL) -> AbsorbingChain:
         term = kron_all(factors)
         mixed += coeff * term if spec.scalar_coeffs else coeff @ term
     low = float(mixed.min())
-    if low < -tol:
+    if low < -DEFAULT_TOL:
         i, j = np.unravel_index(int(mixed.argmin()), mixed.shape)
         raise StochasticityError(
             f"mixture entry {low:.3e} at states "
@@ -181,7 +181,7 @@ def build_game(spec: GameSpec, tol: float = DEFAULT_TOL) -> AbsorbingChain:
         )
     np.clip(mixed, 0.0, None, out=mixed)
     excess = float(mixed.sum(axis=1).max()) - 1.0
-    if excess > tol:
+    if excess > DEFAULT_TOL:
         raise StochasticityError(
             f"row sum exceeds 1 by {excess:.3e}; not substochastic"
         )

@@ -43,11 +43,13 @@ from .errors import (
     SpecError,
 )
 from .game import GameSpec
-from .linalg import kron_all
+from .linalg import DEFAULT_TOL, kron_all
 from .pgf import GeometricProductPgf, MixturePgf
 
 _DEGENERATE_TOL = 1e-12
 _INTERTWINE_TOL = 1e-10
+#: Start weights within this of zero count as uncharged or nonnegative.
+_WEIGHT_TOL = 1e-12
 
 
 def _checked_eigenvalues(spec: BirthDeathSpec) -> np.ndarray:
@@ -148,7 +150,7 @@ class PureBirthChain:
         return np.diag(self.matrix).copy()
 
 
-def build_dual(game: GameSpec, tol: float = 1e-12) -> tuple:
+def build_dual(game: GameSpec) -> tuple:
     """Construct the link and the pure-birth dual of a scalar-coefficient game.
 
     The dual kernel is the Kronecker mixture sum_k b_k kron_j F_kj with
@@ -182,7 +184,7 @@ def build_dual(game: GameSpec, tol: float = 1e-12) -> tuple:
         p_hat += b_k * kron_all(factors)
 
     low = float(p_hat.min())
-    if low < -tol:
+    if low < -DEFAULT_TOL:
         i, j = np.unravel_index(int(p_hat.argmin()), p_hat.shape)
         src = tuple(int(c) + 1 for c in np.unravel_index(i, shape))
         dst = tuple(int(c) + 1 for c in np.unravel_index(j, shape))
@@ -224,7 +226,7 @@ class DualInitial:
     is_distribution: bool
 
 
-def dual_initial(link: SpectralLink, nu_star, tol: float = 1e-12) -> DualInitial:
+def dual_initial(link: SpectralLink, nu_star) -> DualInitial:
     """Solve nu_hat (kron of links) = nu_star with per-dimension triangular solves.
 
     ``nu_star`` is a distribution over lattice states, flat or in lattice
@@ -243,17 +245,17 @@ def dual_initial(link: SpectralLink, nu_star, tol: float = 1e-12) -> DualInitial
         solved = solve_triangular(lam, flat, trans="T", lower=True)
         tensor = np.moveaxis(solved.reshape(moved.shape), 0, axis)
     values = tensor.reshape(size)
-    ok = values.min() >= -tol and abs(values.sum() - 1.0) <= 1e-9
+    ok = values.min() >= -_WEIGHT_TOL and abs(values.sum() - 1.0) <= 1e-9
     return DualInitial(values=values, is_distribution=bool(ok))
 
 
-def support_dominates(dims, nu_star, nu_hat, tol: float = 1e-12) -> bool:
+def support_dominates(dims, nu_star, nu_hat) -> bool:
     """Check: every state charged by nu_star is dominated by a positive nu_hat state."""
     shape = tuple(dims)
     star = np.asarray(nu_star, dtype=float).reshape(shape)
     hat = np.asarray(nu_hat, dtype=float).reshape(shape)
-    pos = list(zip(*np.nonzero(hat > tol)))
-    for idx in zip(*np.nonzero(np.abs(star) > tol)):
+    pos = list(zip(*np.nonzero(hat > _WEIGHT_TOL)))
+    for idx in zip(*np.nonzero(np.abs(star) > _WEIGHT_TOL)):
         if not any(all(h >= s for h, s in zip(p, idx)) for p in pos):
             return False
     return True

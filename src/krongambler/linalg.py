@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SizeError, StochasticityError
 
-#: Default slack for stochasticity checks; constructions are exact in exact
+#: Slack for stochasticity checks; constructions are exact in exact
 #: arithmetic, so the tolerance only has to cover floating-point rounding.
 DEFAULT_TOL = 1e-12
 
@@ -73,20 +73,20 @@ def kron_sum(a, b) -> np.ndarray:
     return kron(a, np.eye(b.shape[0])) + kron(np.eye(a.shape[0]), b)
 
 
-def classify(m, tol: float = DEFAULT_TOL) -> StochKind:
-    """Return the strictest row-sum classification that holds within tol."""
+def classify(m) -> StochKind:
+    """Strictest row-sum classification that holds within DEFAULT_TOL."""
     m = as_matrix(m)
-    if m.min(initial=0.0) < -tol:
+    if m.min(initial=0.0) < -DEFAULT_TOL:
         return StochKind.GENERAL
     sums = m.sum(axis=1)
-    if np.all(np.abs(sums - 1.0) <= tol):
+    if np.all(np.abs(sums - 1.0) <= DEFAULT_TOL):
         return StochKind.STOCHASTIC
-    if np.all(sums <= 1.0 + tol):
+    if np.all(sums <= 1.0 + DEFAULT_TOL):
         return StochKind.SUBSTOCHASTIC
     return StochKind.GENERAL
 
 
-def augment_sink(p_sub, tol: float = DEFAULT_TOL) -> np.ndarray:
+def augment_sink(p_sub) -> np.ndarray:
     """Extend a substochastic matrix with an absorbing sink at index 0.
 
     The sink collects each row's missing mass, so the result is stochastic;
@@ -96,12 +96,12 @@ def augment_sink(p_sub, tol: float = DEFAULT_TOL) -> np.ndarray:
     n = p_sub.shape[0]
     if p_sub.shape[1] != n:
         raise ValueError(f"square matrix required, got {p_sub.shape}")
-    if p_sub.min(initial=0.0) < -tol:
+    if p_sub.min(initial=0.0) < -DEFAULT_TOL:
         raise StochasticityError(
-            f"entry {p_sub.min():.3e} below -tol; not substochastic"
+            f"entry {p_sub.min():.3e} below -{DEFAULT_TOL:g}; not substochastic"
         )
     leak = 1.0 - p_sub.sum(axis=1)
-    if leak.min(initial=0.0) < -tol:
+    if leak.min(initial=0.0) < -DEFAULT_TOL:
         raise StochasticityError(
             f"row sum exceeds 1 by {-leak.min():.3e}; not substochastic"
         )

@@ -10,18 +10,18 @@ from krongambler import (
     bd_eigenvalues,
     bd_win_prob,
     build_game,
-    expected_time,
     pgf_interior,
     pgf_keilson,
     pgf_multidim,
     pgf_two_sided,
     preset_r_of_d,
 )
-from krongambler.absorption import geometric_convolution_pmf, pgf_from_dual
+from krongambler.absorption import pgf_from_dual
 from krongambler.game import lattice_point_mass
 from krongambler.birth_death import bd_restricted
 from krongambler.intertwine import build_dual, dual_initial, pure_birth_1d
 from krongambler.pgf import GeometricProductPgf, SeriesPgf
+from krongambler.verify import geometric_convolution_pmf
 
 from conftest import power_iteration_pmf, rand_bd, rand_game
 
@@ -198,7 +198,7 @@ def test_absorb_dist_horizon_and_tail():
     assert dist.tail > 0
     assert abs(dist.pmf.sum() + dist.tail - 1.0) < 1e-12
     with pytest.raises(HorizonError):
-        expected_time(dist)
+        dist.mean()
 
 
 def test_absorb_dist_rejects_non_absorbing_target():
@@ -242,7 +242,7 @@ def test_expected_time_two_routes_agree():
         pgf = pgf_keilson(spec)
         dist = absorb_dist(bd_restricted(spec), np.eye(spec.N)[0],
                            target=spec.N - 1)
-        assert abs(pgf.mean() - expected_time(dist)) < 1e-8
+        assert abs(pgf.mean() - dist.mean()) < 1e-8
 
 
 def test_keilson_factorization_against_convolution():

@@ -189,7 +189,7 @@ def test_verify_passes_on_valid_spec(tmp_path, capsys):
     assert code == 0
     body = json.loads(out)
     names = {c["name"] for c in body["checks"]}
-    assert {"intertwining", "link_isolation", "distribution_equality"} <= names
+    assert {"intertwining", "diagonal_eigenvalues", "distribution_equality"} <= names
     assert all(c["pass"] for c in body["checks"])
 
 

@@ -1,3 +1,6 @@
+import pathlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,9 +33,12 @@ from krongambler.intertwine import (
     spectral_polynomials,
     support_dominates,
 )
+from krongambler.specfile import load_spec
 from krongambler.verify import diagonal_eigenvalue_check
 
 from conftest import direct_dual_kernel, rand_bd, rand_ergodic, rand_game
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
 
 
 def one_dim_game(spec):
@@ -205,13 +211,23 @@ def test_intertwining_and_isolation_on_random_games():
 
 def test_dual_diagonal_is_game_spectrum():
     rng = np.random.default_rng(35)
-    for _ in range(10):
-        d = int(rng.integers(1, 3))
-        game = rand_game(rng, d=d, n_max=4)
+    games = [rand_game(rng, d=int(rng.integers(1, 3)), n_max=4)
+             for _ in range(10)]
+    # three components, at most two moving: exactly repeated diagonal entries
+    degenerate = load_spec(str(CORPUS / "d3_r2.json")).game
+    for game in games + [degenerate]:
         chain = build_game(game)
         _, dual = build_dual(game)
-        result = diagonal_eigenvalue_check(chain.matrix, dual.diag)
-        assert result.passed, result
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = diagonal_eigenvalue_check(chain.matrix, dual.diag)
+        assert result.passed and result.residual <= 1e-12, result
+        shifted = diagonal_eigenvalue_check(chain.matrix, dual.diag - 0.05)
+        assert not shifted.passed, shifted
+        moved = dual.diag.copy()
+        moved[int(rng.integers(len(moved)))] += 1e-6
+        assert not diagonal_eigenvalue_check(chain.matrix, moved).passed
+    assert np.min(np.diff(np.sort(dual.diag))) == 0.0
 
 
 def test_dual_initial_point_mass_at_bottom():
