@@ -1,7 +1,7 @@
 import numpy as np
 
 from krongambler import BirthDeathSpec, GameSpec, preset_r_of_d
-from krongambler.verify import all_passed, run_checks
+from krongambler.verify import all_passed, diagonal_eigenvalue_check, run_checks
 
 from conftest import rand_bd
 
@@ -50,3 +50,10 @@ def test_keilson_check_uses_bottom_start_regardless_of_game_start():
     assert by_name["keilson_factorization"].passed
     assert all_passed(checks)
 
+
+def test_char_poly_residual_detects_wrong_values():
+    m = np.diag([0.2, 0.5, 0.9])
+    exact = diagonal_eigenvalue_check(m, np.array([0.9, 0.2, 0.5]))
+    assert exact.passed and exact.residual == 0.0
+    wrong = diagonal_eigenvalue_check(m, np.array([0.2, 0.5, 0.3]))
+    assert not wrong.passed and wrong.residual > 1e-3
