@@ -30,13 +30,13 @@ print(np.array_str(link.matrix, precision=3, suppress_small=True))
 print("\nlink corner value = product of per-coordinate win probabilities:",
       link.iso_value)
 
-resid = np.max(np.abs(link.matrix @ chain.matrix
+resid = np.max(np.abs(link.matrix @ chain.dense()
                       - dual.matrix @ link.matrix))
 print("intertwining residual:", resid)
 
 print("\ndual chain (holding probabilities on the diagonal):")
 print(np.array_str(dual.matrix, precision=3, suppress_small=True))
-spectrum = np.sort(np.linalg.eigvals(chain.matrix).real)
+spectrum = np.sort(np.linalg.eigvals(chain.dense()).real)
 print("game spectrum vs sorted dual diagonal, max diff:",
       np.max(np.abs(spectrum - np.sort(dual.diag))))
 

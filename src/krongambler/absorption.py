@@ -15,13 +15,16 @@ kernel to the n x k matrix of iterates; the transient-mass test and the
 target column are read once per block of up to BLOCK_STEPS steps, and the
 exact stop step is then located inside the block. A kernel row of a game
 or a dual has at most 3^d nonzeros, so kernels with SPARSE_MIN_STATES
-states or more are stored once per call as a CSR copy of the transpose;
-smaller ones stay dense. The cutoff is the measured crossover for a single
+states or more are multiplied as a CSR copy of the transpose, made from
+the game's CSR kernel (or from a dense dual) without a dense round trip;
+smaller ones are multiplied densely, a game's through
+``AbsorbingChain.dense``. The cutoff is the measured crossover for a single
 start (one thread of a 2-vCPU Xeon, OpenBLAS): dense still wins by 1-2 us
 per step at 196 states, CSR wins from 216 states, and a step takes about
 7 us in CSR against 56 us dense at 512 states and 28 us against 3.1 ms at
 2,744 states. Dual batches of 8 starts cross over earlier, at 144-169
-states.
+states. The absorbed mass behind the horizon comes from one sparse LU
+solve (``linalg.absorption_probabilities``).
 """
 
 from __future__ import annotations
@@ -38,15 +41,15 @@ from .birth_death import (
     tridiag_block_eigs,
 )
 from .errors import HorizonError, SpecError
-from .game import GameSpec, build_game
+from .game import AbsorbingChain, GameSpec, build_game
 from .intertwine import PureBirthChain, SpectralLink, build_dual, dual_initial
-from .linalg import augment_sink
+from .linalg import absorption_probabilities, augment_sink
 from .pgf import GeometricProductPgf, MixturePgf, SeriesPgf
 
 MAX_HORIZON = 10**6
 
 #: Kernels with at least this many states iterate on a CSR copy of their
-#: transpose, smaller ones on the dense kernel (see the module docstring).
+#: transpose, smaller ones on a dense kernel (see the module docstring).
 SPARSE_MIN_STATES = 200
 
 #: Steps per block of the power iteration, and the byte cap on its block
@@ -139,30 +142,26 @@ class AbsorptionDist:
         return float(np.dot(np.arange(len(self.pmf)), self.pmf))
 
 
-def _power_iteration(p: np.ndarray, starts: np.ndarray, target: int,
+def _power_iteration(p, starts: np.ndarray, target: int,
                      horizon: int | None, eps: float) -> tuple:
     """Absorption pmfs at ``target`` for every row of ``starts`` at once.
 
-    Rows may be signed. Iteration stops at the first step t < horizon at
-    which every row's transient mass is below eps, or after ``horizon``
-    steps; without a horizon, failing to converge within MAX_HORIZON steps
-    raises. Returns the pmfs, one row per start, and each start's total
-    absorption mass at the target, solved exactly from the fundamental
-    matrix.
+    ``p`` is a dense kernel, or a sparse one of at least SPARSE_MIN_STATES
+    states; rows of ``starts`` may be signed. Iteration stops at the first
+    step t < horizon at which every row's transient mass is below eps, or
+    after ``horizon`` steps; without a horizon, failing to converge within
+    MAX_HORIZON steps raises. Returns the pmfs, one row per start, and each
+    start's total absorption mass at the target, solved exactly from the
+    fundamental matrix.
 
     Steps are written in blocks into one buffer of n x k iterates (see the
     module docstring); everything kept past a block is copied out of it.
     """
     n = p.shape[0]
-    absorbing = np.diag(p) >= 1.0 - 1e-12
-    if not absorbing[target]:
-        raise ValueError(f"state {target} is not absorbing")
-    transient = np.flatnonzero(~absorbing)
-    cap = MAX_HORIZON if horizon is None else int(horizon)
-    width = starts.shape[0]
-
     if n >= SPARSE_MIN_STATES:
-        kernel_t = sparse.csr_array(p.T)
+        # one CSR copy serves the steps (as its transpose) and the tail solve
+        p = sparse.csr_array(p)
+        kernel_t = p.T.tocsr()
 
         def step(x, out):
             out[...] = kernel_t @ x
@@ -170,6 +169,13 @@ def _power_iteration(p: np.ndarray, starts: np.ndarray, target: int,
 
         def step(x, out):
             np.matmul(x.T, p, out=out.T)
+
+    absorbing = p.diagonal() >= 1.0 - 1e-12
+    if not absorbing[target]:
+        raise ValueError(f"state {target} is not absorbing")
+    transient = np.flatnonzero(~absorbing)
+    cap = MAX_HORIZON if horizon is None else int(horizon)
+    width = starts.shape[0]
 
     step_bytes = 8 * n * max(width, 1)
     block = max(1, min(BLOCK_STEPS, BLOCK_BYTES // step_bytes - 1))
@@ -212,14 +218,7 @@ def _power_iteration(p: np.ndarray, starts: np.ndarray, target: int,
         np.diff(np.concatenate(reached), axis=0, prepend=0.0).T
     )
 
-    h = np.zeros(n)
-    h[target] = 1.0
-    if len(transient):
-        q = p[np.ix_(transient, transient)]
-        h[transient] = np.linalg.solve(
-            np.eye(len(transient)) - q, p[transient, target]
-        )
-    return pmf, h @ last
+    return pmf, absorption_probabilities(p, transient, target) @ last
 
 
 def absorb_dist(
@@ -242,7 +241,11 @@ def absorb_dist(
     raises. The check that the dual mixture reproduces this law for a game
     is ``distribution_equality`` in :func:`krongambler.verify.run_checks`.
     """
-    p = np.asarray(getattr(chain, "matrix", chain), dtype=float)
+    if isinstance(chain, AbsorbingChain):
+        on_csr = chain.size >= SPARSE_MIN_STATES and target != "ruin"
+        p = chain.matrix if on_csr else chain.dense()
+    else:
+        p = np.asarray(getattr(chain, "matrix", chain), dtype=float)
     start = np.asarray(nu, dtype=float).reshape(1, p.shape[0])
     if target == "ruin":
         p = augment_sink(p)

@@ -154,15 +154,17 @@ def bd_win_prob(spec: BirthDeathSpec) -> np.ndarray:
     """P(hit N before ruin | start i) for i = 1..N, in closed form.
 
     Ratio of partial sums of the products q(1)/p(1) * .. * q(n-1)/p(n-1)
-    (empty product = 1). With q(1) = 0 every later term vanishes and the
-    vector is identically 1.
+    (empty product = 1), accumulated as logarithms so that no product
+    overflows: the result is finite, nondecreasing and ends at exactly 1.
+    With q(1) = 0 every later term vanishes and the vector is identically 1.
     """
-    n = spec.N
-    ratios = np.ones(n)
-    for k in range(2, n + 1):
-        ratios[k - 1] = ratios[k - 2] * spec.q[k - 2] / spec.p[k - 2]
-    csum = np.cumsum(ratios)
-    return csum / csum[-1]
+    if not spec.sink_reachable:
+        return np.ones(spec.N)
+    log_ratios = np.concatenate(
+        ([0.0], np.cumsum(np.log(spec.q) - np.log(spec.p)))
+    )
+    log_sums = np.logaddexp.accumulate(log_ratios)
+    return np.exp(log_sums - log_sums[-1])
 
 
 def bd_win_prob_solve(spec: BirthDeathSpec) -> np.ndarray:

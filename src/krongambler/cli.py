@@ -17,7 +17,7 @@ import numpy as np
 from .absorption import absorb_dist, pgf_multidim
 from .birth_death import bd_win_prob
 from .errors import CouplingError, HorizonError, SpecError
-from .game import build_game, lattice_point_mass, multi_index
+from .game import build_game, lattice_point_mass
 from .siegmund import win_prob_product, win_prob_solve
 from .specfile import load_spec
 from .simulate import SimConfig, simulate, simulate_coupled
@@ -47,11 +47,6 @@ def _workers(default: int = 1) -> int:
     return value
 
 
-def _state_key(dims, linear: int) -> str:
-    multi = multi_index(dims, linear)
-    return ",".join(str(c) for c in multi)
-
-
 def _parse_start(arg: str | None, parsed):
     if arg is None:
         return parsed.start
@@ -73,14 +68,11 @@ def cmd_win_prob(args) -> int:
     chain = build_game(game)
     rho_prod = win_prob_product(game)
     rho_solve = win_prob_solve(chain)
-    dims = game.shape
+    coords = (np.indices(game.shape).reshape(game.d, -1) + 1).T.tolist()
+    keys = [",".join(map(str, c)) for c in coords]
     out = {
-        "rho": {
-            _state_key(dims, i): float(v) for i, v in enumerate(rho_prod)
-        },
-        "rho_solve": {
-            _state_key(dims, i): float(v) for i, v in enumerate(rho_solve)
-        },
+        "rho": dict(zip(keys, rho_prod.tolist())),
+        "rho_solve": dict(zip(keys, rho_solve.tolist())),
         "method_agreement": float(np.max(np.abs(rho_prod - rho_solve))),
     }
     print(json.dumps(out, indent=2))

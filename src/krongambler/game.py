@@ -4,7 +4,13 @@ A game is a signed mixture of Kronecker products: each term picks a subset of
 coordinates that move together in one step, the remaining coordinates are
 frozen by identity factors, and the mixture weights sum to one. The mixture
 is the game's kernel on the lattice: a substochastic matrix whose row
-deficits are the one-step probabilities of the common ruin state.
+deficits are the one-step probabilities of the common ruin state. A
+Kronecker product of tridiagonal factors has at most 3^d nonzeros per row,
+so the kernel is assembled and validated as a CSR matrix straight from the
+components' bands; ``AbsorbingChain.dense`` is the one place it is made
+dense, for the consumers that need a dense kernel (the Siegmund partner,
+the spectrum check, the simulator's step table, the ruin sink and small
+power iterations).
 
 States are lattice points indexed 0..n-1 in row-major order (coordinate d
 varies fastest), so the win corner (N_1, ..., N_d) is the last index. Ruin
@@ -19,11 +25,12 @@ from dataclasses import dataclass
 from math import comb, prod
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .birth_death import BirthDeathSpec, bd_restricted
-from .errors import CommunicationError, SpecError, StochasticityError
-from .linalg import DEFAULT_TOL, kron_all
+from .birth_death import BirthDeathSpec
+from .errors import CommunicationError, SizeError, SpecError, StochasticityError
+from .linalg import DEFAULT_TOL, MAX_ENTRIES
 
 
 def linear_index(dims: tuple, multi) -> int:
@@ -125,13 +132,18 @@ class GameSpec:
 class AbsorbingChain:
     """Built game chain: its kernel on the lattice, with index bookkeeping.
 
-    ``matrix`` is the substochastic kernel over lattice indices 0..n-1; the
-    last index is the absorbing win corner (N_1..N_d). Each row's deficit
-    is its one-step probability of ruin.
+    ``matrix`` is the substochastic kernel over lattice indices 0..n-1 as a
+    ``scipy.sparse.csr_array`` (a dense argument is converted); the last
+    index is the absorbing win corner (N_1..N_d). Each row's deficit is its
+    one-step probability of ruin. Code that needs the kernel as a dense
+    array calls :meth:`dense`, the one place it is made dense.
     """
 
-    matrix: np.ndarray
+    matrix: sparse.csr_array
     dims: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", sparse.csr_array(self.matrix))
 
     @property
     def size(self) -> int:
@@ -144,7 +156,21 @@ class AbsorbingChain:
     @property
     def ruin(self) -> np.ndarray:
         """One-step ruin probability of every lattice state."""
-        return np.clip(1.0 - self.matrix.sum(axis=1), 0.0, None)
+        return np.clip(1.0 - self.matrix @ np.ones(self.size), 0.0, None)
+
+    def dense(self) -> np.ndarray:
+        """The kernel as a new dense array.
+
+        Raises SizeError, naming the state count, when the array would hold
+        more than ``linalg.MAX_ENTRIES`` entries.
+        """
+        n = self.size
+        if n * n > MAX_ENTRIES:
+            raise SizeError(
+                f"a dense kernel of {n} states would hold {n * n} entries "
+                f"(cap {MAX_ENTRIES})"
+            )
+        return self.matrix.toarray()
 
     def to_linear(self, multi) -> int:
         return linear_index(self.dims, multi)
@@ -153,39 +179,101 @@ class AbsorbingChain:
         return multi_index(self.dims, linear)
 
 
-def build_game(spec: GameSpec) -> AbsorbingChain:
-    """Mix the Kronecker terms into the game's kernel and validate it.
+def _band(spec: BirthDeathSpec) -> tuple:
+    """(rows, cols, values) of a component's sink-restricted kernel on {1..N}.
 
+    The nonzero entries of :func:`krongambler.birth_death.bd_restricted`,
+    computed the same way: hold 1 - p - q, up p, down q, and the absorbing
+    win in the last row.
+    """
+    p = np.asarray(spec.p)
+    q = np.asarray(spec.q)
+    top = np.arange(spec.N - 1)
+    rows = np.concatenate([top, top, top[1:], [spec.N - 1]])
+    cols = np.concatenate([top, top + 1, top[:-1], [spec.N - 1]])
+    vals = np.concatenate([1.0 - p - q, p, q[1:], [1.0]])
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep], spec.N
+
+
+def _identity(side: int) -> tuple:
+    diag = np.arange(side)
+    return diag, diag, np.ones(side), side
+
+
+def _kron_triplets(factors) -> tuple:
+    """(rows, cols, values) of the nonzeros of a Kronecker product.
+
+    ``factors`` holds one (rows, cols, values, side) per coordinate. The
+    product is associated to the left like ``linalg.kron_all``, so every
+    value is rounded exactly as in the dense product.
+    """
+    rows = cols = np.zeros(1, dtype=np.int64)
+    vals = np.ones(1)
+    for r, c, v, side in factors:
+        rows = (rows[:, None] * side + r).ravel()
+        cols = (cols[:, None] * side + c).ravel()
+        vals = (vals[:, None] * v).ravel()
+    return rows, cols, vals
+
+
+def build_game(spec: GameSpec) -> AbsorbingChain:
+    """Mix the Kronecker terms into the game's CSR kernel and validate it.
+
+    Each term's nonzeros come from the components' tridiagonal bands, with
+    identity factors for the frozen coordinates; a matrix coefficient
+    multiplies its term as a CSR product. The terms are added entry by
+    entry in mixture order, the order in which a dense mixture adds them.
     Cancellation in signed mixtures may leave entries in [-DEFAULT_TOL, 0);
-    these are clamped to zero. Anything more negative, or a row summing above
-    1 + DEFAULT_TOL, means the mixture is not a valid chain and raises. The
-    transient lattice states must form one communication class.
+    these are clamped to zero and dropped. Anything more negative, or a row
+    summing above 1 + DEFAULT_TOL, means the mixture is not a valid chain
+    and raises. The transient lattice states must form one communication
+    class.
     """
     shape = spec.shape
-    eyes = {n: np.eye(n) for n in set(shape)}
-    restricted = [bd_restricted(s) for s in spec.dims]
-    mixed = np.zeros((spec.size, spec.size))
+    n = spec.size
+    bands = [_band(s) for s in spec.dims]
+    terms = []
     for subset, coeff in zip(spec.subsets, spec.coeffs):
-        factors = [
-            restricted[j] if (j + 1) in subset else eyes[shape[j]]
-            for j in range(spec.d)
-        ]
-        term = kron_all(factors)
-        mixed += coeff * term if spec.scalar_coeffs else coeff @ term
-    low = float(mixed.min())
+        rows, cols, vals = _kron_triplets(
+            bands[j] if (j + 1) in subset else _identity(side)
+            for j, side in enumerate(shape)
+        )
+        if not spec.scalar_coeffs:
+            term = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+            mixed = (sparse.csr_array(coeff) @ term).tocoo()
+            rows, cols, vals, coeff = mixed.row, mixed.col, mixed.data, 1.0
+        terms.append((rows * n + cols, coeff * vals))
+    # A term holds each entry at most once, so every entry takes its terms'
+    # contributions one at a time, in mixture order.
+    keys, slot = np.unique(
+        np.concatenate([k for k, _ in terms]), return_inverse=True
+    )
+    data = np.zeros(len(keys))
+    start = 0
+    for k, v in terms:
+        data[slot[start:start + len(k)]] += v
+        start += len(k)
+    rows, cols = np.divmod(keys, n)
+
+    low = float(data.min(initial=0.0))
     if low < -DEFAULT_TOL:
-        i, j = np.unravel_index(int(mixed.argmin()), mixed.shape)
+        at = int(data.argmin())
         raise StochasticityError(
             f"mixture entry {low:.3e} at states "
-            f"{multi_index(shape, i)} -> {multi_index(shape, j)}"
+            f"{multi_index(shape, rows[at])} -> {multi_index(shape, cols[at])}"
         )
-    np.clip(mixed, 0.0, None, out=mixed)
-    excess = float(mixed.sum(axis=1).max()) - 1.0
+    keep = data > 0.0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
+    chain = AbsorbingChain(
+        matrix=sparse.csr_array((data[keep], cols[keep], indptr), shape=(n, n)),
+        dims=shape,
+    )
+    excess = float((chain.matrix @ np.ones(n)).max()) - 1.0
     if excess > DEFAULT_TOL:
         raise StochasticityError(
             f"row sum exceeds 1 by {excess:.3e}; not substochastic"
         )
-    chain = AbsorbingChain(matrix=mixed, dims=shape)
     if not check_communication(chain):
         raise CommunicationError("transient states split into several classes")
     return chain
@@ -201,19 +289,28 @@ def check_communication(chain: AbsorbingChain) -> bool:
     that coordinate back down, so strong connectivity is deliberately not
     required; it fails even for the plain one-coordinate-at-a-time game.
     """
-    sub = chain.matrix[:-1, :-1] > 0.0
-    if len(sub) > 1:
-        n_comp, _ = connected_components(sub, directed=True, connection="weak")
+    n = chain.size
+    sub = chain.matrix[:-1, :-1]
+    edges = sparse.csr_array(
+        ((sub.data > 0.0).astype(float), sub.indices, sub.indptr),
+        shape=sub.shape,
+    )
+    edges.eliminate_zeros()
+    if n > 2:
+        n_comp, _ = connected_components(edges, directed=True, connection="weak")
         if n_comp != 1:
             return False
     # absorption reachable from everywhere: walk the digraph backwards from
-    # the states that step straight into ruin or the win corner
-    exits = (chain.ruin[:-1] > 0.0) | (chain.matrix[:-1, -1] > 0.0)
+    # the states that step straight into ruin or the win corner, one
+    # mat-vec per step
+    to_win = chain.matrix[:-1, [n - 1]].toarray()[:, 0]
+    exits = (chain.ruin[:-1] > 0.0) | (to_win > 0.0)
     reach = exits.copy()
-    frontier = exits.copy()
+    frontier = exits.astype(float)
     while frontier.any():
-        frontier = sub[:, frontier].any(axis=1) & ~reach
-        reach |= frontier
+        new = (edges @ frontier > 0.0) & ~reach
+        reach |= new
+        frontier = new.astype(float)
     return bool(reach.all())
 
 

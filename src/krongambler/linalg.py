@@ -1,11 +1,14 @@
-"""Dense matrix helpers: Kronecker algebra, classification and sink augmentation.
+"""Matrix helpers: Kronecker algebra, classification, sink augmentation and
+absorption probabilities.
 
-Matrices are plain ``numpy.ndarray`` objects in row-major layout. Every
-function returns a fresh array; inputs are never mutated. Every kernel is
-built and validated densely here, and dense arithmetic doubles as the
-correctness anchor. The power iteration in :mod:`krongambler.absorption`
-is the one place that multiplies in sparse storage: it copies kernels of at
-least ``SPARSE_MIN_STATES`` states into CSR form for its repeated products.
+Every function returns a fresh array; inputs are never mutated. The dense
+helpers take plain ``numpy.ndarray`` objects in row-major layout: the
+pure-birth dual and the spectral link are built with :func:`kron_all`, and
+``MAX_ENTRIES`` caps every dense Kronecker product and every dense copy of
+a game kernel (``game.AbsorbingChain.dense``). The game kernel itself is
+assembled in CSR form by :func:`krongambler.game.build_game`, straight from
+the tridiagonal factors. :func:`absorption_probabilities` is the one linear
+solve for absorption probabilities, a sparse LU on dense or sparse kernels.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .errors import SizeError, StochasticityError
 
@@ -22,7 +27,7 @@ from .errors import SizeError, StochasticityError
 #: arithmetic, so the tolerance only has to cover floating-point rounding.
 DEFAULT_TOL = 1e-12
 
-#: Cap on the entry count any Kronecker construction may produce.
+#: Cap on the entry count of any dense Kronecker product or dense kernel.
 MAX_ENTRIES = 10**7
 
 
@@ -110,3 +115,44 @@ def augment_sink(p_sub) -> np.ndarray:
     out[1:, 1:] = np.clip(p_sub, 0.0, None)
     out[1:, 0] = np.clip(leak, 0.0, None)
     return out
+
+
+def absorption_probabilities(kernel, transient, target: int) -> np.ndarray:
+    """Probability of absorption at ``target`` from every state of a chain.
+
+    ``kernel`` is a dense or sparse substochastic matrix and ``transient``
+    the indices of its transient states. On them the result h solves
+    (I - Q) h = P[transient, target], Q the transient block, by one sparse
+    LU factorization; h is 1 at ``target`` and 0 at every other state.
+    """
+    if sparse.issparse(kernel):
+        kernel = sparse.csr_array(kernel)
+        rows = np.repeat(np.arange(kernel.shape[0]), np.diff(kernel.indptr))
+        cols, vals = kernel.indices, kernel.data
+    else:
+        rows, cols = np.nonzero(kernel)
+        vals = kernel[rows, cols]
+    h = np.zeros(kernel.shape[0])
+    h[target] = 1.0
+    m = len(transient)
+    if m:
+        # position of each state among the transient ones, -1 elsewhere
+        pos = np.full(len(h), -1)
+        pos[transient] = np.arange(m)
+        r, c = pos[rows], pos[cols]
+        inner = (r >= 0) & (c >= 0)
+        hit = (r >= 0) & (cols == target)
+        rhs = np.zeros(m)
+        rhs[r[hit]] = vals[hit]
+        r, c = r[inner], c[inner]
+        diag = np.arange(m)
+        # I - Q, built as CSC: splu warns on any other format
+        system = sparse.csc_array(
+            (np.concatenate([np.ones(m), -vals[inner]]),
+             (np.concatenate([diag, r]), np.concatenate([diag, c]))),
+            shape=(m, m),
+        )
+        # an upper-triangular system (a pure-birth dual) needs no reordering
+        order = "NATURAL" if np.all(c >= r) else "COLAMD"
+        h[transient] = splu(system, permc_spec=order).solve(rhs)
+    return h

@@ -17,7 +17,7 @@ import numpy as np
 
 from .birth_death import bd_win_prob
 from .game import AbsorbingChain, GameSpec
-from .linalg import as_matrix
+from .linalg import absorption_probabilities, as_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ def reconstruct_primal(chain: AbsorbingChain, order: OrderMatrix) -> np.ndarray:
     """
     c = order.c.astype(float)
     mobius = order.mobius.astype(float)
-    return c @ chain.matrix.T @ mobius
+    return c @ chain.dense().T @ mobius
 
 
 def win_prob_product(game: GameSpec) -> np.ndarray:
@@ -76,24 +76,26 @@ def win_prob_product(game: GameSpec) -> np.ndarray:
 
 
 def win_prob_solve(chain: AbsorbingChain) -> np.ndarray:
-    """Winning probabilities from the fundamental-matrix solve on the built chain."""
-    q = chain.matrix[:-1, :-1]
-    out = np.ones(chain.size)
-    out[:-1] = np.linalg.solve(np.eye(len(q)) - q, chain.matrix[:-1, -1])
-    return out
+    """Winning probabilities from the fundamental-matrix solve on the built chain.
+
+    One sparse LU of the CSR kernel's transient block; no dense copy.
+    """
+    n = chain.size
+    return absorption_probabilities(chain.matrix, np.arange(n - 1), n - 1)
 
 
 def stationary_of(p_x: np.ndarray) -> np.ndarray:
-    """Left unit eigenvector of a reconstructed partner chain, normalized to 1.
+    """Stationary law of a reconstructed partner chain, by one linear solve.
 
-    Uses a dense eigensolve so it stays meaningful even when the partner has
-    tiny negative entries from rounding.
+    Solves (P_x^T - I) pi = 0 with its last equation replaced by
+    sum(pi) = 1, which has a unique solution for an ergodic partner. Tiny
+    negative entries of P_x from rounding do not matter to the solve.
     """
-    vals, vecs = np.linalg.eig(p_x.T)
-    k = int(np.argmin(np.abs(vals - 1.0)))
-    pi = np.real(vecs[:, k])
-    pi = pi / pi.sum()
-    return pi
+    system = p_x.T - np.eye(len(p_x))
+    system[-1] = 1.0
+    rhs = np.zeros(len(p_x))
+    rhs[-1] = 1.0
+    return np.linalg.solve(system, rhs)
 
 
 def win_prob_pi_route(chain: AbsorbingChain, order: OrderMatrix | None = None) -> np.ndarray:

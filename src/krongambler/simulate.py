@@ -130,7 +130,7 @@ def _merge(counts_win, counts_lose):
 
 def _cum_rows(chain: AbsorbingChain) -> np.ndarray:
     """Per lattice state, cumulative step probabilities over [ruin | lattice]."""
-    cum = np.cumsum(augment_sink(chain.matrix)[1:], axis=1)
+    cum = np.cumsum(augment_sink(chain.dense())[1:], axis=1)
     # rounding guard: the last column must be a sure upper bound for u < 1
     cum[:, -1] = np.maximum(cum[:, -1], 1.0)
     return cum

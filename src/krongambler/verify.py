@@ -16,8 +16,8 @@ siegmund_identity_n1_4              P_x^n C = C (P'^T)^n for n = 1..4, so C^-1  
                                     is exact
 stationary_product                  product of 1-D stationary laws diff(rho_j)    1e-10
                                     is stationary for P_x
-win_prob_pi_route                   unit eigenvector of P_x, accumulated through  1e-9
-                                    C, = the solve
+win_prob_pi_route                   stationary law of P_x (one linear solve),     1e-9
+                                    accumulated through C, = the solve
 intertwining                        global L P' = P_hat L on the built game (the  1e-10
                                     build checks each dimension)
 pure_birth_rows                     every dual row sums to 1                      1e-12
@@ -117,7 +117,7 @@ def run_checks(
     except SpecError as exc:
         checks.append(CheckResult("build", False, float("nan"), str(exc)))
         return checks
-    kernel = chain.matrix
+    kernel = chain.dense()
 
     rho_prod = win_prob_product(game)
     rho_solve = win_prob_solve(chain)

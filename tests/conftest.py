@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 
+from scipy.sparse.csgraph import connected_components
+
 from krongambler import (
     BirthDeathSpec,
     ErgodicBDSpec,
@@ -13,6 +15,8 @@ from krongambler import (
     bd_eigenvalues,
     preset_r_of_d,
 )
+from krongambler.birth_death import bd_restricted
+from krongambler.linalg import kron_all
 
 
 def rand_bd(rng, n, q1_zero=False, budget=0.9, min_rate=0.3):
@@ -113,6 +117,44 @@ def direct_game_matrix(dims):
         ruin_of[row] = ruin
         out[row, row] = 1.0 - total_move
     return out, ruin_of
+
+
+def dense_mixture(game):
+    """The game's Kronecker mixture assembled densely, before any clipping.
+
+    The reference for the CSR assembly of ``build_game``: the same factors,
+    multiplied by ``kron_all`` and added term by term in mixture order.
+    """
+    mixed = np.zeros((game.size, game.size))
+    for subset, coeff in zip(game.subsets, game.coeffs):
+        term = kron_all([
+            bd_restricted(s) if (j + 1) in subset else np.eye(s.N)
+            for j, s in enumerate(game.dims)
+        ])
+        mixed += coeff * term if game.scalar_coeffs else coeff @ term
+    return mixed
+
+
+def dense_communication(kernel):
+    """Communication check on a dense kernel: the reference for the CSR one.
+
+    The transient states must be weakly connected through positive entries,
+    and each must reach, walking forward, a state that steps into ruin or
+    the win corner (the last index).
+    """
+    sub = kernel[:-1, :-1] > 0.0
+    if len(sub) > 1:
+        n_comp, _ = connected_components(sub, directed=True, connection="weak")
+        if n_comp != 1:
+            return False
+    ruin = 1.0 - kernel.sum(axis=1)
+    exits = (ruin[:-1] > 0.0) | (kernel[:-1, -1] > 0.0)
+    reach = exits.copy()
+    frontier = exits.copy()
+    while frontier.any():
+        frontier = sub[:, frontier].any(axis=1) & ~reach
+        reach |= frontier
+    return bool(reach.all())
 
 
 def direct_dual_kernel(game):

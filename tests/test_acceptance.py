@@ -161,7 +161,7 @@ def test_criterion_4_intertwining_and_isolation():
             float(
                 np.max(
                     np.abs(
-                        link.matrix @ chain.matrix
+                        link.matrix @ chain.dense()
                         - dual.matrix @ link.matrix
                     )
                 )
@@ -188,7 +188,7 @@ def test_criterion_5_dual_diagonal_is_spectrum():
     for game in cases:
         chain = build_game(game)
         _, dual = build_dual(game)
-        check = diagonal_eigenvalue_check(chain.matrix, dual.diag)
+        check = diagonal_eigenvalue_check(chain.dense(), dual.diag)
         worst = max(worst, check.residual)
     report(
         5,

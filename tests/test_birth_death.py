@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krongambler import (
     BirthDeathSpec,
@@ -119,6 +121,39 @@ def test_win_prob_closed_form_matches_solver():
         diff = np.max(np.abs(bd_win_prob(spec) - bd_win_prob_solve(spec)))
         worst = max(worst, diff)
     assert worst < 1e-10
+
+
+LOG_RATIO = float(np.log(1e3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    ends=st.tuples(st.floats(-LOG_RATIO, LOG_RATIO),
+                   st.floats(-LOG_RATIO, LOG_RATIO)),
+)
+def test_win_prob_log_space_over_wide_ratios(n, seed, ends):
+    # q(i)/p(i) is drawn log-uniformly between the two ends, within
+    # [1e-3, 1e3]; a constant ratio of 2 already overflows a running
+    # product of q/p at N = 1,100
+    rng = np.random.default_rng(seed)
+    ratio = np.exp(rng.uniform(min(ends), max(ends), n - 1))
+    move = rng.uniform(0.05, 0.99, n - 1)
+    p = move / (1.0 + ratio)
+    spec = BirthDeathSpec(N=n, p=tuple(p), q=tuple(move - p))
+    rho = bd_win_prob(spec)
+    assert np.all(np.isfinite(rho))
+    assert np.all(np.diff(rho) >= 0.0)
+    assert rho[-1] == 1.0
+    if n <= 400:
+        transient = np.eye(n - 1) - bd_matrix(spec)[1:n, 1:n]
+        cond = np.linalg.cond(transient)
+        # the solve's forward error grows like cond * eps; compare it only
+        # where that bound is small
+        if cond <= 1e8:
+            err = np.max(np.abs(rho - bd_win_prob_solve(spec)))
+            assert err <= 64 * np.finfo(float).eps * cond
 
 
 def test_stationary_uniform_for_symmetric_rates():

@@ -256,3 +256,37 @@ def test_invalid_rates_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["win-prob", write_spec(tmp_path, doc)])
     assert code == 2
     assert "dims[0]" in json.loads(err)["field"]
+
+
+def past_dense_cap_doc():
+    # 57 x 57 = 3,249 lattice states: a dense kernel would hold more than
+    # linalg.MAX_ENTRIES = 10^7 entries
+    rng = np.random.default_rng(70)
+    dims = []
+    for _ in range(2):
+        p = rng.uniform(0.3, 1.0, 56)
+        q = rng.uniform(0.3, 1.0, 56)
+        scale = 0.45 / (p + q).max()
+        dims.append({"N": 57, "p": list(p * scale), "q": list(q * scale)})
+    return {"version": 1, "dims": dims,
+            "mixing": {"preset": {"type": "r_of_d", "r": 1}}, "runs": 10}
+
+
+def test_win_prob_runs_past_the_dense_cap(tmp_path, capsys):
+    path = write_spec(tmp_path, past_dense_cap_doc())
+    code, out, _ = run_cli(capsys, ["win-prob", path])
+    assert code == 0
+    body = json.loads(out)
+    assert len(body["rho_solve"]) == 3249
+    assert list(body["rho"]) == list(body["rho_solve"])
+    assert list(body["rho"])[:2] == ["1,1", "1,2"]
+    assert body["method_agreement"] <= 1e-9
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_dense_commands_past_the_cap_exit_two(tmp_path, capsys, command):
+    path = write_spec(tmp_path, past_dense_cap_doc())
+    code, out, err = run_cli(capsys, [command, path])
+    assert code == 2
+    assert out == ""
+    assert "dense kernel of 3249 states" in json.loads(err)["error"]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from krongambler import (
     AbsorbingChain,
     BirthDeathSpec,
     CommunicationError,
     GameSpec,
+    SizeError,
     SpecError,
     StochasticityError,
     bd_matrix,
@@ -18,7 +20,23 @@ from krongambler import (
 from krongambler.birth_death import bd_restricted
 from krongambler.verify import diagonal_eigenvalue_check
 
-from conftest import direct_game_matrix, rand_bd, rand_game
+from conftest import (
+    dense_communication,
+    dense_mixture,
+    direct_game_matrix,
+    game_safe_budget,
+    rand_bd,
+    rand_game,
+)
+
+
+def assert_kernel_is_clipped_dense_mixture(game):
+    chain = build_game(game)
+    kernel = chain.matrix
+    assert isinstance(kernel, sparse.csr_array)
+    assert kernel.has_canonical_format
+    assert kernel.data.min() > 0.0
+    assert np.array_equal(chain.dense(), np.clip(dense_mixture(game), 0.0, None))
 
 
 def test_single_dimension_reduces_to_component_matrix():
@@ -26,7 +44,7 @@ def test_single_dimension_reduces_to_component_matrix():
     game = GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
     chain = build_game(game)
     full = bd_matrix(spec)
-    assert np.allclose(chain.matrix, full[1:, 1:], atol=1e-15)
+    assert np.allclose(chain.dense(), full[1:, 1:], atol=1e-15)
     assert np.allclose(chain.ruin, full[1:, 0], atol=1e-15)
     assert chain.win_index == 3
 
@@ -41,7 +59,7 @@ def test_one_move_preset_matches_direct_construction():
         ]
         chain = build_game(preset_r_of_d(dims, 1))
         kernel, ruin = direct_game_matrix(dims)
-        assert np.max(np.abs(chain.matrix - kernel)) < 1e-14
+        assert np.max(np.abs(chain.dense() - kernel)) < 1e-14
         assert np.max(np.abs(chain.ruin - ruin)) < 1e-14
 
 
@@ -51,7 +69,64 @@ def test_full_move_preset_is_kronecker_product():
     b = rand_bd(rng, 4, budget=0.4)
     chain = build_game(preset_r_of_d([a, b], 2))
     expected = np.kron(bd_restricted(a), bd_restricted(b))
-    assert np.allclose(chain.matrix, expected, atol=1e-15)
+    assert np.allclose(chain.dense(), expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("dual_safe", [True, False])
+def test_csr_kernel_equals_dense_kron_mixture(d, dual_safe):
+    rng = np.random.default_rng(40 + d + 3 * dual_safe)
+    for r in range(1, d + 1):
+        for _ in range(8):
+            game = rand_game(rng, d=d, r=r, n_max=5, dual_safe=dual_safe)
+            assert_kernel_is_clipped_dense_mixture(game)
+
+
+def test_csr_kernel_clips_tiny_negative_mixture_entry():
+    a = BirthDeathSpec(N=2, p=(0.1,), q=(0.2,))
+    b = BirthDeathSpec(N=2, p=(0.3,), q=(0.4,))
+    game = preset_r_of_d([a, b], 1)
+    assert -1e-12 < dense_mixture(game).min() < 0.0
+    assert_kernel_is_clipped_dense_mixture(game)
+    assert build_game(game).matrix.nnz == np.count_nonzero(
+        dense_mixture(game) > 0.0
+    )
+
+
+def test_csr_kernel_equals_dense_matrix_coefficient_mixture():
+    rng = np.random.default_rng(41)
+    dims = (rand_bd(rng, 3, budget=0.4), rand_bd(rng, 4, budget=0.4))
+    lazy = np.diag(rng.uniform(0.3, 1.0, 12))
+    game = GameSpec(
+        dims=dims,
+        subsets=(frozenset({1, 2}), frozenset()),
+        coeffs=(lazy, np.eye(12) - lazy),
+    )
+    assert_kernel_is_clipped_dense_mixture(game)
+
+
+def test_negative_mixture_entry_names_the_dense_argmin():
+    rng = np.random.default_rng(42)
+    raised = 0
+    for _ in range(40):
+        d = int(rng.integers(2, 4))
+        r = int(rng.integers(1, d))
+        budget = min(2.5 * game_safe_budget(d, r), 0.9)
+        dims = [rand_bd(rng, int(rng.integers(2, 5)), budget=budget)
+                for _ in range(d)]
+        game = preset_r_of_d(dims, r)
+        mixed = dense_mixture(game)
+        if mixed.min() >= -1e-12:
+            continue
+        i, j = np.unravel_index(int(mixed.argmin()), mixed.shape)
+        with pytest.raises(StochasticityError) as exc:
+            build_game(game)
+        assert str(exc.value) == (
+            f"mixture entry {mixed.min():.3e} at states "
+            f"{multi_index(game.shape, i)} -> {multi_index(game.shape, j)}"
+        )
+        raised += 1
+    assert raised >= 10
 
 
 def test_preset_subsets_and_coefficients():
@@ -122,7 +197,7 @@ def test_mixture_eigenvalues_are_products_over_subsets():
             for b, a in zip(game.coeffs, game.subsets):
                 value += b * np.prod([eigs[j - 1][multi[j - 1]] for j in a])
             candidates.append(value)
-        check = diagonal_eigenvalue_check(chain.matrix, np.array(candidates))
+        check = diagonal_eigenvalue_check(chain.dense(), np.array(candidates))
         assert check.passed, check
 
 
@@ -163,6 +238,63 @@ def test_communication_detects_isolated_state():
     )
     chain = AbsorbingChain(matrix=m, dims=(3,))
     assert not check_communication(chain)
+    assert not dense_communication(m)
+
+
+def test_communication_detects_state_without_exit():
+    # states 0 and 1 pass mass between themselves and never leave
+    m = np.array(
+        [
+            [0.5, 0.5, 0.0],
+            [0.5, 0.5, 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+    chain = AbsorbingChain(matrix=m, dims=(3,))
+    assert not check_communication(chain)
+    assert not dense_communication(m)
+
+
+def test_communication_agrees_with_dense_check():
+    rng = np.random.default_rng(43)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        m = np.zeros((n, n))
+        m[-1, -1] = 1.0
+        for i in range(n - 1):
+            # dyadic weights, so every summation order gives the same row
+            # sums: exactly 1, or at most 7/8 with the rest going to ruin
+            size = min(n, int(rng.integers(1, 4)))
+            cols = rng.choice(n, size=size, replace=False)
+            units = 8 - int(rng.integers(0, 2)) * int(rng.integers(1, 4))
+            split = rng.multinomial(units, np.ones(len(cols)) / len(cols))
+            m[i, cols] = split / 8.0
+        want = dense_communication(m)
+        assert check_communication(AbsorbingChain(matrix=m, dims=(n,))) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_chain_converts_dense_matrix_to_csr():
+    m = np.array([[0.25, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+    chain = AbsorbingChain(matrix=m, dims=(3,))
+    assert isinstance(chain.matrix, sparse.csr_array)
+    assert chain.matrix.nnz == 5
+    dense = chain.dense()
+    assert np.array_equal(dense, m)
+    dense[0, 0] = 0.0
+    assert chain.matrix[0, 0] == 0.25
+    assert np.array_equal(chain.ruin, [0.25, 0.0, 0.0])
+
+
+def test_dense_kernel_past_the_cap_raises_size_error():
+    rng = np.random.default_rng(44)
+    dims = [rand_bd(rng, 57, budget=0.45) for _ in range(2)]
+    chain = build_game(preset_r_of_d(dims, 1))
+    assert chain.matrix.shape == (3249, 3249)
+    with pytest.raises(SizeError, match="3249 states"):
+        chain.dense()
 
 
 def test_communication_single_dimension():

@@ -199,7 +199,7 @@ def test_intertwining_and_isolation_on_random_games():
         chain = build_game(game)
         link, dual = build_dual(game)
         resid = np.max(
-            np.abs(link.matrix @ chain.matrix - dual.matrix @ link.matrix)
+            np.abs(link.matrix @ chain.dense() - dual.matrix @ link.matrix)
         )
         assert resid < 1e-10
         assert np.max(np.abs(link.matrix[:-1, -1])) == 0.0
@@ -220,13 +220,13 @@ def test_dual_diagonal_is_game_spectrum():
         _, dual = build_dual(game)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = diagonal_eigenvalue_check(chain.matrix, dual.diag)
+            result = diagonal_eigenvalue_check(chain.dense(), dual.diag)
         assert result.passed and result.residual <= 1e-12, result
-        shifted = diagonal_eigenvalue_check(chain.matrix, dual.diag - 0.05)
+        shifted = diagonal_eigenvalue_check(chain.dense(), dual.diag - 0.05)
         assert not shifted.passed, shifted
         moved = dual.diag.copy()
         moved[int(rng.integers(len(moved)))] += 1e-6
-        assert not diagonal_eigenvalue_check(chain.matrix, moved).passed
+        assert not diagonal_eigenvalue_check(chain.dense(), moved).passed
     assert np.min(np.diff(np.sort(dual.diag))) == 0.0
 
 

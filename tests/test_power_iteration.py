@@ -6,6 +6,7 @@ Every case asks for the same pmf length as the oracle and agreement within
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from krongambler import (
     HorizonError,
@@ -27,12 +28,19 @@ TOL = 1e-12
 def assert_matches_reference(p, starts, target, horizon=None, eps=1e-12):
     got_pmf, got_absorbed = _power_iteration(p, starts, target, horizon, eps)
     want_pmf, want_absorbed = reference_power_iteration(
-        p, starts, target, horizon, eps
+        p.toarray() if sparse.issparse(p) else p, starts, target, horizon, eps
     )
     assert got_pmf.shape == want_pmf.shape
     assert np.max(np.abs(got_pmf - want_pmf)) <= TOL
     assert np.max(np.abs(got_absorbed - want_absorbed)) <= TOL
     return got_pmf, got_absorbed
+
+
+def engine_kernel(chain):
+    """The kernel ``absorb_dist`` hands the engine for a win-target law."""
+    if chain.size >= absorption.SPARSE_MIN_STATES:
+        return chain.matrix
+    return chain.dense()
 
 
 def random_game(rng, shape, r=1):
@@ -63,7 +71,7 @@ def test_game_kernel_matches_reference(shape):
     chain = build_game(game)
     start = np.zeros((1, game.size))
     start[0, int(rng.integers(0, game.size - 1))] = 1.0
-    assert_matches_reference(chain.matrix, start, chain.win_index)
+    assert_matches_reference(engine_kernel(chain), start, chain.win_index)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -90,7 +98,7 @@ def test_signed_start_row_matches_reference(shape):
     chain = build_game(game)
     start = rng.normal(size=(1, game.size))
     start /= np.abs(start).sum()
-    assert_matches_reference(chain.matrix, start, chain.win_index)
+    assert_matches_reference(engine_kernel(chain), start, chain.win_index)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -100,13 +108,13 @@ def test_stop_at_block_boundary(shape, offset):
     chain = build_game(random_game(rng, shape))
     stop = absorption.BLOCK_STEPS + offset
     start = lattice_point_mass(chain.dims, (1,) * len(shape))
-    masses = transient_masses(chain.matrix, start, stop)
+    masses = transient_masses(chain.dense(), start, stop)
     assert np.all(np.diff(masses) < 0.0)
     # eps between the masses at stop - 1 and stop: the first step whose
     # transient mass falls below eps is exactly ``stop``.
     eps = float(np.sqrt(masses[stop - 1] * masses[stop]))
     pmf, _ = assert_matches_reference(
-        chain.matrix, start[None], chain.win_index, eps=eps
+        engine_kernel(chain), start[None], chain.win_index, eps=eps
     )
     assert pmf.shape == (1, stop + 1)
 
@@ -118,7 +126,7 @@ def test_horizon_shorter_than_convergence(offset):
     horizon = absorption.BLOCK_STEPS + offset
     start = lattice_point_mass(chain.dims, (1, 1))
     pmf, absorbed = assert_matches_reference(
-        chain.matrix, start[None], chain.win_index, horizon=horizon
+        engine_kernel(chain), start[None], chain.win_index, horizon=horizon
     )
     assert pmf.shape == (1, horizon + 1)
     dist = absorb_dist(chain, start, horizon=horizon)
@@ -132,9 +140,9 @@ def test_non_convergence_raises_like_reference(monkeypatch):
     chain = build_game(random_game(rng, (6, 6)))
     start = lattice_point_mass(chain.dims, (1, 1))[None]
     with pytest.raises(HorizonError) as want:
-        reference_power_iteration(chain.matrix, start, chain.win_index, None, 1e-12)
+        reference_power_iteration(chain.dense(), start, chain.win_index, None, 1e-12)
     with pytest.raises(HorizonError) as got:
-        _power_iteration(chain.matrix, start, chain.win_index, None, 1e-12)
+        _power_iteration(engine_kernel(chain), start, chain.win_index, None, 1e-12)
     assert str(got.value) == str(want.value)
     assert f"after {absorption.BLOCK_STEPS + 5} steps" in str(got.value)
 
@@ -146,7 +154,7 @@ def test_ruin_target_matches_reference(shape):
     nu = lattice_point_mass(chain.dims, (2,) * len(shape))
     dist = absorb_dist(chain, nu, target="ruin")
     want_pmf, want_absorbed = reference_power_iteration(
-        augment_sink(chain.matrix), np.pad(nu, (1, 0))[None], 0, None, 1e-12
+        augment_sink(chain.dense()), np.pad(nu, (1, 0))[None], 0, None, 1e-12
     )
     assert dist.pmf.shape == want_pmf[0].shape
     assert np.max(np.abs(dist.pmf - want_pmf[0])) <= TOL

@@ -18,7 +18,7 @@ from krongambler.siegmund import (
     win_prob_pi_route,
 )
 
-from conftest import rand_ergodic, rand_game
+from conftest import rand_bd, rand_ergodic, rand_game
 
 
 def test_total_order_matrix():
@@ -142,7 +142,7 @@ def test_duality_identity_at_powers():
         order = product_order(game.shape)
         primal = reconstruct_primal(chain, order)
         c = order.c.astype(float)
-        restricted = chain.matrix
+        restricted = chain.dense()
         lhs = np.eye(len(primal))
         rhs = np.eye(len(primal))
         for _ in range(4):
@@ -178,3 +178,13 @@ def test_pi_route_equals_cumulative_stationary():
     assert np.max(
         np.abs(pi @ order.c.astype(float) - win_prob_solve(chain))
     ) < 1e-9
+
+
+def test_win_prob_solve_on_ninety_thousand_states():
+    # d=2, r=1, N=300: far past the dense cap; one sparse LU of the CSR kernel
+    rng = np.random.default_rng(25)
+    dims = [rand_bd(rng, 300, budget=0.45) for _ in range(2)]
+    game = preset_r_of_d(dims, 1)
+    chain = build_game(game)
+    assert chain.size == 90_000
+    assert np.max(np.abs(win_prob_solve(chain) - win_prob_product(game))) <= 1e-9

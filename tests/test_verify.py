@@ -1,6 +1,14 @@
 import numpy as np
 
-from krongambler import BirthDeathSpec, GameSpec, preset_r_of_d
+from krongambler import (
+    BirthDeathSpec,
+    GameSpec,
+    build_game,
+    preset_r_of_d,
+    product_order,
+    verify,
+)
+from krongambler.siegmund import reconstruct_primal, stationary_of
 from krongambler.verify import all_passed, diagonal_eigenvalue_check, run_checks
 
 from conftest import rand_bd
@@ -57,3 +65,29 @@ def test_char_poly_residual_detects_wrong_values():
     assert exact.passed and exact.residual == 0.0
     wrong = diagonal_eigenvalue_check(m, np.array([0.2, 0.5, 0.3]))
     assert not wrong.passed and wrong.residual > 1e-3
+
+
+def test_perturbed_partner_fails_pi_route(monkeypatch):
+    rng = np.random.default_rng(62)
+    dims = [rand_bd(rng, 3, budget=0.2), rand_bd(rng, 4, budget=0.2)]
+    game = preset_r_of_d(dims, 1)
+    by_name = {c.name: c for c in run_checks(game)}
+    assert by_name["win_prob_pi_route"].passed
+
+    def perturbed(chain, order):
+        # move 1e-3 of row 2's mass from its diagonal to its first entry:
+        # still stochastic, but with another stationary law
+        p_x = reconstruct_primal(chain, order)
+        p_x[2, 2] -= 1e-3
+        p_x[2, 0] += 1e-3
+        return p_x
+
+    monkeypatch.setattr(verify, "reconstruct_primal", perturbed)
+    by_name = {c.name: c for c in run_checks(game)}
+    assert not by_name["win_prob_pi_route"].passed
+    assert by_name["win_prob_pi_route"].residual > 1e-6
+    # the solve is exact for the partner it is given
+    p_x = perturbed(build_game(game), product_order(game.shape))
+    pi = stationary_of(p_x)
+    assert abs(pi.sum() - 1.0) < 1e-14
+    assert np.max(np.abs(pi @ p_x - pi)) < 1e-14
