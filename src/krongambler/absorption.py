@@ -17,8 +17,8 @@ exact stop step is then located inside the block. A kernel row of a game
 or a dual has at most 3^d nonzeros, so kernels with SPARSE_MIN_STATES
 states or more are multiplied as a CSR copy of the transpose, made from
 the game's CSR kernel (or from a dense dual) without a dense round trip;
-smaller ones are multiplied densely, a game's through
-``AbsorbingChain.dense``. The cutoff is the measured crossover for a single
+smaller ones are multiplied as a dense array, a game's made from its CSR
+kernel by the engine. The cutoff is the measured crossover for a single
 start (one thread of a 2-vCPU Xeon, OpenBLAS): dense still wins by 1-2 us
 per step at 196 states, CSR wins from 216 states, and a step takes about
 7 us in CSR against 56 us dense at 512 states and 28 us against 3.1 ms at
@@ -146,8 +146,8 @@ def _power_iteration(p, starts: np.ndarray, target: int,
                      horizon: int | None, eps: float) -> tuple:
     """Absorption pmfs at ``target`` for every row of ``starts`` at once.
 
-    ``p`` is a dense kernel, or a sparse one of at least SPARSE_MIN_STATES
-    states; rows of ``starts`` may be signed. Iteration stops at the first
+    ``p`` is a dense or sparse kernel, iterated in CSR form from
+    SPARSE_MIN_STATES states and densely below; rows of ``starts`` may be signed. Iteration stops at the first
     step t < horizon at which every row's transient mass is below eps, or
     after ``horizon`` steps; without a horizon, failing to converge within
     MAX_HORIZON steps raises. Returns the pmfs, one row per start, and each
@@ -166,6 +166,8 @@ def _power_iteration(p, starts: np.ndarray, target: int,
         def step(x, out):
             out[...] = kernel_t @ x
     else:
+        if sparse.issparse(p):
+            p = p.toarray()
 
         def step(x, out):
             np.matmul(x.T, p, out=out.T)
@@ -242,8 +244,7 @@ def absorb_dist(
     is ``distribution_equality`` in :func:`krongambler.verify.run_checks`.
     """
     if isinstance(chain, AbsorbingChain):
-        on_csr = chain.size >= SPARSE_MIN_STATES and target != "ruin"
-        p = chain.matrix if on_csr else chain.dense()
+        p = chain.dense() if target == "ruin" else chain.matrix
     else:
         p = np.asarray(getattr(chain, "matrix", chain), dtype=float)
     start = np.asarray(nu, dtype=float).reshape(1, p.shape[0])

@@ -9,8 +9,9 @@ Kronecker product of tridiagonal factors has at most 3^d nonzeros per row,
 so the kernel is assembled and validated as a CSR matrix straight from the
 components' bands; ``AbsorbingChain.dense`` is the one place it is made
 dense, for the consumers that need a dense kernel (the Siegmund partner,
-the spectrum check, the simulator's step table, the ruin sink and small
-power iterations).
+the spectrum check, the simulator's step table and the ruin sink). A
+build is capped before it allocates: at ``linalg.MAX_TRIPLETS`` triplets,
+and at the dense cap for games of three or more coordinates.
 
 States are lattice points indexed 0..n-1 in row-major order (coordinate d
 varies fastest), so the win corner (N_1, ..., N_d) is the last index. Ruin
@@ -30,7 +31,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .birth_death import BirthDeathSpec
 from .errors import CommunicationError, SizeError, SpecError, StochasticityError
-from .linalg import DEFAULT_TOL, MAX_ENTRIES
+from .linalg import DEFAULT_TOL, MAX_ENTRIES, MAX_TRIPLETS
 
 
 def linear_index(dims: tuple, multi) -> int:
@@ -217,6 +218,27 @@ def _kron_triplets(factors) -> tuple:
     return rows, cols, vals
 
 
+def _triplet_count(spec: GameSpec, bands) -> int:
+    """Number of triplets :func:`build_game` assembles, or a bound on it.
+
+    Exact for scalar coefficients; a matrix coefficient's product with a
+    term holds at most 3 entries per moving coordinate for each of the
+    coefficient's nonzeros.
+    """
+    if not spec.scalar_coeffs:
+        return sum(
+            np.count_nonzero(coeff) * 3 ** len(subset)
+            for subset, coeff in zip(spec.subsets, spec.coeffs)
+        )
+    return sum(
+        prod(
+            len(bands[j][0]) if (j + 1) in subset else side
+            for j, side in enumerate(spec.shape)
+        )
+        for subset in spec.subsets
+    )
+
+
 def build_game(spec: GameSpec) -> AbsorbingChain:
     """Mix the Kronecker terms into the game's CSR kernel and validate it.
 
@@ -229,10 +251,28 @@ def build_game(spec: GameSpec) -> AbsorbingChain:
     summing above 1 + DEFAULT_TOL, means the mixture is not a valid chain
     and raises. The transient lattice states must form one communication
     class.
+
+    Before anything is allocated, a game that would assemble more than
+    ``linalg.MAX_TRIPLETS`` triplets raises SizeError, and so does a game of
+    three or more coordinates past the dense cap: every command on it needs
+    either a dense kernel or a sparse LU whose fill-in grows about as
+    n^1.6 on such lattices.
     """
     shape = spec.shape
     n = spec.size
+    if spec.d >= 3 and n * n > MAX_ENTRIES:
+        raise SizeError(
+            f"a game of {spec.d} coordinates and {n} states is past the dense "
+            f"cap ({MAX_ENTRIES} entries); its sparse LU fill-in grows about "
+            f"as n^1.6"
+        )
     bands = [_band(s) for s in spec.dims]
+    count = _triplet_count(spec, bands)
+    if count > MAX_TRIPLETS:
+        raise SizeError(
+            f"a kernel of {n} states would assemble {count} triplets "
+            f"(cap {MAX_TRIPLETS})"
+        )
     terms = []
     for subset, coeff in zip(spec.subsets, spec.coeffs):
         rows, cols, vals = _kron_triplets(

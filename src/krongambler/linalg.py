@@ -30,6 +30,13 @@ DEFAULT_TOL = 1e-12
 #: Cap on the entry count of any dense Kronecker product or dense kernel.
 MAX_ENTRIES = 10**7
 
+#: Cap on the (row, col, value) triplets a sparse game build assembles. A
+#: triplet costs about 130 bytes at the build's peak against 8 for a dense
+#: entry, and the sparse LU of a 2-D game adds about 100 entries of fill
+#: per state (7 triplets), so at this cap a ``win-prob`` request peaks near
+#: 360 MB, close to the 315 MB of a dense build at MAX_ENTRIES.
+MAX_TRIPLETS = MAX_ENTRIES // 10
+
 
 class StochKind(enum.Enum):
     """Classification of a real matrix by row sums and entry signs."""
@@ -125,13 +132,8 @@ def absorption_probabilities(kernel, transient, target: int) -> np.ndarray:
     (I - Q) h = P[transient, target], Q the transient block, by one sparse
     LU factorization; h is 1 at ``target`` and 0 at every other state.
     """
-    if sparse.issparse(kernel):
-        kernel = sparse.csr_array(kernel)
-        rows = np.repeat(np.arange(kernel.shape[0]), np.diff(kernel.indptr))
-        cols, vals = kernel.indices, kernel.data
-    else:
-        rows, cols = np.nonzero(kernel)
-        vals = kernel[rows, cols]
+    coo = sparse.coo_array(kernel)
+    rows, cols, vals = coo.row, coo.col, coo.data
     h = np.zeros(kernel.shape[0])
     h[target] = 1.0
     m = len(transient)
@@ -152,7 +154,5 @@ def absorption_probabilities(kernel, transient, target: int) -> np.ndarray:
              (np.concatenate([diag, r]), np.concatenate([diag, c]))),
             shape=(m, m),
         )
-        # an upper-triangular system (a pure-birth dual) needs no reordering
-        order = "NATURAL" if np.all(c >= r) else "COLAMD"
-        h[transient] = splu(system, permc_spec=order).solve(rhs)
+        h[transient] = splu(system).solve(rhs)
     return h

@@ -34,7 +34,9 @@ keilson_factorization               1-D, no ruin: pmf from the bottom =         
 Build-time invariants (substochastic kernel, one communication class, a
 nonnegative dual, per-dimension links, the link's isolated win corner) are
 enforced by ``build_game`` and ``build_dual``, which raise; they show up
-here only as a failed ``build`` or ``dual_nonnegative`` entry. Checks that
+here only as a failed ``build`` or ``dual_nonnegative`` entry. A game too
+large to check raises SizeError instead, from the build or from the dense
+kernel the checks need. Checks that
 do not apply to a spec (matrix coefficients, a game without a dual, games
 of more than one dimension for the factorization) are skipped rather than
 failed.
@@ -49,7 +51,7 @@ import numpy as np
 
 from .absorption import absorb_dist, pgf_from_dual
 from .birth_death import bd_eigenvalues, bd_win_prob
-from .errors import SpecError
+from .errors import SizeError, SpecError
 from .game import GameSpec, build_game, lattice_point_mass
 from .intertwine import build_dual, dual_initial, spectral_polynomials
 from .siegmund import (
@@ -114,6 +116,8 @@ def run_checks(
 
     try:
         chain = build_game(game)
+    except SizeError:
+        raise
     except SpecError as exc:
         checks.append(CheckResult("build", False, float("nan"), str(exc)))
         return checks

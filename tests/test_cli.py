@@ -258,18 +258,23 @@ def test_invalid_rates_exit_two(tmp_path, capsys):
     assert "dims[0]" in json.loads(err)["field"]
 
 
+def lattice_doc(d, n):
+    """A valid d-coordinate r = 1 game with components of n states."""
+    rng = np.random.default_rng(70)
+    dims = []
+    for _ in range(d):
+        p = rng.uniform(0.3, 1.0, n - 1)
+        q = rng.uniform(0.3, 1.0, n - 1)
+        scale = 0.9 / d / (p + q).max()
+        dims.append({"N": n, "p": list(p * scale), "q": list(q * scale)})
+    return {"version": 1, "dims": dims,
+            "mixing": {"preset": {"type": "r_of_d", "r": 1}}, "runs": 10}
+
+
 def past_dense_cap_doc():
     # 57 x 57 = 3,249 lattice states: a dense kernel would hold more than
     # linalg.MAX_ENTRIES = 10^7 entries
-    rng = np.random.default_rng(70)
-    dims = []
-    for _ in range(2):
-        p = rng.uniform(0.3, 1.0, 56)
-        q = rng.uniform(0.3, 1.0, 56)
-        scale = 0.45 / (p + q).max()
-        dims.append({"N": 57, "p": list(p * scale), "q": list(q * scale)})
-    return {"version": 1, "dims": dims,
-            "mixing": {"preset": {"type": "r_of_d", "r": 1}}, "runs": 10}
+    return lattice_doc(2, 57)
 
 
 def test_win_prob_runs_past_the_dense_cap(tmp_path, capsys):
@@ -290,3 +295,21 @@ def test_dense_commands_past_the_cap_exit_two(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert "dense kernel of 3249 states" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", ["win-prob", "absorb-dist", "pgf",
+                                     "simulate", "verify"])
+@pytest.mark.parametrize("d, n, message", [
+    # 400 x 400: 1,117,600 triplets, above linalg.MAX_TRIPLETS = 10^6
+    (2, 400, "1117600 triplets"),
+    # 15^3 = 3,375 states: just past the dense cap
+    (3, 15, "3375 states is past the dense cap"),
+    # 50^3 = 125,000 states: sparse LU fill-in past 3 GB
+    (3, 50, "125000 states is past the dense cap"),
+])
+def test_oversized_games_exit_two(tmp_path, capsys, command, d, n, message):
+    path = write_spec(tmp_path, lattice_doc(d, n))
+    code, out, err = run_cli(capsys, [command, path])
+    assert code == 2
+    assert out == ""
+    assert message in json.loads(err)["error"]

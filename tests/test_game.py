@@ -17,6 +17,7 @@ from krongambler import (
     multi_index,
     preset_r_of_d,
 )
+from krongambler import game as game_module
 from krongambler.birth_death import bd_restricted
 from krongambler.verify import diagonal_eigenvalue_check
 
@@ -295,6 +296,45 @@ def test_dense_kernel_past_the_cap_raises_size_error():
     assert chain.matrix.shape == (3249, 3249)
     with pytest.raises(SizeError, match="3249 states"):
         chain.dense()
+
+
+def test_triplet_cap_counts_every_triplet(monkeypatch):
+    # 5 x 5, r = 1: each one-coordinate term holds 12 band entries times 5
+    # identity entries, the balancing identity term 25
+    rng = np.random.default_rng(45)
+    game = preset_r_of_d([rand_bd(rng, 5, budget=0.45) for _ in range(2)], 1)
+    monkeypatch.setattr(game_module, "MAX_TRIPLETS", 145)
+    build_game(game)
+    monkeypatch.setattr(game_module, "MAX_TRIPLETS", 144)
+    with pytest.raises(SizeError, match="25 states would assemble 145 triplets"):
+        build_game(game)
+
+
+def test_triplet_cap_bounds_matrix_coefficient_products(monkeypatch):
+    # each diagonal coefficient has 12 nonzeros; a row of the {1, 2} term
+    # holds at most 9 entries and a row of the empty term 1
+    rng = np.random.default_rng(41)
+    dims = (rand_bd(rng, 3, budget=0.4), rand_bd(rng, 4, budget=0.4))
+    lazy = np.diag(rng.uniform(0.3, 1.0, 12))
+    game = GameSpec(
+        dims=dims,
+        subsets=(frozenset({1, 2}), frozenset()),
+        coeffs=(lazy, np.eye(12) - lazy),
+    )
+    monkeypatch.setattr(game_module, "MAX_TRIPLETS", 120)
+    build_game(game)
+    monkeypatch.setattr(game_module, "MAX_TRIPLETS", 119)
+    with pytest.raises(SizeError, match="120 triplets"):
+        build_game(game)
+
+
+def test_three_coordinate_games_stop_at_the_dense_cap():
+    rng = np.random.default_rng(46)
+    inside = [rand_bd(rng, 14, budget=0.3) for _ in range(3)]
+    assert build_game(preset_r_of_d(inside, 1)).size == 2744
+    past = [rand_bd(rng, 15, budget=0.3) for _ in range(3)]
+    with pytest.raises(SizeError, match="3 coordinates and 3375 states"):
+        build_game(preset_r_of_d(past, 1))
 
 
 def test_communication_single_dimension():

@@ -36,13 +36,6 @@ def assert_matches_reference(p, starts, target, horizon=None, eps=1e-12):
     return got_pmf, got_absorbed
 
 
-def engine_kernel(chain):
-    """The kernel ``absorb_dist`` hands the engine for a win-target law."""
-    if chain.size >= absorption.SPARSE_MIN_STATES:
-        return chain.matrix
-    return chain.dense()
-
-
 def random_game(rng, shape, r=1):
     d = len(shape)
     dims = [rand_bd(rng, n, budget=dual_safe_budget(d, r)) for n in shape]
@@ -71,7 +64,7 @@ def test_game_kernel_matches_reference(shape):
     chain = build_game(game)
     start = np.zeros((1, game.size))
     start[0, int(rng.integers(0, game.size - 1))] = 1.0
-    assert_matches_reference(engine_kernel(chain), start, chain.win_index)
+    assert_matches_reference(chain.matrix, start, chain.win_index)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -98,7 +91,7 @@ def test_signed_start_row_matches_reference(shape):
     chain = build_game(game)
     start = rng.normal(size=(1, game.size))
     start /= np.abs(start).sum()
-    assert_matches_reference(engine_kernel(chain), start, chain.win_index)
+    assert_matches_reference(chain.matrix, start, chain.win_index)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -114,7 +107,7 @@ def test_stop_at_block_boundary(shape, offset):
     # transient mass falls below eps is exactly ``stop``.
     eps = float(np.sqrt(masses[stop - 1] * masses[stop]))
     pmf, _ = assert_matches_reference(
-        engine_kernel(chain), start[None], chain.win_index, eps=eps
+        chain.matrix, start[None], chain.win_index, eps=eps
     )
     assert pmf.shape == (1, stop + 1)
 
@@ -126,7 +119,7 @@ def test_horizon_shorter_than_convergence(offset):
     horizon = absorption.BLOCK_STEPS + offset
     start = lattice_point_mass(chain.dims, (1, 1))
     pmf, absorbed = assert_matches_reference(
-        engine_kernel(chain), start[None], chain.win_index, horizon=horizon
+        chain.matrix, start[None], chain.win_index, horizon=horizon
     )
     assert pmf.shape == (1, horizon + 1)
     dist = absorb_dist(chain, start, horizon=horizon)
@@ -142,7 +135,7 @@ def test_non_convergence_raises_like_reference(monkeypatch):
     with pytest.raises(HorizonError) as want:
         reference_power_iteration(chain.dense(), start, chain.win_index, None, 1e-12)
     with pytest.raises(HorizonError) as got:
-        _power_iteration(engine_kernel(chain), start, chain.win_index, None, 1e-12)
+        _power_iteration(chain.matrix, start, chain.win_index, None, 1e-12)
     assert str(got.value) == str(want.value)
     assert f"after {absorption.BLOCK_STEPS + 5} steps" in str(got.value)
 
