@@ -30,6 +30,7 @@ from .errors import (
     CouplingError,
     DegenerateSpectrumError,
     HorizonError,
+    LinkPrecisionError,
     MonotonicityError,
     SizeError,
     SpecError,
@@ -53,12 +54,11 @@ from .intertwine import (
     ehrenfest_closed_forms,
     spectral_link_1d,
 )
-from .linalg import StochKind, augment_sink, classify, kron, kron_sum
+from .linalg import augment_sink, kron
 from .pgf import GeometricProductPgf, MixturePgf, SeriesPgf
 from .siegmund import (
     OrderMatrix,
     product_order,
-    siegmund_dual,
     win_prob_product,
     win_prob_solve,
 )

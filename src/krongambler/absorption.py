@@ -16,9 +16,8 @@ target column are read once per block of up to BLOCK_STEPS steps, and the
 exact stop step is then located inside the block. A kernel row of a game
 or a dual has at most 3^d nonzeros, so kernels with SPARSE_MIN_STATES
 states or more are multiplied as a CSR copy of the transpose, made from
-the game's CSR kernel (or from a dense dual) without a dense round trip;
-smaller ones are multiplied as a dense array, a game's made from its CSR
-kernel by the engine. The cutoff is the measured crossover for a single
+the chain's CSR kernel without a dense round trip; smaller ones are
+multiplied as a dense array, made from the CSR kernel by the engine. The cutoff is the measured crossover for a single
 start (one thread of a 2-vCPU Xeon, OpenBLAS): dense still wins by 1-2 us
 per step at 196 states, CSR wins from 216 states, and a step takes about
 7 us in CSR against 56 us dense at 512 states and 28 us against 3.1 ms at
@@ -232,8 +231,8 @@ def absorb_dist(
 ) -> AbsorptionDist:
     """Law of the absorption time at ``target`` by power iteration.
 
-    ``chain`` is a substochastic matrix, an AbsorbingChain, or a
-    PureBirthChain, and ``nu`` a start vector over its states; it may be
+    ``chain`` is a substochastic matrix or an AbsorbingChain (a game or its
+    pure-birth dual), and ``nu`` a start vector over its states; it may be
     signed (mixtures of dual weights), in which case a clearly negative pmf
     entry raises. ``target`` defaults to the last state (the win corner of
     a chain); ``"ruin"`` targets the row deficits, collected in a sink
@@ -246,7 +245,7 @@ def absorb_dist(
     if isinstance(chain, AbsorbingChain):
         p = chain.dense() if target == "ruin" else chain.matrix
     else:
-        p = np.asarray(getattr(chain, "matrix", chain), dtype=float)
+        p = np.asarray(chain, dtype=float)
     start = np.asarray(nu, dtype=float).reshape(1, p.shape[0])
     if target == "ruin":
         p = augment_sink(p)

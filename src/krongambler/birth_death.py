@@ -239,14 +239,6 @@ def bd_is_monotone(spec) -> bool:
     return cond
 
 
-def eigenvalues_nonneg(spec) -> bool:
-    """Whether the chain's spectrum is nonnegative (the duality pipelines' gate).
-
-    Strictly stronger than :func:`bd_is_monotone` for sink-reachable chains.
-    """
-    return bool(_spectrum(spec)[0] >= -_EIG_TOL)
-
-
 def siegmund_dual_1d(spec: ErgodicBDSpec) -> BirthDeathSpec:
     """Siegmund dual of a monotone ergodic walk, as an absorbing gambler chain.
 

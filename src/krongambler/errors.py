@@ -25,6 +25,10 @@ class DegenerateSpectrumError(SpecError):
     """An eigenvalue is too close to 1 for spectral-polynomial normalization."""
 
 
+class LinkPrecisionError(SpecError):
+    """A component's spectral link fails its identities in double precision."""
+
+
 class HorizonError(RuntimeError):
     """Power iteration hit the step cap before the transient mass converged."""
 

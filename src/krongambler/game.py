@@ -7,11 +7,13 @@ is the game's kernel on the lattice: a substochastic matrix whose row
 deficits are the one-step probabilities of the common ruin state. A
 Kronecker product of tridiagonal factors has at most 3^d nonzeros per row,
 so the kernel is assembled and validated as a CSR matrix straight from the
-components' bands; ``AbsorbingChain.dense`` is the one place it is made
-dense, for the consumers that need a dense kernel (the Siegmund partner,
-the spectrum check, the simulator's step table and the ruin sink). A
-build is capped before it allocates: at ``linalg.MAX_TRIPLETS`` triplets,
-and at the dense cap for games of three or more coordinates.
+components' bands by :func:`kron_mixture`, which also assembles the
+pure-birth dual from its bidiagonal factors (``intertwine.build_dual``).
+``AbsorbingChain.dense`` is the one place a kernel is made dense, for the
+consumers that need a dense kernel (the Siegmund partner, the spectrum
+check, the simulator's step table and the ruin sink). A game build is
+capped before it allocates: at ``linalg.MAX_TRIPLETS`` triplets, and at
+the dense cap for games of three or more coordinates.
 
 States are lattice points indexed 0..n-1 in row-major order (coordinate d
 varies fastest), so the win corner (N_1, ..., N_d) is the last index. Ruin
@@ -131,7 +133,7 @@ class GameSpec:
 
 @dataclass(frozen=True, eq=False)
 class AbsorbingChain:
-    """Built game chain: its kernel on the lattice, with index bookkeeping.
+    """Built chain, a game or its pure-birth dual, with index bookkeeping.
 
     ``matrix`` is the substochastic kernel over lattice indices 0..n-1 as a
     ``scipy.sparse.csr_array`` (a dense argument is converted); the last
@@ -175,9 +177,6 @@ class AbsorbingChain:
 
     def to_linear(self, multi) -> int:
         return linear_index(self.dims, multi)
-
-    def to_multi(self, linear: int) -> tuple:
-        return multi_index(self.dims, linear)
 
 
 def _band(spec: BirthDeathSpec) -> tuple:
@@ -239,18 +238,65 @@ def _triplet_count(spec: GameSpec, bands) -> int:
     )
 
 
+def kron_mixture(bands, subsets, coeffs, error, message) -> sparse.csr_array:
+    """CSR kernel of the mixture sum_k coeffs[k] kron_j F_kj, clamped at zero.
+
+    ``bands`` holds one (rows, cols, values, side) per coordinate; F_kj is
+    band j for the coordinates j + 1 in ``subsets[k]`` and the identity
+    otherwise, and a matrix coefficient multiplies its term as a CSR
+    product. The terms are added entry by entry in mixture order, the order
+    in which a dense mixture adds them, so every entry equals the dense
+    one. Entries in [-DEFAULT_TOL, 0) are clamped to zero and dropped; a
+    more negative one raises ``error`` with ``message`` formatted with the
+    entry ``low`` and its lattice states ``src`` and ``dst``.
+    """
+    shape = tuple(band[3] for band in bands)
+    n = prod(shape)
+    terms = []
+    for subset, coeff in zip(subsets, coeffs):
+        rows, cols, vals = _kron_triplets(
+            bands[j] if (j + 1) in subset else _identity(side)
+            for j, side in enumerate(shape)
+        )
+        if np.ndim(coeff):
+            term = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+            mixed = (sparse.csr_array(coeff) @ term).tocoo()
+            rows, cols, vals, coeff = mixed.row, mixed.col, mixed.data, 1.0
+        terms.append((rows * n + cols, coeff * vals))
+    # A term holds each entry at most once, so every entry takes its terms'
+    # contributions one at a time, in mixture order.
+    keys, slot = np.unique(
+        np.concatenate([k for k, _ in terms]), return_inverse=True
+    )
+    data = np.zeros(len(keys))
+    start = 0
+    for k, v in terms:
+        data[slot[start:start + len(k)]] += v
+        start += len(k)
+    rows, cols = np.divmod(keys, n)
+
+    low = float(data.min(initial=0.0))
+    if low < -DEFAULT_TOL:
+        at = int(data.argmin())
+        raise error(message.format(
+            low=low,
+            src=multi_index(shape, rows[at]),
+            dst=multi_index(shape, cols[at]),
+        ))
+    keep = data > 0.0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
+    return sparse.csr_array((data[keep], cols[keep], indptr), shape=(n, n))
+
+
 def build_game(spec: GameSpec) -> AbsorbingChain:
     """Mix the Kronecker terms into the game's CSR kernel and validate it.
 
-    Each term's nonzeros come from the components' tridiagonal bands, with
-    identity factors for the frozen coordinates; a matrix coefficient
-    multiplies its term as a CSR product. The terms are added entry by
-    entry in mixture order, the order in which a dense mixture adds them.
-    Cancellation in signed mixtures may leave entries in [-DEFAULT_TOL, 0);
-    these are clamped to zero and dropped. Anything more negative, or a row
-    summing above 1 + DEFAULT_TOL, means the mixture is not a valid chain
-    and raises. The transient lattice states must form one communication
-    class.
+    :func:`kron_mixture` assembles the kernel from the components'
+    tridiagonal bands. Cancellation in signed mixtures may leave entries in
+    [-DEFAULT_TOL, 0), which are clamped to zero; anything more negative,
+    or a row summing above 1 + DEFAULT_TOL, means the mixture is not a
+    valid chain and raises. The transient lattice states must form one
+    communication class.
 
     Before anything is allocated, a game that would assemble more than
     ``linalg.MAX_TRIPLETS`` triplets raises SizeError, and so does a game of
@@ -273,40 +319,11 @@ def build_game(spec: GameSpec) -> AbsorbingChain:
             f"a kernel of {n} states would assemble {count} triplets "
             f"(cap {MAX_TRIPLETS})"
         )
-    terms = []
-    for subset, coeff in zip(spec.subsets, spec.coeffs):
-        rows, cols, vals = _kron_triplets(
-            bands[j] if (j + 1) in subset else _identity(side)
-            for j, side in enumerate(shape)
-        )
-        if not spec.scalar_coeffs:
-            term = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
-            mixed = (sparse.csr_array(coeff) @ term).tocoo()
-            rows, cols, vals, coeff = mixed.row, mixed.col, mixed.data, 1.0
-        terms.append((rows * n + cols, coeff * vals))
-    # A term holds each entry at most once, so every entry takes its terms'
-    # contributions one at a time, in mixture order.
-    keys, slot = np.unique(
-        np.concatenate([k for k, _ in terms]), return_inverse=True
-    )
-    data = np.zeros(len(keys))
-    start = 0
-    for k, v in terms:
-        data[slot[start:start + len(k)]] += v
-        start += len(k)
-    rows, cols = np.divmod(keys, n)
-
-    low = float(data.min(initial=0.0))
-    if low < -DEFAULT_TOL:
-        at = int(data.argmin())
-        raise StochasticityError(
-            f"mixture entry {low:.3e} at states "
-            f"{multi_index(shape, rows[at])} -> {multi_index(shape, cols[at])}"
-        )
-    keep = data > 0.0
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
     chain = AbsorbingChain(
-        matrix=sparse.csr_array((data[keep], cols[keep], indptr), shape=(n, n)),
+        matrix=kron_mixture(
+            bands, spec.subsets, spec.coeffs, StochasticityError,
+            "mixture entry {low:.3e} at states {src} -> {dst}",
+        ),
         dims=shape,
     )
     excess = float((chain.matrix @ np.ones(n)).max()) - 1.0

@@ -7,11 +7,12 @@ pure-birth chain on the same lattice. Absorption of the game at the win
 corner then has the same (suitably weighted) law as absorption of the
 pure-birth chain, which is cheap to analyze.
 
-:func:`build_dual` assembles the dual once, as a Kronecker mixture, and
-gates it on the per-dimension link identities. The global intertwining
-residual against the built game is the ``intertwining`` check of
-:func:`krongambler.verify.run_checks`; the entry-by-entry dual formula is a
-test oracle.
+:func:`build_dual` assembles the dual once, as a CSR Kronecker mixture of
+bidiagonal factors by the game's own assembly
+(:func:`krongambler.game.kron_mixture`), and gates it on the per-dimension
+link identities. The global intertwining residual against the built game
+is the ``intertwining`` check of :func:`krongambler.verify.run_checks`; the
+entry-by-entry dual formula is a test oracle.
 
 The module also carries the classical sharp-dual construction for ergodic
 chains, and the closed forms of the lazy two-urn diffusion family, whose link
@@ -38,17 +39,17 @@ from .birth_death import (
 )
 from .errors import (
     DegenerateSpectrumError,
-    InternalCheckError,
+    LinkPrecisionError,
     MonotonicityError,
     SpecError,
 )
-from .game import GameSpec
-from .linalg import DEFAULT_TOL, kron_all
+from .game import AbsorbingChain, GameSpec, kron_mixture
+from .linalg import kron_all
 from .pgf import GeometricProductPgf, MixturePgf
 
 _DEGENERATE_TOL = 1e-12
 _INTERTWINE_TOL = 1e-10
-#: Start weights within this of zero count as uncharged or nonnegative.
+#: Start weights down to -_WEIGHT_TOL count as nonnegative.
 _WEIGHT_TOL = 1e-12
 
 
@@ -126,28 +127,22 @@ class SpectralLink:
     dims: tuple
 
 
-@dataclass(frozen=True, eq=False)
-class PureBirthChain:
+class PureBirthChain(AbsorbingChain):
     """Pure-birth dual on the lattice: no coordinate ever decreases.
 
     ``diag`` holds the holding probabilities; the diagonal doubles as the
     spectrum of the game's kernel.
     """
 
-    matrix: np.ndarray
-    dims: tuple
-
-    @property
-    def size(self) -> int:
-        return prod(self.dims)
-
-    @property
-    def win_index(self) -> int:
-        return self.size - 1
-
     @property
     def diag(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
+        return self.matrix.diagonal()
+
+
+def _nonzeros(m: np.ndarray) -> tuple:
+    """(rows, cols, values, side) of the nonzero entries of a square factor."""
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols], len(m)
 
 
 def build_dual(game: GameSpec) -> tuple:
@@ -157,9 +152,14 @@ def build_dual(game: GameSpec) -> tuple:
     F_kj the one-dimensional pure-birth kernel for j in A_k and the identity
     otherwise; a step raising exactly the coordinates in B then has
     probability prod_{j in B} (1 - lam_j) * sum_{k: B subset A_k} b_k
-    prod_{j in A_k - B} lam_j. By the mixed-product rule the per-dimension
-    identities L_j P_j = P_hat_j L_j imply the global intertwining, so only
-    those are enforced here; the global residual is left to ``verify``.
+    prod_{j in A_k - B} lam_j. It is assembled in CSR form from the
+    bidiagonal factors by :func:`krongambler.game.kron_mixture`, the
+    assembly of the game's kernel. By the mixed-product rule the
+    per-dimension identities L_j P_j = P_hat_j L_j imply the global
+    intertwining, so only those, and each link's isolated win corner, are
+    enforced here; a failure raises LinkPrecisionError. The global residual
+    is left to ``verify``. The link is a dense Kronecker product, so a game
+    past the dense cap raises SizeError before anything is assembled.
     """
     if not game.scalar_coeffs:
         raise SpecError(
@@ -170,52 +170,41 @@ def build_dual(game: GameSpec) -> tuple:
             raise MonotonicityError("every component must be monotone")
     eigs = [_checked_eigenvalues(s) for s in game.dims]
     links = [spectral_link_1d(s) for s in game.dims]
+    lam_big = kron_all(links)
     births = [pure_birth_1d(lam) for lam in eigs]
-    iso = float(prod(bd_win_prob(s)[0] for s in game.dims))
+    rho1 = [bd_win_prob(s)[0] for s in game.dims]
 
-    shape = game.shape
-    eyes = {n: np.eye(n) for n in set(shape)}
-    p_hat = np.zeros((game.size, game.size))
-    for b_k, a_k in zip(game.coeffs, game.subsets):
-        factors = [
-            births[j] if (j + 1) in a_k else eyes[shape[j]]
-            for j in range(game.d)
-        ]
-        p_hat += b_k * kron_all(factors)
+    dual = PureBirthChain(
+        matrix=kron_mixture(
+            [_nonzeros(b) for b in births], game.subsets, game.coeffs, SpecError,
+            "pure-birth dual entry {low:.3e} at lattice states {src} -> {dst}; "
+            "the mixture violates the dual nonnegativity assumption",
+        ),
+        dims=game.shape,
+    )
 
-    low = float(p_hat.min())
-    if low < -DEFAULT_TOL:
-        i, j = np.unravel_index(int(p_hat.argmin()), p_hat.shape)
-        src = tuple(int(c) + 1 for c in np.unravel_index(i, shape))
-        dst = tuple(int(c) + 1 for c in np.unravel_index(j, shape))
-        raise SpecError(
-            f"pure-birth dual entry {low:.3e} at lattice states {src} -> {dst}; "
-            "the mixture violates the dual nonnegativity assumption"
-        )
-    np.clip(p_hat, 0.0, None, out=p_hat)
-
-    for j, (s, link, birth) in enumerate(zip(game.dims, links, births)):
+    for j, (s, link, birth, rho) in enumerate(zip(game.dims, links, births, rho1)):
         residual = np.max(np.abs(link @ bd_restricted(s) - birth @ link))
         if residual > _INTERTWINE_TOL:
-            raise InternalCheckError(
+            raise LinkPrecisionError(
                 f"intertwining residual {residual:.3e} in dimension {j + 1} "
                 f"(N={s.N})"
             )
-
-    lam_big = kron_all(links)
-    if np.max(np.abs(lam_big[:-1, -1])) != 0.0 or abs(
-        lam_big[-1, -1] - iso
-    ) > 1e-10:
-        raise InternalCheckError("link is not isolated at the win corner")
+        corner = abs(link[-1, -1] - rho)
+        if np.any(link[:-1, -1]) or corner > 1e-10:
+            raise LinkPrecisionError(
+                f"link is not isolated at the win corner in dimension {j + 1} "
+                f"(N={s.N}): corner residual {corner:.3e}"
+            )
 
     link = SpectralLink(
         matrix=lam_big,
         per_dim=tuple(links),
         eigen=tuple(eigs),
-        iso_value=iso,
-        dims=shape,
+        iso_value=float(prod(rho1)),
+        dims=game.shape,
     )
-    return link, PureBirthChain(matrix=p_hat, dims=shape)
+    return link, dual
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,18 +236,6 @@ def dual_initial(link: SpectralLink, nu_star) -> DualInitial:
     values = tensor.reshape(size)
     ok = values.min() >= -_WEIGHT_TOL and abs(values.sum() - 1.0) <= 1e-9
     return DualInitial(values=values, is_distribution=bool(ok))
-
-
-def support_dominates(dims, nu_star, nu_hat) -> bool:
-    """Check: every state charged by nu_star is dominated by a positive nu_hat state."""
-    shape = tuple(dims)
-    star = np.asarray(nu_star, dtype=float).reshape(shape)
-    hat = np.asarray(nu_hat, dtype=float).reshape(shape)
-    pos = list(zip(*np.nonzero(hat > _WEIGHT_TOL)))
-    for idx in zip(*np.nonzero(np.abs(star) > _WEIGHT_TOL)):
-        if not any(all(h >= s for h, s in zip(p, idx)) for p in pos):
-            return False
-    return True
 
 
 def classical_ssd_1d(x: ErgodicBDSpec) -> tuple:

@@ -1,19 +1,19 @@
-"""Matrix helpers: Kronecker algebra, classification, sink augmentation and
-absorption probabilities.
+"""Matrix helpers: Kronecker products, sink augmentation and absorption
+probabilities.
 
 Every function returns a fresh array; inputs are never mutated. The dense
-helpers take plain ``numpy.ndarray`` objects in row-major layout: the
-pure-birth dual and the spectral link are built with :func:`kron_all`, and
-``MAX_ENTRIES`` caps every dense Kronecker product and every dense copy of
-a game kernel (``game.AbsorbingChain.dense``). The game kernel itself is
-assembled in CSR form by :func:`krongambler.game.build_game`, straight from
-the tridiagonal factors. :func:`absorption_probabilities` is the one linear
-solve for absorption probabilities, a sparse LU on dense or sparse kernels.
+helpers take plain ``numpy.ndarray`` objects in row-major layout: only the
+spectral link is built with :func:`kron_all`, and ``MAX_ENTRIES`` caps
+every dense Kronecker product and every dense copy of a kernel
+(``game.AbsorbingChain.dense``). The game kernel and the pure-birth dual
+are assembled in CSR form by :func:`krongambler.game.kron_mixture`,
+straight from their tridiagonal and bidiagonal factors.
+:func:`absorption_probabilities` is the one linear solve for absorption
+probabilities, a sparse LU on dense or sparse kernels.
 """
 
 from __future__ import annotations
 
-import enum
 from functools import reduce
 from typing import Sequence
 
@@ -36,14 +36,6 @@ MAX_ENTRIES = 10**7
 #: per state (7 triplets), so at this cap a ``win-prob`` request peaks near
 #: 360 MB, close to the 315 MB of a dense build at MAX_ENTRIES.
 MAX_TRIPLETS = MAX_ENTRIES // 10
-
-
-class StochKind(enum.Enum):
-    """Classification of a real matrix by row sums and entry signs."""
-
-    STOCHASTIC = "stochastic"
-    SUBSTOCHASTIC = "substochastic"
-    GENERAL = "general"
 
 
 def as_matrix(a) -> np.ndarray:
@@ -73,29 +65,6 @@ def kron_all(mats: Sequence) -> np.ndarray:
     if len(mats) == 0:
         raise ValueError("need at least one factor")
     return reduce(kron, [as_matrix(m) for m in mats])
-
-
-def kron_sum(a, b) -> np.ndarray:
-    """Kronecker sum kron(a, I_b) + kron(I_a, b) of square matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    for m in (a, b):
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"Kronecker sum needs square factors, got {m.shape}")
-    return kron(a, np.eye(b.shape[0])) + kron(np.eye(a.shape[0]), b)
-
-
-def classify(m) -> StochKind:
-    """Strictest row-sum classification that holds within DEFAULT_TOL."""
-    m = as_matrix(m)
-    if m.min(initial=0.0) < -DEFAULT_TOL:
-        return StochKind.GENERAL
-    sums = m.sum(axis=1)
-    if np.all(np.abs(sums - 1.0) <= DEFAULT_TOL):
-        return StochKind.STOCHASTIC
-    if np.all(sums <= 1.0 + DEFAULT_TOL):
-        return StochKind.SUBSTOCHASTIC
-    return StochKind.GENERAL
 
 
 def augment_sink(p_sub) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .birth_death import bd_win_prob
 from .game import AbsorbingChain, GameSpec
-from .linalg import absorption_probabilities, as_matrix
+from .linalg import absorption_probabilities
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,18 +42,6 @@ def product_order(dims) -> OrderMatrix:
         np.eye(n, dtype=np.int64) - np.eye(n, k=1, dtype=np.int64) for n in dims
     ]
     return OrderMatrix(c=reduce(np.kron, cs), mobius=reduce(np.kron, mus), dims=dims)
-
-
-def siegmund_dual(p_x, order: OrderMatrix) -> np.ndarray:
-    """Dual kernel (C^-1 P C)^T of a stochastic matrix on the ordered lattice.
-
-    The result is substochastic exactly when the input is Mobius monotone;
-    classification is left to the caller.
-    """
-    p_x = as_matrix(p_x)
-    c = order.c.astype(float)
-    mobius = order.mobius.astype(float)
-    return (mobius @ p_x @ c).T
 
 
 def reconstruct_primal(chain: AbsorbingChain, order: OrderMatrix) -> np.ndarray:

@@ -228,7 +228,7 @@ def simulate_coupled(
     nu_star = np.asarray(nu_star, dtype=float).reshape(chain.size)
 
     lam = link.matrix
-    p_hat = dual.matrix
+    p_hat = dual.dense()
     win = chain.win_index
     dual_win = dual.win_index
 

@@ -119,17 +119,22 @@ def direct_game_matrix(dims):
     return out, ruin_of
 
 
-def dense_mixture(game):
-    """The game's Kronecker mixture assembled densely, before any clipping.
+def dense_mixture(game, factors=None):
+    """A Kronecker mixture over the game's terms, assembled densely, unclipped.
 
-    The reference for the CSR assembly of ``build_game``: the same factors,
-    multiplied by ``kron_all`` and added term by term in mixture order.
+    ``factors`` holds one dense factor per coordinate: the components'
+    restricted kernels by default (the game), or their pure-birth kernels
+    (the dual). The reference for the CSR assembly of ``build_game`` and
+    ``build_dual``: the same factors, multiplied by ``kron_all`` and added
+    term by term in mixture order.
     """
+    if factors is None:
+        factors = [bd_restricted(s) for s in game.dims]
     mixed = np.zeros((game.size, game.size))
     for subset, coeff in zip(game.subsets, game.coeffs):
         term = kron_all([
-            bd_restricted(s) if (j + 1) in subset else np.eye(s.N)
-            for j, s in enumerate(game.dims)
+            f if (j + 1) in subset else np.eye(len(f))
+            for j, f in enumerate(factors)
         ])
         mixed += coeff * term if game.scalar_coeffs else coeff @ term
     return mixed

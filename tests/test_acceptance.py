@@ -162,7 +162,7 @@ def test_criterion_4_intertwining_and_isolation():
                 np.max(
                     np.abs(
                         link.matrix @ chain.dense()
-                        - dual.matrix @ link.matrix
+                        - dual.dense() @ link.matrix
                     )
                 )
             ),

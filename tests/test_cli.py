@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -313,3 +314,42 @@ def test_oversized_games_exit_two(tmp_path, capsys, command, d, n, message):
     assert code == 2
     assert out == ""
     assert message in json.loads(err)["error"]
+
+
+def link_cliff_doc():
+    """A dual-safe 2-D r = 1 game with a 26-state component.
+
+    The component's spectral link is past double-precision reach: its
+    intertwining residual is about 1.7e-5, against a gate of 1e-10.
+    """
+    rng = np.random.default_rng(70)
+    dims = []
+    for n in (26, 3):
+        p = rng.uniform(0.3, 1.0, n - 1)
+        q = rng.uniform(0.3, 1.0, n - 1)
+        scale = 0.24 / (p + q).max()
+        dims.append({"N": n, "p": list(p * scale), "q": list(q * scale)})
+    return {"version": 1, "dims": dims,
+            "mixing": {"preset": {"type": "r_of_d", "r": 1}}, "runs": 10}
+
+
+LINK_CLIFF = re.compile(r"intertwining residual \d\.\d{3}e-0\d in dimension 1 \(N=26\)")
+
+
+@pytest.mark.parametrize("argv", [["pgf"], ["simulate", "--coupled"]],
+                         ids=["pgf", "simulate-coupled"])
+def test_link_past_double_precision_exits_two(tmp_path, capsys, argv):
+    path = write_spec(tmp_path, link_cliff_doc())
+    code, out, err = run_cli(capsys, [argv[0], path, *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert LINK_CLIFF.fullmatch(json.loads(err)["error"])
+
+
+def test_verify_reports_link_past_double_precision(tmp_path, capsys):
+    path = write_spec(tmp_path, link_cliff_doc())
+    code, out, _ = run_cli(capsys, ["verify", path])
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["dual_nonnegative"]
+    assert LINK_CLIFF.fullmatch(failed[0]["detail"])

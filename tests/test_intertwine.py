@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from krongambler import intertwine
 from krongambler import (
@@ -11,6 +12,7 @@ from krongambler import (
     ErgodicBDSpec,
     GameSpec,
     MonotonicityError,
+    SizeError,
     SpecError,
     bd_eigenvalues,
     bd_win_prob,
@@ -22,7 +24,7 @@ from krongambler import (
     spectral_link_1d,
 )
 from krongambler.birth_death import bd_restricted, ergodic_matrix
-from krongambler.errors import InternalCheckError
+from krongambler.errors import LinkPrecisionError
 from krongambler.intertwine import (
     ehrenfest_binomial_link,
     ehrenfest_binomial_link_inv,
@@ -31,14 +33,46 @@ from krongambler.intertwine import (
     ehrenfest_ergodic,
     pure_birth_1d,
     spectral_polynomials,
-    support_dominates,
 )
 from krongambler.specfile import load_spec
 from krongambler.verify import diagonal_eigenvalue_check
 
-from conftest import direct_dual_kernel, rand_bd, rand_ergodic, rand_game
+from conftest import (
+    dense_mixture,
+    direct_dual_kernel,
+    rand_bd,
+    rand_ergodic,
+    rand_game,
+)
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
+
+
+def support_dominates(dims, nu_star, nu_hat, tol=1e-12):
+    """Every state charged by nu_star is dominated by a positive nu_hat state."""
+    star = np.asarray(nu_star, dtype=float).reshape(dims)
+    hat = np.asarray(nu_hat, dtype=float).reshape(dims)
+    pos = list(zip(*np.nonzero(hat > tol)))
+    return all(
+        any(all(h >= s for h, s in zip(p, idx)) for p in pos)
+        for idx in zip(*np.nonzero(np.abs(star) > tol))
+    )
+
+
+def birth_factors(game):
+    """Each component's one-dimensional pure-birth kernel."""
+    return [pure_birth_1d(bd_eigenvalues(s)) for s in game.dims]
+
+
+def signed_mixture(rng):
+    """A valid two-coordinate game whose mixture has a negative weight."""
+    a = rand_bd(rng, 3, budget=0.1)
+    b = rand_bd(rng, 4, budget=0.1)
+    return GameSpec(
+        dims=(a, b),
+        subsets=(frozenset({1}), frozenset({2}), frozenset({1, 2}), frozenset()),
+        coeffs=(0.6, 0.6, 0.2, -0.4),
+    )
 
 
 def one_dim_game(spec):
@@ -103,7 +137,7 @@ def test_dual_one_dimensional_form():
     spec = golden_spec()
     link, dual = build_dual(one_dim_game(spec))
     lam = bd_eigenvalues(spec)
-    assert np.allclose(dual.matrix, pure_birth_1d(lam), atol=1e-12)
+    assert np.allclose(dual.dense(), pure_birth_1d(lam), atol=1e-12)
     assert abs(link.iso_value - bd_win_prob(spec)[0]) < 1e-14
 
 
@@ -113,18 +147,19 @@ def test_dual_one_move_two_dim_displayed_form():
     b = rand_bd(rng, 4, budget=0.12)
     game = preset_r_of_d([a, b], 1)
     link, dual = build_dual(game)
+    p_hat = dual.dense()
     eigs = [bd_eigenvalues(a), bd_eigenvalues(b)]
     shape = (3, 4)
     for lin, multi in enumerate(np.ndindex(*shape)):
         lam_here = [eigs[0][multi[0]], eigs[1][multi[1]]]
         movable = [j for j in range(2) if multi[j] + 1 < shape[j]]
         hold = 1.0 - sum(1.0 - lam_here[j] for j in movable)
-        assert abs(dual.matrix[lin, lin] - hold) < 1e-12
+        assert abs(p_hat[lin, lin] - hold) < 1e-12
         for j in movable:
             target = list(multi)
             target[j] += 1
             col = int(np.ravel_multi_index(target, shape))
-            assert abs(dual.matrix[lin, col] - (1.0 - lam_here[j])) < 1e-12
+            assert abs(p_hat[lin, col] - (1.0 - lam_here[j])) < 1e-12
 
 
 def test_dual_independent_game_is_kronecker_of_duals():
@@ -136,7 +171,7 @@ def test_dual_independent_game_is_kronecker_of_duals():
     expected = np.kron(
         pure_birth_1d(bd_eigenvalues(a)), pure_birth_1d(bd_eigenvalues(b))
     )
-    assert np.max(np.abs(dual.matrix - expected)) < 1e-12
+    assert np.max(np.abs(dual.dense() - expected)) < 1e-12
 
 
 def test_dual_requires_scalar_coefficients():
@@ -165,17 +200,48 @@ def test_dual_kernel_matches_direct_formula():
         for r in range(1, d + 1)
         for _ in range(3)
     ]
-    a = rand_bd(rng, 3, budget=0.1)
-    b = rand_bd(rng, 4, budget=0.1)
-    mixture = GameSpec(
-        dims=(a, b),
-        subsets=(frozenset({1}), frozenset({2}), frozenset({1, 2}), frozenset()),
-        coeffs=(0.6, 0.6, 0.2, -0.4),
-    )
+    mixture = signed_mixture(rng)
     build_game(mixture)  # a valid game, negative weight and all
     for game in games + [mixture]:
         _, dual = build_dual(game)
-        assert np.max(np.abs(dual.matrix - direct_dual_kernel(game))) < 1e-12
+        assert np.max(np.abs(dual.dense() - direct_dual_kernel(game))) < 1e-12
+
+
+def test_dual_is_the_clipped_dense_mixture_bit_for_bit():
+    rng = np.random.default_rng(43)
+    games = [
+        rand_game(rng, d=d, r=r, n_max=4)
+        for d in (1, 2, 3)
+        for r in range(1, d + 1)
+        for _ in range(3)
+    ]
+    # two-state components whose dual corner entry rounds to -1.1e-16
+    tiny = preset_r_of_d([BirthDeathSpec(N=2, p=(0.1,), q=(0.2,)),
+                          BirthDeathSpec(N=2, p=(0.3,), q=(0.4,))], 1)
+    assert -1e-12 < dense_mixture(tiny, birth_factors(tiny)).min() < 0.0
+    for game in games + [signed_mixture(rng), tiny]:
+        _, dual = build_dual(game)
+        kernel = dual.matrix
+        assert isinstance(kernel, sparse.csr_array)
+        assert kernel.has_canonical_format
+        assert kernel.data.min() > 0.0
+        mixed = dense_mixture(game, birth_factors(game))
+        assert np.array_equal(dual.dense(), np.clip(mixed, 0.0, None))
+        assert np.array_equal(dual.diag, np.clip(np.diag(mixed), 0.0, None))
+
+
+def test_dual_past_the_dense_cap_raises_before_assembly(monkeypatch):
+    # 57 x 57 = 3,249 states: the dense link would hold more than
+    # linalg.MAX_ENTRIES = 10^7 entries
+    rng = np.random.default_rng(44)
+    game = preset_r_of_d([rand_bd(rng, 57, budget=0.24) for _ in range(2)], 1)
+
+    def unreachable(*args):
+        raise AssertionError("the dual was assembled")
+
+    monkeypatch.setattr(intertwine, "kron_mixture", unreachable)
+    with pytest.raises(SizeError, match="10556001 entries"):
+        build_dual(game)
 
 
 def test_per_dimension_intertwining_gate_fails_on_bad_link(monkeypatch):
@@ -188,7 +254,25 @@ def test_per_dimension_intertwining_gate_fails_on_bad_link(monkeypatch):
         return link
 
     monkeypatch.setattr(intertwine, "spectral_link_1d", perturbed)
-    with pytest.raises(InternalCheckError, match="intertwining residual"):
+    with pytest.raises(LinkPrecisionError, match="intertwining residual"):
+        build_dual(game)
+
+
+def test_win_corner_gate_fails_on_bad_link(monkeypatch):
+    # a corner moved by 2e-10 moves L P' - P_hat L by (1 - lam) times that,
+    # below the residual gate of 1e-10; only the isolation gate sees it
+    game = rand_game(np.random.default_rng(41), d=2, r=1, n_max=4)
+    exact = intertwine.spectral_link_1d
+
+    def perturbed(spec):
+        link = exact(spec)
+        link[-1, -1] += 2e-10
+        return link
+
+    monkeypatch.setattr(intertwine, "spectral_link_1d", perturbed)
+    with pytest.raises(LinkPrecisionError,
+                       match=r"not isolated at the win corner in dimension 1 "
+                             r"\(N=\d+\): corner residual"):
         build_dual(game)
 
 
@@ -199,14 +283,14 @@ def test_intertwining_and_isolation_on_random_games():
         chain = build_game(game)
         link, dual = build_dual(game)
         resid = np.max(
-            np.abs(link.matrix @ chain.dense() - dual.matrix @ link.matrix)
+            np.abs(link.matrix @ chain.dense() - dual.dense() @ link.matrix)
         )
         assert resid < 1e-10
         assert np.max(np.abs(link.matrix[:-1, -1])) == 0.0
         expected_iso = np.prod([bd_win_prob(s)[0] for s in game.dims])
         assert abs(link.matrix[-1, -1] - expected_iso) < 1e-10
         assert np.max(np.abs(np.triu(link.matrix, k=1))) == 0.0
-        assert np.max(np.abs(dual.matrix.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(dual.dense().sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_dual_diagonal_is_game_spectrum():

@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krongambler import (
-    SizeError,
-    StochasticityError,
-    StochKind,
-    augment_sink,
-    classify,
-    kron,
-    kron_sum,
-)
+from krongambler import SizeError, StochasticityError, augment_sink, kron
 from krongambler.birth_death import bd_matrix, bd_restricted
 from krongambler.linalg import kron_all
 
@@ -61,17 +53,6 @@ def test_kron_size_cap():
         kron(big, np.ones((3, 3)))
 
 
-def test_kron_sum_small_cases():
-    assert np.array_equal(kron_sum(np.zeros((1, 1)), np.zeros((1, 1))), [[0.0]])
-    assert np.array_equal(kron_sum([[1.0]], [[2.0]]), [[3.0]])
-    assert np.array_equal(kron_sum(np.eye(2), np.eye(2)), 2.0 * np.eye(4))
-
-
-def test_kron_sum_rejects_rectangular():
-    with pytest.raises(ValueError):
-        kron_sum(np.ones((2, 3)), np.eye(2))
-
-
 def test_augment_stochastic_input_has_unreachable_sink():
     out = augment_sink(np.eye(2))
     assert np.array_equal(out, np.eye(3))
@@ -95,13 +76,6 @@ def test_augment_restrict_round_trip_matches_game_matrix():
         interior = full[1:, 1:]
         assert np.array_equal(interior, bd_restricted(spec))
         assert np.allclose(augment_sink(interior), full, atol=1e-15)
-
-
-def test_classify_cases():
-    assert classify(np.eye(3)) is StochKind.STOCHASTIC
-    assert classify(0.5 * np.eye(3)) is StochKind.SUBSTOCHASTIC
-    assert classify(np.array([[-0.1, 1.1]])) is StochKind.GENERAL
-    assert classify(np.array([[0.9, 0.3]])) is StochKind.GENERAL
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,6 @@ from krongambler import (
     build_game,
     preset_r_of_d,
     product_order,
-    siegmund_dual,
     siegmund_dual_1d,
     win_prob_product,
     win_prob_solve,
@@ -19,6 +18,14 @@ from krongambler.siegmund import (
 )
 
 from conftest import rand_bd, rand_ergodic, rand_game
+
+
+def siegmund_dual(p_x, order):
+    """Dual kernel (C^-1 P C)^T of a stochastic matrix on the ordered lattice.
+
+    The result is substochastic exactly when the input is Mobius monotone.
+    """
+    return (order.mobius.astype(float) @ p_x @ order.c.astype(float)).T
 
 
 def test_total_order_matrix():

@@ -149,14 +149,14 @@ def test_coupled_conditional_kernel_two_state_by_hand():
     chain = build_game(game)
     link, dual = build_dual(game)
     lam1 = 1.0 - alpha - beta
+    p_hat = dual.dense()
     # dual kernel and link have closed forms for two states
-    assert np.allclose(dual.matrix, [[lam1, alpha + beta], [0.0, 1.0]],
-                       atol=1e-14)
+    assert np.allclose(p_hat, [[lam1, alpha + beta], [0.0, 1.0]], atol=1e-14)
     rho1 = alpha / (alpha + beta)
     assert np.allclose(link.matrix, [[1.0, 0.0], [0.0, rho1]], atol=1e-14)
     # observed hold: dual must hold; observed win: dual must jump
-    w_hold = dual.matrix[0] * link.matrix[:, 0]
-    w_win = dual.matrix[0] * link.matrix[:, 1]
+    w_hold = p_hat[0] * link.matrix[:, 0]
+    w_win = p_hat[0] * link.matrix[:, 1]
     assert np.allclose(w_hold / w_hold.sum(), [1.0, 0.0], atol=1e-14)
     assert np.allclose(w_win / w_win.sum(), [0.0, 1.0], atol=1e-14)
 
