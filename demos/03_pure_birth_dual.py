@@ -7,6 +7,8 @@ as absorption of the dual, mixed over (possibly signed) start weights. The
 mixture is checked pointwise in time against the game's own law.
 """
 
+from functools import reduce
+
 import numpy as np
 
 from krongambler import (
@@ -24,14 +26,14 @@ b = BirthDeathSpec(N=3, p=(0.09, 0.11), q=(0.07, 0.05))
 game = preset_r_of_d([a, b], 1)
 chain = build_game(game)
 link, dual = build_dual(game)
+lam = reduce(np.kron, link.per_dim)
 
 print("link is lower triangular with the win column isolated:")
-print(np.array_str(link.matrix, precision=3, suppress_small=True))
+print(np.array_str(lam, precision=3, suppress_small=True))
 print("\nlink corner value = product of per-coordinate win probabilities:",
       link.iso_value)
 
-resid = np.max(np.abs(link.matrix @ chain.dense()
-                      - dual.dense() @ link.matrix))
+resid = np.max(np.abs(lam @ chain.dense() - dual.dense() @ lam))
 print("intertwining residual:", resid)
 
 print("\ndual chain (holding probabilities on the diagonal):")

@@ -54,7 +54,6 @@ from .intertwine import (
     ehrenfest_closed_forms,
     spectral_link_1d,
 )
-from .linalg import augment_sink, kron
 from .pgf import GeometricProductPgf, MixturePgf, SeriesPgf
 from .siegmund import (
     OrderMatrix,

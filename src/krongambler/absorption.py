@@ -5,9 +5,10 @@ lists. Multidimensional games go through the pure-birth dual: the absorption
 law of the dual is extracted by power iteration and mixed with the (possibly
 signed) dual start weights.
 
-Power iteration runs on a chain's kernel over lattice indices, whose last
-state is the win corner. Ruin, the kernel's row deficit, is a state only
-for the ``"ruin"`` target, which prepends it as a sink.
+Power iteration runs on a chain's CSR kernel over lattice indices, whose
+last state is the win corner. Ruin, the kernel's row deficit, is a state
+only for the ``"ruin"`` target, which prepends it as a sink to the CSR
+kernel (``linalg.prepend_ruin``); no target needs ``AbsorbingChain.dense``.
 
 One engine, ``_power_iteration``, serves ``absorb_dist`` (one start) and
 ``pgf_from_dual`` (a batch of starts). Each step is one application of the
@@ -42,7 +43,7 @@ from .birth_death import (
 from .errors import HorizonError, SpecError
 from .game import AbsorbingChain, GameSpec, build_game
 from .intertwine import PureBirthChain, SpectralLink, build_dual, dual_initial
-from .linalg import absorption_probabilities, augment_sink
+from .linalg import absorption_probabilities, prepend_ruin
 from .pgf import GeometricProductPgf, MixturePgf, SeriesPgf
 
 MAX_HORIZON = 10**6
@@ -236,19 +237,17 @@ def absorb_dist(
     signed (mixtures of dual weights), in which case a clearly negative pmf
     entry raises. ``target`` defaults to the last state (the win corner of
     a chain); ``"ruin"`` targets the row deficits, collected in a sink
-    prepended by :func:`krongambler.linalg.augment_sink`. Iteration stops
+    prepended by :func:`krongambler.linalg.prepend_ruin`. Iteration stops
     once the transient mass drops below eps or the horizon is reached;
     without an explicit horizon, failing to converge within 10^6 steps
     raises. The check that the dual mixture reproduces this law for a game
     is ``distribution_equality`` in :func:`krongambler.verify.run_checks`.
     """
-    if isinstance(chain, AbsorbingChain):
-        p = chain.dense() if target == "ruin" else chain.matrix
-    else:
-        p = np.asarray(chain, dtype=float)
+    p = (chain.matrix if isinstance(chain, AbsorbingChain)
+         else np.asarray(chain, dtype=float))
     start = np.asarray(nu, dtype=float).reshape(1, p.shape[0])
     if target == "ruin":
-        p = augment_sink(p)
+        p = prepend_ruin(p)
         start = np.pad(start, ((0, 0), (1, 0)))
         index = 0
     else:

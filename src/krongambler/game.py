@@ -9,16 +9,16 @@ Kronecker product of tridiagonal factors has at most 3^d nonzeros per row,
 so the kernel is assembled and validated as a CSR matrix straight from the
 components' bands by :func:`kron_mixture`, which also assembles the
 pure-birth dual from its bidiagonal factors (``intertwine.build_dual``).
-``AbsorbingChain.dense`` is the one place a kernel is made dense, for the
-consumers that need a dense kernel (the Siegmund partner, the spectrum
-check, the simulator's step table and the ruin sink). A game build is
+Every command reads the CSR kernel; ``AbsorbingChain.dense`` is the one
+place a kernel is made dense, for ``verify`` alone (the Siegmund partner
+and the spectrum check), and it raises past the dense cap. A game build is
 capped before it allocates: at ``linalg.MAX_TRIPLETS`` triplets, and at
 the dense cap for games of three or more coordinates.
 
 States are lattice points indexed 0..n-1 in row-major order (coordinate d
 varies fastest), so the win corner (N_1, ..., N_d) is the last index. Ruin
 is not a state index; it becomes an explicit state only where a law needs
-it as a category (``linalg.augment_sink``).
+it as a category (``linalg.prepend_ruin`` and the simulator's step table).
 """
 
 from __future__ import annotations
@@ -205,8 +205,8 @@ def _kron_triplets(factors) -> tuple:
     """(rows, cols, values) of the nonzeros of a Kronecker product.
 
     ``factors`` holds one (rows, cols, values, side) per coordinate. The
-    product is associated to the left like ``linalg.kron_all``, so every
-    value is rounded exactly as in the dense product.
+    product is associated to the left like chained ``numpy.kron`` calls, so
+    every value is rounded exactly as in the dense product.
     """
     rows = cols = np.zeros(1, dtype=np.int64)
     vals = np.ones(1)
@@ -300,9 +300,9 @@ def build_game(spec: GameSpec) -> AbsorbingChain:
 
     Before anything is allocated, a game that would assemble more than
     ``linalg.MAX_TRIPLETS`` triplets raises SizeError, and so does a game of
-    three or more coordinates past the dense cap: every command on it needs
-    either a dense kernel or a sparse LU whose fill-in grows about as
-    n^1.6 on such lattices.
+    three or more coordinates past the dense cap: ``verify`` on it needs a
+    dense kernel, and ``win-prob`` and the absorption tails a sparse LU
+    whose fill-in grows about as n^1.6 on such lattices.
     """
     shape = spec.shape
     n = spec.size

@@ -7,12 +7,15 @@ pure-birth chain on the same lattice. Absorption of the game at the win
 corner then has the same (suitably weighted) law as absorption of the
 pure-birth chain, which is cheap to analyze.
 
-:func:`build_dual` assembles the dual once, as a CSR Kronecker mixture of
-bidiagonal factors by the game's own assembly
-(:func:`krongambler.game.kron_mixture`), and gates it on the per-dimension
-link identities. The global intertwining residual against the built game
-is the ``intertwining`` check of :func:`krongambler.verify.run_checks`; the
-entry-by-entry dual formula is a test oracle.
+:func:`build_dual` gates the per-dimension link identities, then
+assembles the dual once, as a CSR Kronecker mixture of bidiagonal factors
+by the game's own assembly (:func:`krongambler.game.kron_mixture`). The
+link is kept as its per-dimension factors; an entry of the Kronecker link
+is a product of factor entries (:meth:`SpectralLink.entries`), so no
+command forms it. The global intertwining residual against the built game
+is the ``intertwining`` check of :func:`krongambler.verify.run_checks`,
+which forms the dense link; the entry-by-entry dual formula is a test
+oracle.
 
 The module also carries the classical sharp-dual construction for ergodic
 chains, and the closed forms of the lazy two-urn diffusion family, whose link
@@ -44,7 +47,6 @@ from .errors import (
     SpecError,
 )
 from .game import AbsorbingChain, GameSpec, kron_mixture
-from .linalg import kron_all
 from .pgf import GeometricProductPgf, MixturePgf
 
 _DEGENERATE_TOL = 1e-12
@@ -115,16 +117,32 @@ def pure_birth_1d(eigenvalues) -> np.ndarray:
 class SpectralLink:
     """Kronecker link between a built game and its pure-birth dual.
 
-    ``matrix`` is lower triangular and nonsingular; its last column is
-    supported on the last row only, with value ``iso_value`` (the product of
-    the per-dimension winning probabilities from state 1).
+    The link is the Kronecker product of the lower-triangular ``per_dim``
+    factors and is never formed: :meth:`entries` reads any of its entries.
+    Its last column is supported on the last row only, with value
+    ``iso_value`` (the product of the per-dimension winning probabilities
+    from state 1).
     """
 
-    matrix: np.ndarray
     per_dim: tuple
-    eigen: tuple
     iso_value: float
     dims: tuple
+
+    def entries(self, rows, cols) -> np.ndarray:
+        """Link entries at lattice indices ``rows`` and ``cols``, broadcast.
+
+        Each entry is the product of its factor entries, multiplied left to
+        right like a dense Kronecker product, so it equals that product's
+        entry bit for bit. Coordinates come from integer division by the
+        lattice strides.
+        """
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        out = np.ones(np.broadcast_shapes(rows.shape, cols.shape))
+        stride = prod(self.dims)
+        for side, factor in zip(self.dims, self.per_dim):
+            stride //= side
+            out = out * factor[rows // stride % side, cols // stride % side]
+        return out
 
 
 class PureBirthChain(AbsorbingChain):
@@ -157,9 +175,8 @@ def build_dual(game: GameSpec) -> tuple:
     assembly of the game's kernel. By the mixed-product rule the
     per-dimension identities L_j P_j = P_hat_j L_j imply the global
     intertwining, so only those, and each link's isolated win corner, are
-    enforced here; a failure raises LinkPrecisionError. The global residual
-    is left to ``verify``. The link is a dense Kronecker product, so a game
-    past the dense cap raises SizeError before anything is assembled.
+    enforced here, before the assembly; a failure raises
+    LinkPrecisionError. The global residual is left to ``verify``.
     """
     if not game.scalar_coeffs:
         raise SpecError(
@@ -168,20 +185,9 @@ def build_dual(game: GameSpec) -> tuple:
     for s in game.dims:
         if not bd_is_monotone(s):
             raise MonotonicityError("every component must be monotone")
-    eigs = [_checked_eigenvalues(s) for s in game.dims]
     links = [spectral_link_1d(s) for s in game.dims]
-    lam_big = kron_all(links)
-    births = [pure_birth_1d(lam) for lam in eigs]
+    births = [pure_birth_1d(_checked_eigenvalues(s)) for s in game.dims]
     rho1 = [bd_win_prob(s)[0] for s in game.dims]
-
-    dual = PureBirthChain(
-        matrix=kron_mixture(
-            [_nonzeros(b) for b in births], game.subsets, game.coeffs, SpecError,
-            "pure-birth dual entry {low:.3e} at lattice states {src} -> {dst}; "
-            "the mixture violates the dual nonnegativity assumption",
-        ),
-        dims=game.shape,
-    )
 
     for j, (s, link, birth, rho) in enumerate(zip(game.dims, links, births, rho1)):
         residual = np.max(np.abs(link @ bd_restricted(s) - birth @ link))
@@ -197,12 +203,16 @@ def build_dual(game: GameSpec) -> tuple:
                 f"(N={s.N}): corner residual {corner:.3e}"
             )
 
-    link = SpectralLink(
-        matrix=lam_big,
-        per_dim=tuple(links),
-        eigen=tuple(eigs),
-        iso_value=float(prod(rho1)),
+    dual = PureBirthChain(
+        matrix=kron_mixture(
+            [_nonzeros(b) for b in births], game.subsets, game.coeffs, SpecError,
+            "pure-birth dual entry {low:.3e} at lattice states {src} -> {dst}; "
+            "the mixture violates the dual nonnegativity assumption",
+        ),
         dims=game.shape,
+    )
+    link = SpectralLink(
+        per_dim=tuple(links), iso_value=float(prod(rho1)), dims=game.shape
     )
     return link, dual
 

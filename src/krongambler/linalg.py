@@ -1,33 +1,26 @@
-"""Matrix helpers: Kronecker products, sink augmentation and absorption
-probabilities.
+"""Shared numerical constants, the ruin sink and the one absorption solve.
 
-Every function returns a fresh array; inputs are never mutated. The dense
-helpers take plain ``numpy.ndarray`` objects in row-major layout: only the
-spectral link is built with :func:`kron_all`, and ``MAX_ENTRIES`` caps
-every dense Kronecker product and every dense copy of a kernel
-(``game.AbsorbingChain.dense``). The game kernel and the pure-birth dual
-are assembled in CSR form by :func:`krongambler.game.kron_mixture`,
-straight from their tridiagonal and bidiagonal factors.
-:func:`absorption_probabilities` is the one linear solve for absorption
-probabilities, a sparse LU on dense or sparse kernels.
+The game kernel and the pure-birth dual are assembled in CSR form by
+:func:`krongambler.game.kron_mixture`, straight from their tridiagonal and
+bidiagonal factors, and every command reads them in that form. Only
+``verify`` makes a kernel dense (``game.AbsorbingChain.dense``), capped at
+``MAX_ENTRIES``. :func:`prepend_ruin` makes ruin, a kernel's row deficit,
+an explicit state where a law needs it, and :func:`absorption_probabilities`
+is the one linear solve for absorption probabilities, a sparse LU on dense
+or sparse kernels.
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import SizeError, StochasticityError
-
 #: Slack for stochasticity checks; constructions are exact in exact
 #: arithmetic, so the tolerance only has to cover floating-point rounding.
 DEFAULT_TOL = 1e-12
 
-#: Cap on the entry count of any dense Kronecker product or dense kernel.
+#: Cap on the entry count of a dense kernel.
 MAX_ENTRIES = 10**7
 
 #: Cap on the (row, col, value) triplets a sparse game build assembles. A
@@ -38,59 +31,17 @@ MAX_ENTRIES = 10**7
 MAX_TRIPLETS = MAX_ENTRIES // 10
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d float array."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
+def prepend_ruin(kernel) -> sparse.csr_array:
+    """CSR kernel with ruin prepended as the absorbing state 0.
 
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result equals a[i, j] * b."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.size * b.size > MAX_ENTRIES:
-        raise SizeError(
-            f"Kronecker product would hold {a.size * b.size} entries "
-            f"(cap {MAX_ENTRIES})"
-        )
-    return np.kron(a, b)
-
-
-def kron_all(mats: Sequence) -> np.ndarray:
-    """Left-associated Kronecker product of a nonempty sequence of matrices."""
-    if len(mats) == 0:
-        raise ValueError("need at least one factor")
-    return reduce(kron, [as_matrix(m) for m in mats])
-
-
-def augment_sink(p_sub) -> np.ndarray:
-    """Extend a substochastic matrix with an absorbing sink at index 0.
-
-    The sink collects each row's missing mass, so the result is stochastic;
-    row and column 0 belong to the new absorbing state.
+    State 0 collects each row's deficit clip(1 - P 1, 0), and state k + 1
+    is state k of the substochastic ``kernel``, dense or sparse.
     """
-    p_sub = as_matrix(p_sub)
-    n = p_sub.shape[0]
-    if p_sub.shape[1] != n:
-        raise ValueError(f"square matrix required, got {p_sub.shape}")
-    if p_sub.min(initial=0.0) < -DEFAULT_TOL:
-        raise StochasticityError(
-            f"entry {p_sub.min():.3e} below -{DEFAULT_TOL:g}; not substochastic"
-        )
-    leak = 1.0 - p_sub.sum(axis=1)
-    if leak.min(initial=0.0) < -DEFAULT_TOL:
-        raise StochasticityError(
-            f"row sum exceeds 1 by {-leak.min():.3e}; not substochastic"
-        )
-    out = np.zeros((n + 1, n + 1))
-    out[0, 0] = 1.0
-    out[1:, 1:] = np.clip(p_sub, 0.0, None)
-    out[1:, 0] = np.clip(leak, 0.0, None)
-    return out
+    kernel = sparse.csr_array(kernel)
+    deficit = np.clip(1.0 - kernel @ np.ones(kernel.shape[0]), 0.0, None)
+    return sparse.block_array(
+        [[np.ones((1, 1)), None], [deficit[:, None], kernel]], format="csr"
+    )
 
 
 def absorption_probabilities(kernel, transient, target: int) -> np.ndarray:

@@ -6,8 +6,11 @@ merged in worker order, so a report depends only on (seed, runs, workers,
 max_steps) and is reproducible bit for bit.
 
 Runs move over lattice indices 0..n-1, the win corner last. A step samples
-the categories [ruin | lattice states] of the current kernel row, so a run
-absorbed in ruin holds the state ``RUIN`` (-1), which indexes no state.
+the categories [ruin | the row's nonzeros] of the current row of the CSR
+kernel, at most 3^d + 1 of them, so a run absorbed in ruin holds the state
+``RUIN`` (-1), which indexes no state. The coupled dual steps to one of the
+at most 2^d nonzeros of its own CSR row, each weighted by one entry of the
+Kronecker link (``SpectralLink.entries``); no kernel or link is made dense.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 from .errors import CouplingError
 from .game import AbsorbingChain, GameSpec, build_game
 from .intertwine import build_dual, dual_initial
-from .linalg import augment_sink
 
 #: State of a run that ended in ruin; lattice states are 0..n-1.
 RUIN = -1
@@ -107,14 +109,14 @@ class SimReport:
         return out
 
 
-def _sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _sample_rows(cum: np.ndarray, dest: np.ndarray, states: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
     """Inverse-cdf draw of each run's next state from its ``_cum_rows`` row.
 
-    Category 0 of a row is ruin and category k + 1 lattice state k, so the
-    drawn category less one is the state: ``RUIN`` for ruin. Counting from
-    -1 subtracts the one without another array per step.
+    ``states`` are the runs' current states; the drawn category's
+    destination is the next state, ``RUIN`` for ruin.
     """
-    return (u[:, None] >= cum_rows).sum(axis=1, initial=RUIN)
+    return dest[states, (u[:, None] >= cum[states]).sum(axis=1)]
 
 
 def _merge(counts_win, counts_lose):
@@ -128,12 +130,42 @@ def _merge(counts_win, counts_lose):
     return win, lose
 
 
-def _cum_rows(chain: AbsorbingChain) -> np.ndarray:
-    """Per lattice state, cumulative step probabilities over [ruin | lattice]."""
-    cum = np.cumsum(augment_sink(chain.dense())[1:], axis=1)
+def _row_table(kernel, lead=None) -> tuple:
+    """(values, destinations) of every row's CSR nonzeros, in column order.
+
+    With ``lead``, column 0 holds it with destination ``RUIN``. Rows are
+    padded to the widest row with zero values and the row's last
+    destination, so a rounding overshoot of a cumulative row lands on a
+    state the row can reach.
+    """
+    n = kernel.shape[0]
+    counts = np.diff(kernel.indptr)
+    first = 0 if lead is None else 1
+    width = first + int(counts.max(initial=1))
+    rows = np.repeat(np.arange(n), counts)
+    slot = np.arange(kernel.nnz) - kernel.indptr[rows] + first
+    values = np.zeros((n, width))
+    dest = np.full((n, width), RUIN, dtype=np.int64)
+    values[rows, slot] = kernel.data
+    dest[rows, slot] = kernel.indices
+    if lead is not None:
+        values[:, 0] = lead
+    last = dest[np.arange(n), counts + first - 1]
+    pad = np.arange(width) >= (counts + first)[:, None]
+    return values, np.where(pad, last[:, None], dest)
+
+
+def _cum_rows(chain: AbsorbingChain) -> tuple:
+    """Per lattice state, cumulative step probabilities over [ruin | nonzeros].
+
+    Returns the cumulative rows and their destinations (``_row_table``);
+    adding the exact zeros of a dense row would leave every sum unchanged.
+    """
+    values, dest = _row_table(chain.matrix, chain.ruin)
+    cum = np.cumsum(values, axis=1)
     # rounding guard: the last column must be a sure upper bound for u < 1
     cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-    return cum
+    return cum, dest
 
 
 def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
@@ -144,7 +176,7 @@ def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
     s0 = int(start) if np.isscalar(start) else chain.to_linear(start)
     if not 0 <= s0 < chain.win_index:
         raise ValueError("start state must be transient")
-    cum = _cum_rows(chain)
+    cum, dest = _cum_rows(chain)
     win = chain.win_index
 
     counts_win, counts_lose = [], []
@@ -157,7 +189,7 @@ def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
             if len(active) == 0:
                 break
             u = rng.random(len(active))
-            nxt = _sample_rows(cum[states[active]], u)
+            nxt = _sample_rows(cum, dest, states[active], u)
             states[active] = nxt
             done = (nxt == win) | (nxt == RUIN)
             times[active[done]] = step
@@ -187,7 +219,7 @@ def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
 
 
 def _conditional_draw(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Draw one index per row proportionally to nonnegative row weights."""
+    """Draw one column per row proportionally to nonnegative row weights."""
     totals = rows.sum(axis=1)
     if np.any(totals <= 0.0):
         raise CouplingError("zero-probability dual step; link column vanished")
@@ -205,11 +237,13 @@ def simulate_coupled(
     """Run the game and rebuild the dual pure-birth path step by step.
 
     After observing the game move to a lattice state e, the dual moves from
-    its current state ehat with probabilities proportional to
-    dual_kernel(ehat, .) * link(., e). The construction synchronizes the two
-    paths: the dual reaches its top corner exactly when the game reaches the
-    win corner, and every mismatch is counted as a violation. Runs that end
-    in ruin stop without a dual endpoint.
+    its current state ehat to a nonzero of its kernel row, with probabilities
+    proportional to dual_kernel(ehat, .) * link(., e); the first dual state
+    is drawn over the charged states of the start weights nu_hat,
+    proportionally to nu_hat(.) * link(., e*). The construction synchronizes
+    the two paths: the dual reaches its top corner exactly when the game
+    reaches the win corner, and every mismatch is counted as a violation.
+    Runs that end in ruin stop without a dual endpoint.
 
     Requires the dual start weights to form a distribution (always true when
     the game starts at the minimal corner). With ``record_paths`` the return
@@ -227,12 +261,12 @@ def simulate_coupled(
     nu_hat = nu_hat / nu_hat.sum()
     nu_star = np.asarray(nu_star, dtype=float).reshape(chain.size)
 
-    lam = link.matrix
-    p_hat = dual.dense()
+    charged = np.flatnonzero(nu_hat)
+    dual_values, dual_dest = _row_table(dual.matrix)
     win = chain.win_index
     dual_win = dual.win_index
 
-    cum = _cum_rows(chain)
+    cum, dest = _cum_rows(chain)
     cum_nu = np.cumsum(nu_star)
     cum_nu[-1] = max(cum_nu[-1], 1.0)
 
@@ -244,8 +278,8 @@ def simulate_coupled(
     for rng, n_runs in zip(cfg.streams(), cfg.chunks()):
         u = rng.random(n_runs)
         estar = np.searchsorted(cum_nu, u, side="right").astype(np.int64)
-        w0 = nu_hat[None, :] * lam[:, estar].T
-        ehat = _conditional_draw(w0, rng.random(n_runs))
+        w0 = nu_hat[charged] * link.entries(charged, estar[:, None])
+        ehat = charged[_conditional_draw(w0, rng.random(n_runs))]
         times = np.zeros(n_runs, dtype=np.int64)
         outcome = np.zeros(n_runs, dtype=np.int8)  # 0 active, 1 win, 2 lose
         active = np.arange(n_runs)
@@ -258,7 +292,7 @@ def simulate_coupled(
             if len(active) == 0:
                 break
             u = rng.random(len(active))
-            nxt = _sample_rows(cum[estar[active]], u)
+            nxt = _sample_rows(cum, dest, estar[active], u)
 
             lost = nxt == RUIN
             lost_runs = active[lost]
@@ -268,8 +302,12 @@ def simulate_coupled(
             alive = active[~lost]
             nxt_alive = nxt[~lost]
             if len(alive):
-                rows = p_hat[ehat[alive]] * lam[:, nxt_alive].T
-                new_hat = _conditional_draw(rows, rng.random(len(alive)))
+                cand = dual_dest[ehat[alive]]
+                rows = dual_values[ehat[alive]] * link.entries(
+                    cand, nxt_alive[:, None]
+                )
+                pick = _conditional_draw(rows, rng.random(len(alive)))
+                new_hat = cand[np.arange(len(alive)), pick]
                 violations += int(
                     np.sum((new_hat == dual_win) != (nxt_alive == win))
                 )

@@ -34,9 +34,11 @@ keilson_factorization               1-D, no ruin: pmf from the bottom =         
 Build-time invariants (substochastic kernel, one communication class, a
 nonnegative dual, per-dimension links, the link's isolated win corner) are
 enforced by ``build_game`` and ``build_dual``, which raise; they show up
-here only as a failed ``build`` or ``dual_nonnegative`` entry. A game too
-large to check raises SizeError instead, from the build or from the dense
-kernel the checks need. Checks that
+here only as a failed ``build``, ``dual_nonnegative`` or ``dual_link``
+entry, the last for a link past double-precision reach
+(``LinkPrecisionError``). ``verify`` is the one command that makes the
+kernel, the dual and the link dense, so a game too large to check raises
+SizeError instead, from the build or from the dense kernel. Checks that
 do not apply to a spec (matrix coefficients, a game without a dual, games
 of more than one dimension for the factorization) are skipped rather than
 failed.
@@ -51,7 +53,7 @@ import numpy as np
 
 from .absorption import absorb_dist, pgf_from_dual
 from .birth_death import bd_eigenvalues, bd_win_prob
-from .errors import SizeError, SpecError
+from .errors import LinkPrecisionError, SizeError, SpecError
 from .game import GameSpec, build_game, lattice_point_mass
 from .intertwine import build_dual, dual_initial, spectral_polynomials
 from .siegmund import (
@@ -166,19 +168,19 @@ def run_checks(
     try:
         link, dual = build_dual(game)
     except SpecError as exc:
-        checks.append(
-            CheckResult("dual_nonnegative", False, float("nan"), str(exc))
+        name = (
+            "dual_link" if isinstance(exc, LinkPrecisionError)
+            else "dual_nonnegative"
         )
+        checks.append(CheckResult(name, False, float("nan"), str(exc)))
         return checks
     checks.append(CheckResult("dual_nonnegative", True, 0.0))
 
     p_hat = dual.dense()
+    # the dense link holds as many entries as the dense kernel above
+    lam = reduce(np.kron, link.per_dim)
     checks.append(
-        _result(
-            "intertwining",
-            np.max(np.abs(link.matrix @ kernel - p_hat @ link.matrix)),
-            1e-10,
-        )
+        _result("intertwining", np.max(np.abs(lam @ kernel - p_hat @ lam)), 1e-10)
     )
     checks.append(
         _result("pure_birth_rows", np.max(np.abs(p_hat.sum(axis=1) - 1.0)), 1e-12)

@@ -1,6 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
 import itertools
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -16,7 +17,15 @@ from krongambler import (
     preset_r_of_d,
 )
 from krongambler.birth_death import bd_restricted
-from krongambler.linalg import kron_all
+
+
+def kron_all(mats):
+    """Dense Kronecker product of a nonempty sequence, associated to the left.
+
+    The dense oracle for the CSR Kronecker-mixture assembly and for the
+    entries of the spectral link.
+    """
+    return reduce(np.kron, mats)
 
 
 def rand_bd(rng, n, q1_zero=False, budget=0.9, min_rate=0.3):
@@ -269,3 +278,20 @@ def reference_power_iteration(p, starts, target, horizon, eps):
             np.eye(len(transient)) - q, p[transient, target]
         )
     return pmf, v @ h
+
+
+def link_cliff_doc():
+    """A dual-safe 2-D r = 1 game with a 26-state component.
+
+    The component's spectral link is past double-precision reach: its
+    intertwining residual is about 1.7e-5, against a gate of 1e-10.
+    """
+    rng = np.random.default_rng(70)
+    dims = []
+    for n in (26, 3):
+        p = rng.uniform(0.3, 1.0, n - 1)
+        q = rng.uniform(0.3, 1.0, n - 1)
+        scale = 0.24 / (p + q).max()
+        dims.append({"N": n, "p": list(p * scale), "q": list(q * scale)})
+    return {"version": 1, "dims": dims,
+            "mixing": {"preset": {"type": "r_of_d", "r": 1}}, "runs": 10}

@@ -1,13 +1,21 @@
 import csv
 import io
 import json
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
 from krongambler.cli import main
+from krongambler.game import AbsorbingChain
+from krongambler.siegmund import win_prob_product
 from krongambler.specfile import SpecFileError, load_spec, parse_spec
+
+from conftest import link_cliff_doc
+
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -289,13 +297,54 @@ def test_win_prob_runs_past_the_dense_cap(tmp_path, capsys):
     assert body["method_agreement"] <= 1e-9
 
 
-@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_dense_commands_past_the_cap_exit_two(tmp_path, capsys, command):
     path = write_spec(tmp_path, past_dense_cap_doc())
     code, out, err = run_cli(capsys, [command, path])
     assert code == 2
     assert out == ""
     assert "dense kernel of 3249 states" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("n, argv", [
+    (57, ["simulate"]),
+    (57, ["absorb-dist", "--target", "lose"]),
+    # 300 x 300 = 90,000 states
+    (300, ["simulate"]),
+], ids=["simulate", "absorb-dist-lose", "simulate-N300"])
+def test_sparse_commands_run_past_the_dense_cap(tmp_path, capsys, n, argv):
+    doc = lattice_doc(2, n)
+    code, out, err = run_cli(capsys, [argv[0], write_spec(tmp_path, doc), *argv[1:]])
+    assert code == 0, err
+    if argv[0] == "simulate":
+        body = json.loads(out)
+        assert body["runs"] == 10
+        assert body["n_win"] + body["n_lose"] + body["n_timeout"] == 10
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["t", "pmf", "cdf"]
+        # ruin takes all the mass that does not win from (1, 1)
+        rho = win_prob_product(parse_spec(doc).game)[0]
+        assert abs(float(rows[-1][2]) + rho - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["win-prob"],
+    ["absorb-dist"],
+    ["absorb-dist", "--target", "lose"],
+    ["pgf"],
+    ["simulate"],
+    ["simulate", "--coupled"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_commands_make_no_dense_kernel(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("a command made the kernel dense")
+
+    monkeypatch.setattr(AbsorbingChain, "dense", refuse)
+    path = str(CORPUS / "d3_r2.json")
+    code, out, err = run_cli(capsys, [argv[0], path, *argv[1:]])
+    assert code == 0, err
+    assert out
 
 
 @pytest.mark.parametrize("command", ["win-prob", "absorb-dist", "pgf",
@@ -316,23 +365,6 @@ def test_oversized_games_exit_two(tmp_path, capsys, command, d, n, message):
     assert message in json.loads(err)["error"]
 
 
-def link_cliff_doc():
-    """A dual-safe 2-D r = 1 game with a 26-state component.
-
-    The component's spectral link is past double-precision reach: its
-    intertwining residual is about 1.7e-5, against a gate of 1e-10.
-    """
-    rng = np.random.default_rng(70)
-    dims = []
-    for n in (26, 3):
-        p = rng.uniform(0.3, 1.0, n - 1)
-        q = rng.uniform(0.3, 1.0, n - 1)
-        scale = 0.24 / (p + q).max()
-        dims.append({"N": n, "p": list(p * scale), "q": list(q * scale)})
-    return {"version": 1, "dims": dims,
-            "mixing": {"preset": {"type": "r_of_d", "r": 1}}, "runs": 10}
-
-
 LINK_CLIFF = re.compile(r"intertwining residual \d\.\d{3}e-0\d in dimension 1 \(N=26\)")
 
 
@@ -351,5 +383,5 @@ def test_verify_reports_link_past_double_precision(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["verify", path])
     assert code == 1
     failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
-    assert [c["name"] for c in failed] == ["dual_nonnegative"]
+    assert [c["name"] for c in failed] == ["dual_link"]
     assert LINK_CLIFF.fullmatch(failed[0]["detail"])

@@ -202,6 +202,22 @@ def test_mixture_eigenvalues_are_products_over_subsets():
         assert check.passed, check
 
 
+def test_overfull_kernel_row_is_rejected():
+    # row 1 of the coefficient subtracts half of the kernel's row 0, which
+    # leaks 0.2 into ruin; the balancing identity term adds that half back
+    # without the leak, so no entry is negative and row 1 sums to 1.1
+    spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.2, 0.2))
+    coeff = np.eye(3)
+    coeff[1, 0] = -0.5
+    game = GameSpec(
+        dims=(spec,),
+        subsets=(frozenset({1}), frozenset()),
+        coeffs=(coeff, np.eye(3) - coeff),
+    )
+    with pytest.raises(StochasticityError, match="row sum exceeds 1 by 1.000e-01"):
+        build_game(game)
+
+
 def test_negative_mixture_entry_is_rejected():
     spec = BirthDeathSpec(N=3, p=(0.4, 0.4), q=(0.4, 0.4))
     game = GameSpec(

@@ -12,7 +12,6 @@ from krongambler import (
     ErgodicBDSpec,
     GameSpec,
     MonotonicityError,
-    SizeError,
     SpecError,
     bd_eigenvalues,
     bd_win_prob,
@@ -34,12 +33,14 @@ from krongambler.intertwine import (
     pure_birth_1d,
     spectral_polynomials,
 )
-from krongambler.specfile import load_spec
+from krongambler.specfile import load_spec, parse_spec
 from krongambler.verify import diagonal_eigenvalue_check
 
 from conftest import (
     dense_mixture,
     direct_dual_kernel,
+    kron_all,
+    link_cliff_doc,
     rand_bd,
     rand_ergodic,
     rand_game,
@@ -230,18 +231,37 @@ def test_dual_is_the_clipped_dense_mixture_bit_for_bit():
         assert np.array_equal(dual.diag, np.clip(np.diag(mixed), 0.0, None))
 
 
-def test_dual_past_the_dense_cap_raises_before_assembly(monkeypatch):
-    # 57 x 57 = 3,249 states: the dense link would hold more than
-    # linalg.MAX_ENTRIES = 10^7 entries
-    rng = np.random.default_rng(44)
-    game = preset_r_of_d([rand_bd(rng, 57, budget=0.24) for _ in range(2)], 1)
+def test_link_gates_run_before_assembly(monkeypatch):
+    # the 26-state component's link is past double-precision reach
+    game = parse_spec(link_cliff_doc()).game
 
     def unreachable(*args):
         raise AssertionError("the dual was assembled")
 
     monkeypatch.setattr(intertwine, "kron_mixture", unreachable)
-    with pytest.raises(SizeError, match="10556001 entries"):
+    with pytest.raises(LinkPrecisionError, match=r"dimension 1 \(N=26\)"):
         build_dual(game)
+
+
+def test_link_entries_equal_the_dense_link_bit_for_bit():
+    game = load_spec(str(CORPUS / "d3_r2.json")).game
+    link, _ = build_dual(game)
+    dense = kron_all(link.per_dim)
+    states = np.arange(game.size)
+    assert np.array_equal(link.entries(states[:, None], states), dense)
+    # Batches in the simulator's shapes, past 8,192 rows: a (k, 1) column of
+    # game states against (k, w) dual candidates or a row of charged states.
+    # numpy 2.4.6's unravel_index returns wrong coordinates for (k, 1)
+    # inputs of this size; the strides route must not.
+    k = 9000
+    game_states = (np.arange(k) % game.size)[:, None]
+    candidates = (np.arange(4 * k).reshape(k, 4) * 7) % game.size
+    got = link.entries(candidates, game_states)
+    assert got.shape == (k, 4)
+    assert np.array_equal(got, dense[candidates, game_states])
+    got = link.entries(states, game_states)
+    assert got.shape == (k, game.size)
+    assert np.array_equal(got, dense[states, game_states])
 
 
 def test_per_dimension_intertwining_gate_fails_on_bad_link(monkeypatch):
@@ -282,14 +302,13 @@ def test_intertwining_and_isolation_on_random_games():
         game = rand_game(rng)
         chain = build_game(game)
         link, dual = build_dual(game)
-        resid = np.max(
-            np.abs(link.matrix @ chain.dense() - dual.dense() @ link.matrix)
-        )
+        lam = kron_all(link.per_dim)
+        resid = np.max(np.abs(lam @ chain.dense() - dual.dense() @ lam))
         assert resid < 1e-10
-        assert np.max(np.abs(link.matrix[:-1, -1])) == 0.0
+        assert np.max(np.abs(lam[:-1, -1])) == 0.0
         expected_iso = np.prod([bd_win_prob(s)[0] for s in game.dims])
-        assert abs(link.matrix[-1, -1] - expected_iso) < 1e-10
-        assert np.max(np.abs(np.triu(link.matrix, k=1))) == 0.0
+        assert abs(lam[-1, -1] - expected_iso) < 1e-10
+        assert np.max(np.abs(np.triu(lam, k=1))) == 0.0
         assert np.max(np.abs(dual.dense().sum(axis=1) - 1.0)) < 1e-12
 
 
@@ -341,7 +360,7 @@ def test_dual_initial_matches_dense_solve():
         link, _ = build_dual(game)
         nu = rng.dirichlet(np.ones(game.size))
         out = dual_initial(link, nu)
-        dense = np.linalg.solve(link.matrix.T, nu)
+        dense = np.linalg.solve(kron_all(link.per_dim).T, nu)
         assert np.max(np.abs(out.values - dense)) < 1e-10
         assert support_dominates(game.shape, nu, out.values)
 
@@ -353,7 +372,7 @@ def test_dual_initial_round_trip_through_link():
         link, _ = build_dual(game)
         nu = rng.dirichlet(np.ones(game.size))
         out = dual_initial(link, nu)
-        assert np.max(np.abs(out.values @ link.matrix - nu)) < 1e-10
+        assert np.max(np.abs(out.values @ kron_all(link.per_dim) - nu)) < 1e-10
 
 
 def test_two_urn_pgf_mean_equals_expectation_formula():

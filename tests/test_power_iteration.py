@@ -18,7 +18,6 @@ from krongambler import (
 from krongambler.absorption import _power_iteration
 from krongambler.game import lattice_point_mass
 from krongambler.intertwine import build_dual
-from krongambler.linalg import augment_sink
 
 from conftest import dual_safe_budget, rand_bd, reference_power_iteration
 
@@ -146,8 +145,13 @@ def test_ruin_target_matches_reference(shape):
     chain = build_game(random_game(rng, shape))
     nu = lattice_point_mass(chain.dims, (2,) * len(shape))
     dist = absorb_dist(chain, nu, target="ruin")
+    kernel = chain.dense()
+    with_ruin = np.zeros((chain.size + 1, chain.size + 1))
+    with_ruin[0, 0] = 1.0
+    with_ruin[1:, 0] = np.clip(1.0 - kernel.sum(axis=1), 0.0, None)
+    with_ruin[1:, 1:] = kernel
     want_pmf, want_absorbed = reference_power_iteration(
-        augment_sink(chain.dense()), np.pad(nu, (1, 0))[None], 0, None, 1e-12
+        with_ruin, np.pad(nu, (1, 0))[None], 0, None, 1e-12
     )
     assert dist.pmf.shape == want_pmf[0].shape
     assert np.max(np.abs(dist.pmf - want_pmf[0])) <= TOL
