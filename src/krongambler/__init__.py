@@ -34,6 +34,7 @@ from .errors import (
     MonotonicityError,
     SizeError,
     SpecError,
+    StartConditioningError,
     StochasticityError,
 )
 from .game import (

@@ -1,28 +1,28 @@
 """Absorption-time laws: exact pgf forms and power-iteration distributions.
 
 One-dimensional chains get exact rational pgfs built from eigenvalue factor
-lists. Multidimensional games go through the pure-birth dual: the absorption
-law of the dual is extracted by power iteration and mixed with the (possibly
-signed) dual start weights.
+lists. Multidimensional games go through the pure-birth dual: the game's
+law is the mixture of the dual's absorption laws over the (possibly
+signed) dual start weights nu_hat, and since that mixture is linear it is
+the law of one power iteration of the dual started at nu_hat itself.
 
 Power iteration runs on a chain's CSR kernel over lattice indices, whose
 last state is the win corner. Ruin, the kernel's row deficit, is a state
 only for the ``"ruin"`` target, which prepends it as a sink to the CSR
 kernel (``linalg.prepend_ruin``); no target needs ``AbsorbingChain.dense``.
 
-One engine, ``_power_iteration``, serves ``absorb_dist`` (one start) and
-``pgf_from_dual`` (a batch of starts). Each step is one application of the
-kernel to the n x k matrix of iterates; the transient-mass test and the
-target column are read once per block of up to BLOCK_STEPS steps, and the
-exact stop step is then located inside the block. A kernel row of a game
-or a dual has at most 3^d nonzeros, so kernels with SPARSE_MIN_STATES
-states or more are multiplied as a CSR copy of the transpose, made from
-the chain's CSR kernel without a dense round trip; smaller ones are
-multiplied as a dense array, made from the CSR kernel by the engine. The cutoff is the measured crossover for a single
-start (one thread of a 2-vCPU Xeon, OpenBLAS): dense still wins by 1-2 us
-per step at 196 states, CSR wins from 216 states, and a step takes about
-7 us in CSR against 56 us dense at 512 states and 28 us against 3.1 ms at
-2,744 states. Dual batches of 8 starts cross over earlier, at 144-169
+One engine, ``_power_iteration``, iterates one start vector for both
+``absorb_dist`` and ``pgf_from_dual``. Each step is one application of the
+kernel to the iterate; the transient-mass test and the target entry are
+read once per block of BLOCK_STEPS steps, and the exact stop step is then
+located inside the block. A kernel row of a game or a dual has at most 3^d
+nonzeros, so kernels with SPARSE_MIN_STATES states or more are multiplied
+as a CSR copy of the transpose, made from the chain's CSR kernel without a
+dense round trip; smaller ones are multiplied as a dense array, made from
+the CSR kernel by the engine. The cutoff is the measured crossover (one
+thread of a 2-vCPU Xeon, OpenBLAS): dense still wins by 1-2 us per step at
+196 states, CSR wins from 216 states, and a step takes about 7 us in CSR
+against 56 us dense at 512 states and 28 us against 3.1 ms at 2,744
 states. The absorbed mass behind the horizon comes from one sparse LU
 solve (``linalg.absorption_probabilities``).
 """
@@ -40,7 +40,7 @@ from .birth_death import (
     bd_win_prob,
     tridiag_block_eigs,
 )
-from .errors import HorizonError, SpecError
+from .errors import HorizonError, SpecError, StartConditioningError
 from .game import AbsorbingChain, GameSpec, build_game
 from .intertwine import PureBirthChain, SpectralLink, build_dual, dual_initial
 from .linalg import absorption_probabilities, prepend_ruin
@@ -52,17 +52,15 @@ MAX_HORIZON = 10**6
 #: transpose, smaller ones on a dense kernel (see the module docstring).
 SPARSE_MIN_STATES = 200
 
-#: Steps per block of the power iteration, and the byte cap on its block
-#: buffer that shortens the block for wide batches of starts.
+#: Steps per block of the power iteration.
 BLOCK_STEPS = 64
-BLOCK_BYTES = 1 << 22
+
+#: Largest kappa of dual start weights whose rounding (1e-16 relative) keeps
+#: a pgf within 1e-9.
+MAX_KAPPA = 1e7
 
 #: Smallest normal double; iterate entries below it are flushed to zero.
 TINY = np.finfo(float).tiny
-
-
-def _nonunit_eigenvalues(spec: BirthDeathSpec) -> np.ndarray:
-    return bd_eigenvalues(spec)[:-1]
 
 
 def pgf_keilson(spec: BirthDeathSpec) -> GeometricProductPgf:
@@ -72,7 +70,7 @@ def pgf_keilson(spec: BirthDeathSpec) -> GeometricProductPgf:
     """
     if spec.sink_reachable:
         raise SpecError("q(1) > 0; use pgf_two_sided for two-sided absorption")
-    return GeometricProductPgf(scale=1.0, num=tuple(_nonunit_eigenvalues(spec)))
+    return GeometricProductPgf(scale=1.0, num=tuple(bd_eigenvalues(spec)[:-1]))
 
 
 def pgf_interior(spec: BirthDeathSpec, start: int) -> GeometricProductPgf:
@@ -88,7 +86,7 @@ def pgf_interior(spec: BirthDeathSpec, start: int) -> GeometricProductPgf:
     den = tridiag_block_eigs(spec, 1, start - 1)
     return GeometricProductPgf(
         scale=1.0,
-        num=tuple(_nonunit_eigenvalues(spec)),
+        num=tuple(bd_eigenvalues(spec)[:-1]),
         den=tuple(den),
     )
 
@@ -105,7 +103,7 @@ def pgf_two_sided(spec: BirthDeathSpec, start: int) -> tuple:
     if not 1 <= start <= spec.N - 1:
         raise SpecError(f"start must be a transient state 1..{spec.N - 1}")
     rho = float(bd_win_prob(spec)[start - 1])
-    full = tuple(_nonunit_eigenvalues(spec))
+    full = tuple(bd_eigenvalues(spec)[:-1])
     lower = tuple(tridiag_block_eigs(spec, 1, start - 1))
     upper = tuple(tridiag_block_eigs(spec, start + 1, spec.N - 1))
     win = GeometricProductPgf(scale=rho, num=full, den=lower)
@@ -127,9 +125,6 @@ class AbsorptionDist:
     target: int | str
     eps: float
 
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.pmf)
-
     def mass(self) -> float:
         return float(self.pmf.sum() + self.tail)
 
@@ -142,20 +137,20 @@ class AbsorptionDist:
         return float(np.dot(np.arange(len(self.pmf)), self.pmf))
 
 
-def _power_iteration(p, starts: np.ndarray, target: int,
+def _power_iteration(p, start: np.ndarray, target: int,
                      horizon: int | None, eps: float) -> tuple:
-    """Absorption pmfs at ``target`` for every row of ``starts`` at once.
+    """Absorption pmf at ``target`` from one start vector, which may be signed.
 
     ``p`` is a dense or sparse kernel, iterated in CSR form from
-    SPARSE_MIN_STATES states and densely below; rows of ``starts`` may be signed. Iteration stops at the first
-    step t < horizon at which every row's transient mass is below eps, or
-    after ``horizon`` steps; without a horizon, failing to converge within
-    MAX_HORIZON steps raises. Returns the pmfs, one row per start, and each
-    start's total absorption mass at the target, solved exactly from the
-    fundamental matrix.
+    SPARSE_MIN_STATES states and densely below. Iteration stops at the
+    first step t < horizon at which the iterate's transient l1 mass is below
+    eps, or after ``horizon`` steps; without a horizon, failing to converge
+    within MAX_HORIZON steps raises. Returns the pmf and the start's total
+    absorption mass at the target, solved exactly from the fundamental
+    matrix.
 
-    Steps are written in blocks into one buffer of n x k iterates (see the
-    module docstring); everything kept past a block is copied out of it.
+    Steps are written in blocks into one buffer of iterates (see the module
+    docstring); everything kept past a block is copied out of it.
     """
     n = p.shape[0]
     if n >= SPARSE_MIN_STATES:
@@ -170,34 +165,28 @@ def _power_iteration(p, starts: np.ndarray, target: int,
             p = p.toarray()
 
         def step(x, out):
-            np.matmul(x.T, p, out=out.T)
+            np.matmul(x, p, out=out)
 
     absorbing = p.diagonal() >= 1.0 - 1e-12
     if not absorbing[target]:
         raise ValueError(f"state {target} is not absorbing")
     transient = np.flatnonzero(~absorbing)
     cap = MAX_HORIZON if horizon is None else int(horizon)
-    width = starts.shape[0]
 
-    step_bytes = 8 * n * max(width, 1)
-    block = max(1, min(BLOCK_STEPS, BLOCK_BYTES // step_bytes - 1))
-    buf = np.empty((block + 1, n, width))
-    # A single start iterates as a vector: matrix-vector products cost less
-    # than n x 1 matrix products on both storages.
-    vecs = buf[..., 0] if width == 1 else buf
-    buf[0] = starts.T
+    buf = np.empty((BLOCK_STEPS + 1, n))
+    buf[0] = start
     in_transient = (~absorbing).astype(float)
 
     def transient_mass(x):
-        return np.matmul(in_transient, np.abs(x)).max(axis=1, initial=0.0)
+        return np.abs(x) @ in_transient
 
     reached = [buf[:1, target].copy()]
     t = 0
     last = None
     while last is None and t < cap:
-        steps = min(block, cap - t)
+        steps = min(BLOCK_STEPS, cap - t)
         for i in range(steps):
-            step(vecs[i], vecs[i + 1])
+            step(buf[i], buf[i + 1])
         below = np.flatnonzero(transient_mass(buf[:steps]) < eps)
         if below.size:
             steps = int(below[0])
@@ -213,13 +202,9 @@ def _power_iteration(p, starts: np.ndarray, target: int,
         last = buf[0].copy()
         if horizon is None:
             raise HorizonError(
-                f"transient mass {transient_mass(last[None])[0]:.3e} "
-                f"after {cap} steps"
+                f"transient mass {transient_mass(last):.3e} after {cap} steps"
             )
-    pmf = np.ascontiguousarray(
-        np.diff(np.concatenate(reached), axis=0, prepend=0.0).T
-    )
-
+    pmf = np.diff(np.concatenate(reached), prepend=0.0)
     return pmf, absorption_probabilities(p, transient, target) @ last
 
 
@@ -245,54 +230,54 @@ def absorb_dist(
     """
     p = (chain.matrix if isinstance(chain, AbsorbingChain)
          else np.asarray(chain, dtype=float))
-    start = np.asarray(nu, dtype=float).reshape(1, p.shape[0])
+    start = np.asarray(nu, dtype=float).reshape(p.shape[0])
     if target == "ruin":
         p = prepend_ruin(p)
-        start = np.pad(start, ((0, 0), (1, 0)))
+        start = np.pad(start, (1, 0))
         index = 0
     else:
         target = index = p.shape[0] - 1 if target is None else int(target)
-    pmfs, absorbed = _power_iteration(p, start, index, horizon, eps)
-    pmf = pmfs[0]
+    pmf, absorbed = _power_iteration(p, start, index, horizon, eps)
     low = float(pmf.min(initial=0.0))
     if low < -1e-12:
         raise SpecError(f"mixture pmf entry {low:.3e}; inconsistent weights")
     np.clip(pmf, 0.0, None, out=pmf)
-    tail = float(absorbed[0] - pmf.sum())
+    tail = float(absorbed - pmf.sum())
     return AbsorptionDist(pmf=pmf, tail=tail, target=target, eps=eps)
 
 
 def pgf_multidim(game: GameSpec, nu_star, eps: float = 1e-12) -> MixturePgf:
     """Pipeline pgf of the game's time to the win corner, start law nu_star.
 
-    Validates the game by building it, builds the pure-birth dual, converts
-    each charged dual start state into a series-backed pgf by power
-    iteration, and scales the signed mixture by the product of the
-    per-dimension winning probabilities from state 1.
+    Validates the game by building it, builds the pure-birth dual and its
+    start weights nu_hat, and hands them to :func:`pgf_from_dual`. A start
+    whose weights amplify rounding by more than MAX_KAPPA raises.
     """
     build_game(game)
     link, dual = build_dual(game)
-    weights = dual_initial(link, nu_star).values
-    return pgf_from_dual(link, dual, weights, eps=eps)
+    init = dual_initial(link, nu_star)
+    if init.kappa > MAX_KAPPA:
+        states = np.argwhere(np.reshape(nu_star, game.shape)) + 1
+        raise StartConditioningError(
+            f"dual start weights at start "
+            f"{'; '.join(','.join(map(str, c)) for c in states)} have kappa = "
+            f"{init.kappa:.3e} > {MAX_KAPPA:.0e}: their rounding alone may "
+            f"move the pgf by more than 1e-9"
+        )
+    return pgf_from_dual(link, dual, init.values, eps=eps)
 
 
 def pgf_from_dual(
     link: SpectralLink, dual: PureBirthChain, weights, eps: float = 1e-12
 ) -> MixturePgf:
-    """Mixture pgf from an already-built dual and start weights.
+    """pgf of the game's time to win from a built dual and its start weights.
 
-    All charged start states share one power iteration.
+    The mixture of the dual's absorption laws over the signed weights nu_hat
+    is linear in nu_hat, so it is the law of one power iteration started at
+    nu_hat itself, scaled by ``link.iso_value``; the result has that one
+    series part. Iteration stops once the mixed iterate's transient l1 mass
+    is below eps, which bounds the mixture's own truncation error.
     """
-    weights = np.asarray(weights, dtype=float)
-    charged = np.nonzero(np.abs(weights) > 1e-14)[0]
-    starts = np.zeros((len(charged), dual.size))
-    starts[np.arange(len(charged)), charged] = 1.0
-    pmfs, absorbed = _power_iteration(dual.matrix, starts, dual.win_index, None, eps)
-    tails = absorbed - pmfs.sum(axis=1)
-    parts = tuple(
-        SeriesPgf(pmf=pmf, tail=float(tail), eps=eps)
-        for pmf, tail in zip(pmfs, tails)
-    )
-    used = tuple(float(weights[i]) for i in charged)
-    return MixturePgf(scale=link.iso_value, weights=used, parts=parts)
-
+    dist = absorb_dist(dual, weights, eps=eps)
+    part = SeriesPgf(pmf=dist.pmf, tail=dist.tail, eps=eps)
+    return MixturePgf(scale=link.iso_value, weights=(1.0,), parts=(part,))

@@ -19,7 +19,7 @@ from .birth_death import bd_win_prob
 from .errors import CouplingError, HorizonError, SpecError
 from .game import build_game, lattice_point_mass
 from .siegmund import win_prob_product, win_prob_solve
-from .specfile import load_spec
+from .specfile import check_eps, check_horizon, load_spec
 from .simulate import SimConfig, simulate, simulate_coupled
 from .verify import all_passed, run_checks
 
@@ -86,8 +86,9 @@ def cmd_absorb_dist(args) -> int:
     chain = build_game(game)
     target = None if args.target == "win" else "ruin"
     nu = lattice_point_mass(game.shape, start)
-    horizon = args.horizon if args.horizon is not None else parsed.horizon
-    eps = args.eps if args.eps is not None else parsed.eps
+    horizon = (parsed.horizon if args.horizon is None
+               else check_horizon(args.horizon, "--horizon"))
+    eps = parsed.eps if args.eps is None else check_eps(args.eps, "--eps")
     dist = absorb_dist(chain, nu, target=target, horizon=horizon, eps=eps)
     lines = ["t,pmf,cdf"]
     cdf = 0.0

@@ -223,6 +223,7 @@ class DualInitial:
 
     values: np.ndarray
     is_distribution: bool
+    kappa: float
 
 
 def dual_initial(link: SpectralLink, nu_star) -> DualInitial:
@@ -230,7 +231,8 @@ def dual_initial(link: SpectralLink, nu_star) -> DualInitial:
 
     ``nu_star`` is a distribution over lattice states, flat or in lattice
     shape. The result can carry negative weights; ``is_distribution`` is set
-    when it is entrywise nonnegative and sums to 1.
+    when it is entrywise nonnegative and sums to 1. ``kappa`` = iso *
+    sum|values| is the factor by which the mixture amplifies their rounding.
     """
     shape = link.dims
     size = prod(shape)
@@ -245,7 +247,8 @@ def dual_initial(link: SpectralLink, nu_star) -> DualInitial:
         tensor = np.moveaxis(solved.reshape(moved.shape), 0, axis)
     values = tensor.reshape(size)
     ok = values.min() >= -_WEIGHT_TOL and abs(values.sum() - 1.0) <= 1e-9
-    return DualInitial(values=values, is_distribution=bool(ok))
+    kappa = link.iso_value * float(np.abs(values).sum())
+    return DualInitial(values=values, is_distribution=bool(ok), kappa=kappa)
 
 
 def classical_ssd_1d(x: ErgodicBDSpec) -> tuple:

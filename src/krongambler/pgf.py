@@ -76,7 +76,7 @@ class SeriesPgf:
     eps: float = 1e-12
 
     def evaluate(self, s: float) -> float:
-        if abs(s) > 1.0:
+        if not abs(s) <= 1.0:  # NaN fails this test too
             raise ValueError("series-backed pgf is only evaluable for |s| <= 1")
         powers = np.power(s, np.arange(len(self.pmf)))
         return float(np.dot(self.pmf, powers))
@@ -103,19 +103,16 @@ class MixturePgf:
     weights: tuple
     parts: tuple
 
+    def _mix(self, values) -> float:
+        return self.scale * float(sum(w * v for w, v in zip(self.weights, values)))
+
     def evaluate(self, s: float) -> float:
-        return self.scale * float(
-            sum(w * p.evaluate(s) for w, p in zip(self.weights, self.parts))
-        )
+        return self._mix(p.evaluate(s) for p in self.parts)
 
     __call__ = evaluate
 
     def mass(self) -> float:
-        return self.scale * float(
-            sum(w * p.mass() for w, p in zip(self.weights, self.parts))
-        )
+        return self._mix(p.mass() for p in self.parts)
 
     def mean(self) -> float:
-        return self.scale * float(
-            sum(w * p.mean() for w, p in zip(self.weights, self.parts))
-        )
+        return self._mix(p.mean() for p in self.parts)

@@ -1,9 +1,9 @@
 """Monte Carlo simulation of game chains and the coupled pure-birth dual.
 
-Streams are split deterministically: worker w draws from a PCG64 generator
-seeded with ``SeedSequence(seed).spawn(workers)[w]``, and worker results are
-merged in worker order, so a report depends only on (seed, runs, workers,
-max_steps) and is reproducible bit for bit.
+The runs split into ``workers`` random streams, run one after another in
+this process, not in parallel: stream w draws from a PCG64 generator seeded
+with ``SeedSequence(seed).spawn(workers)[w]``, and results merge in stream
+order, so a report depends only on (seed, runs, workers, max_steps).
 
 Runs move over lattice indices 0..n-1, the win corner last. A step samples
 the categories [ruin | the row's nonzeros] of the current row of the CSR

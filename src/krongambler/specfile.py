@@ -41,6 +41,18 @@ def _int(value, field: str) -> int:
     return int(value)
 
 
+def check_horizon(value, field: str = "horizon") -> int:
+    value = _int(value, field)
+    _require(value >= 0, field, "must be >= 0")
+    return value
+
+
+def check_eps(value, field: str = "eps") -> float:
+    value = _number(value, field)
+    _require(0 < value < 1, field, "must lie in (0, 1)")  # NaN fails too
+    return value
+
+
 @dataclass(frozen=True)
 class ParsedSpec:
     game: GameSpec
@@ -134,10 +146,8 @@ def parse_spec(doc: dict) -> ParsedSpec:
     _require(runs >= 1, "runs", "must be >= 1")
     horizon = doc.get("horizon")
     if horizon is not None:
-        horizon = _int(horizon, "horizon")
-        _require(horizon >= 0, "horizon", "must be >= 0")
-    eps = _number(doc.get("eps", 1e-12), "eps")
-    _require(0 < eps < 1, "eps", "must lie in (0, 1)")
+        horizon = check_horizon(horizon)
+    eps = check_eps(doc.get("eps", 1e-12))
 
     return ParsedSpec(game=game, start=start, seed=seed, runs=runs,
                       horizon=horizon, eps=eps)

@@ -25,8 +25,8 @@ spectral_polynomials_substochastic  full matrices Q_k are substochastic (the    
                                     link uses first rows)
 diagonal_eigenvalues                sorted eigenvalues of P' = sorted dual        1e-9
                                     diagonal; imaginary parts count
-distribution_equality               dual mixture pmf = power iteration on the     1e-9
-                                    game
+distribution_equality               iso * dual pmf from the signed mixed start    1e-9
+                                    nu_hat = power iteration on the game
 keilson_factorization               1-D, no ruin: pmf from the bottom =           1e-10
                                     convolution of geometric(1 - lam_k)
 ==================================  ============================================  =====
@@ -51,7 +51,7 @@ from functools import reduce
 
 import numpy as np
 
-from .absorption import absorb_dist, pgf_from_dual
+from .absorption import absorb_dist
 from .birth_death import bd_eigenvalues, bd_win_prob
 from .errors import LinkPrecisionError, SizeError, SpecError
 from .game import GameSpec, build_game, lattice_point_mass
@@ -195,21 +195,19 @@ def run_checks(
     checks.append(diagonal_eigenvalue_check(kernel, dual.diag))
 
     nu_star = lattice_point_mass(dims, start)
-    weights = dual_initial(link, nu_star)
-    mix = pgf_from_dual(link, dual, weights.values, eps=eps)
+    weights = dual_initial(link, nu_star).values
     direct = absorb_dist(chain, nu_star, eps=eps)
-    horizon = len(direct.pmf)
-    mixture_pmf = np.zeros(horizon)
-    for w, part in zip(mix.weights, mix.parts):
-        contrib = np.asarray(part.pmf)[:horizon]
-        mixture_pmf[: len(contrib)] += mix.scale * w * contrib
-    checks.append(
-        _result(
-            "distribution_equality",
-            np.max(np.abs(mixture_pmf - direct.pmf)),
-            1e-9,
+    try:
+        mixed = link.iso_value * absorb_dist(dual, weights, eps=eps).pmf
+    except SpecError as exc:
+        checks.append(
+            CheckResult("distribution_equality", False, float("nan"), str(exc))
         )
-    )
+    else:
+        # the dual law, cut or padded with zeros to the game's horizon
+        mixed = np.pad(mixed, (0, len(direct.pmf)))[: len(direct.pmf)]
+        checks.append(_result("distribution_equality",
+                              np.max(np.abs(mixed - direct.pmf)), 1e-9))
 
     if game.d == 1 and not game.dims[0].sink_reachable:
         # the factorization law concerns the time from the bottom state

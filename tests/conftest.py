@@ -295,3 +295,23 @@ def link_cliff_doc():
         dims.append({"N": n, "p": list(p * scale), "q": list(q * scale)})
     return {"version": 1, "dims": dims,
             "mixing": {"preset": {"type": "r_of_d", "r": 1}}, "runs": 10}
+
+
+def signed_weights_doc():
+    """A d = 2, r = 2 game of two 16-state components with ill-conditioned
+    signed dual start weights at interior starts.
+
+    ``np.random.default_rng(3)`` draws the components of (d, N) = (1, 12),
+    (1, 16), (1, 20), (2, 12), (2, 16) in that order with ``rand_bd`` at
+    budget 0.45; the last draw is the game. kappa = iso * sum|nu_hat| is
+    1.2e-2 at (2, 2), 1.4e5 at (6, 6), 3.3e7 at (8, 8) and 9.2e11 at
+    (15, 15).
+    """
+    rng = np.random.default_rng(3)
+    for d, n in [(1, 12), (1, 16), (1, 20), (2, 12), (2, 16)]:
+        dims = [rand_bd(rng, n, budget=0.45) for _ in range(d)]
+    return {
+        "version": 1,
+        "dims": [{"N": s.N, "p": list(s.p), "q": list(s.q)} for s in dims],
+        "mixing": {"preset": {"type": "r_of_d", "r": 2}},
+    }

@@ -6,6 +6,7 @@ from krongambler import (
     GameSpec,
     HorizonError,
     SpecError,
+    StartConditioningError,
     absorb_dist,
     bd_eigenvalues,
     bd_win_prob,
@@ -21,9 +22,10 @@ from krongambler.game import lattice_point_mass
 from krongambler.birth_death import bd_restricted
 from krongambler.intertwine import build_dual, dual_initial, pure_birth_1d
 from krongambler.pgf import GeometricProductPgf, SeriesPgf
+from krongambler.specfile import parse_spec
 from krongambler.verify import geometric_convolution_pmf
 
-from conftest import power_iteration_pmf, rand_bd, rand_game
+from conftest import power_iteration_pmf, rand_bd, rand_game, signed_weights_doc
 
 
 def golden_spec(p=0.3, q=0.1):
@@ -312,11 +314,42 @@ def test_multidim_signed_mixture_matches_win_conditioned_law():
         assert mixture_pmf.min() > -1e-12
 
 
+def test_signed_weights_mixture_keeps_mass_and_mean():
+    # kappa = 3.3e7 here: one iteration of the mixed start keeps the
+    # truncation error of the mixture at eps instead of sum|nu_hat| * eps
+    game = parse_spec(signed_weights_doc()).game
+    chain = build_game(game)
+    link, dual = build_dual(game)
+    nu = lattice_point_mass(game.shape, (8, 8))
+    mix = pgf_from_dual(link, dual, dual_initial(link, nu).values)
+    rho = bd_win_prob(game.dims[0])[7] * bd_win_prob(game.dims[1])[7]
+    assert abs(mix.evaluate(1.0) - rho) <= 1e-9
+    direct = absorb_dist(chain, nu)
+    assert abs(mix.mean() - direct.mean()) <= 1e-8 * direct.mean()
+
+
+@pytest.mark.parametrize("start, kappa", [((8, 8), "3.276e+07"),
+                                          ((15, 15), "9.213e+11")])
+def test_pgf_multidim_refuses_ill_conditioned_starts(start, kappa):
+    game = parse_spec(signed_weights_doc()).game
+    nu = lattice_point_mass(game.shape, start)
+    with pytest.raises(StartConditioningError) as err:
+        pgf_multidim(game, nu)
+    assert f"kappa = {kappa}" in str(err.value)
+    assert f"start {start[0]},{start[1]}" in str(err.value)
+
+
 def test_series_pgf_rejects_s_above_one():
     pgf = SeriesPgf(pmf=np.array([0.0, 1.0]), tail=0.0)
     for s in (1.5, -1.5):
         with pytest.raises(ValueError):
             pgf.evaluate(s)
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+def test_series_pgf_rejects_non_finite_s(s):
+    with pytest.raises(ValueError):
+        SeriesPgf(pmf=np.array([0.0, 1.0]), tail=0.0).evaluate(s)
 
 
 @pytest.mark.parametrize("s", [-1.0, -0.5, 0.0, 0.25, 0.9, 1.0])

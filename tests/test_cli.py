@@ -12,7 +12,7 @@ from krongambler.game import AbsorbingChain
 from krongambler.siegmund import win_prob_product
 from krongambler.specfile import SpecFileError, load_spec, parse_spec
 
-from conftest import link_cliff_doc
+from conftest import link_cliff_doc, signed_weights_doc
 
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
@@ -249,6 +249,49 @@ def test_pgf_eval_beyond_radius_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["pgf", path, "--eval", "1.5"])
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("points", ["nan,1.0", "inf", "0.5,-inf"])
+def test_pgf_eval_non_finite_exits_two(tmp_path, capsys, points):
+    path = write_spec(tmp_path, lazy_two_dim_doc())
+    code, out, err = run_cli(capsys, ["pgf", path, "--eval", points])
+    assert code == 2
+    assert out == ""
+    assert "|s| <= 1" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("flag, value", [("--horizon", "-5"), ("--eps", "2"),
+                                         ("--eps", "0"), ("--eps", "nan")])
+def test_absorb_dist_flags_follow_the_spec_file_rules(tmp_path, capsys, flag,
+                                                      value):
+    path = write_spec(tmp_path, golden_doc())
+    code, out, err = run_cli(capsys, ["absorb-dist", path, flag, value])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["field"] == flag
+
+
+def test_pgf_at_one_matches_rho_on_signed_weights(tmp_path, capsys):
+    path = write_spec(tmp_path, signed_weights_doc())
+    code, out, _ = run_cli(capsys, ["pgf", path, "--start", "6,6"])
+    assert code == 0
+    body = json.loads(out)
+    assert abs(body["values"]["1.0"] - body["rho_at_1"]) <= 1e-12
+
+
+@pytest.mark.parametrize("start, code", [("2,2", 0), ("6,6", 0), ("8,8", 2),
+                                         ("15,15", 2)])
+def test_pgf_gates_ill_conditioned_start_weights(tmp_path, capsys, start, code):
+    path = write_spec(tmp_path, signed_weights_doc())
+    got, out, err = run_cli(capsys, ["pgf", path, "--start", start])
+    assert got == code
+    if code:
+        assert out == ""
+        assert re.fullmatch(
+            rf"dual start weights at start {start} have kappa = \d\.\d{{3}}e\+\d\d "
+            r"> 1e\+07: their rounding alone may move the pgf by more than 1e-9",
+            json.loads(err)["error"],
+        )
 
 
 def test_coupled_with_signed_weights_exits_two(tmp_path, capsys):

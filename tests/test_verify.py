@@ -59,6 +59,24 @@ def test_keilson_check_uses_bottom_start_regardless_of_game_start():
     assert all_passed(checks)
 
 
+def test_dual_law_error_is_a_failed_entry(monkeypatch):
+    rng = np.random.default_rng(63)
+    game = preset_r_of_d([rand_bd(rng, 3, budget=0.2) for _ in range(2)], 1)
+    true_initial = verify.dual_initial
+
+    def negated(link, nu_star):
+        # weights whose dual law is clearly negative: absorb_dist raises
+        init = true_initial(link, nu_star)
+        return type(init)(values=-init.values, is_distribution=False,
+                          kappa=init.kappa)
+
+    monkeypatch.setattr(verify, "dual_initial", negated)
+    by_name = {c.name: c for c in run_checks(game)}
+    entry = by_name["distribution_equality"]
+    assert not entry.passed
+    assert "inconsistent weights" in entry.detail
+
+
 def test_char_poly_residual_detects_wrong_values():
     m = np.diag([0.2, 0.5, 0.9])
     exact = diagonal_eigenvalue_check(m, np.array([0.9, 0.2, 0.5]))
