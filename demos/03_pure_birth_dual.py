@@ -19,7 +19,6 @@ from krongambler import (
     dual_initial,
     preset_r_of_d,
 )
-from krongambler.absorption import pgf_from_dual
 
 a = BirthDeathSpec(N=3, p=(0.10, 0.12), q=(0.08, 0.06))
 b = BirthDeathSpec(N=3, p=(0.09, 0.11), q=(0.07, 0.05))
@@ -50,13 +49,11 @@ weights = dual_initial(link, start)
 print("\nstart (2,2) dual weights:", np.round(weights.values, 4),
       "| proper distribution:", weights.is_distribution)
 
-mix = pgf_from_dual(link, dual, weights.values)
+# the mixture is linear in the weights: one run of the dual from them
+mixed = link.iso_value * absorb_dist(dual, weights.values).pmf
 direct = absorb_dist(chain, start, target=chain.win_index)
 horizon = len(direct.pmf)
-mixture = np.zeros(horizon)
-for w, part in zip(mix.weights, mix.parts):
-    c = np.asarray(part.pmf)[:horizon]
-    mixture[: len(c)] += mix.scale * w * c
+mixture = np.pad(mixed, (0, horizon))[:horizon]
 print("winning-time law, game vs mixed dual, sup difference:",
       np.max(np.abs(mixture - direct.pmf)))
-print("total winning mass:", mix.evaluate(1.0))
+print("total winning mass:", mixed.sum())

@@ -34,7 +34,6 @@ from .errors import (
     MonotonicityError,
     SizeError,
     SpecError,
-    StartConditioningError,
     StochasticityError,
 )
 from .game import (
@@ -55,7 +54,7 @@ from .intertwine import (
     ehrenfest_closed_forms,
     spectral_link_1d,
 )
-from .pgf import GeometricProductPgf, MixturePgf, SeriesPgf
+from .pgf import GeometricProductPgf, MixturePgf, ResolventPgf
 from .siegmund import (
     OrderMatrix,
     product_order,

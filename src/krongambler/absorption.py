@@ -1,18 +1,21 @@
 """Absorption-time laws: exact pgf forms and power-iteration distributions.
 
 One-dimensional chains get exact rational pgfs built from eigenvalue factor
-lists. Multidimensional games go through the pure-birth dual: the game's
-law is the mixture of the dual's absorption laws over the (possibly
-signed) dual start weights nu_hat, and since that mixture is linear it is
-the law of one power iteration of the dual started at nu_hat itself.
+lists. A game of any dimension gets its pgf from its own CSR kernel
+(:func:`pgf_multidim`): each evaluation point is one sparse LU solve of the
+resolvent, so no series, horizon or dual enters. The game's law through the
+pure-birth dual, mixed over the (possibly signed) dual start weights
+nu_hat, is the independent route: since that mixture is linear it is the
+law of one power iteration of the dual started at nu_hat itself, which
+``verify``'s ``distribution_equality`` compares with the game's own law.
 
 Power iteration runs on a chain's CSR kernel over lattice indices, whose
 last state is the win corner. Ruin, the kernel's row deficit, is a state
 only for the ``"ruin"`` target, which prepends it as a sink to the CSR
 kernel (``linalg.prepend_ruin``); no target needs ``AbsorbingChain.dense``.
 
-One engine, ``_power_iteration``, iterates one start vector for both
-``absorb_dist`` and ``pgf_from_dual``. Each step is one application of the
+One engine, ``_power_iteration``, iterates one start vector for
+``absorb_dist``, on games and duals. Each step is one application of the
 kernel to the iterate; the transient-mass test and the target entry are
 read once per block of BLOCK_STEPS steps, and the exact stop step is then
 located inside the block. A kernel row of a game or a dual has at most 3^d
@@ -40,11 +43,11 @@ from .birth_death import (
     bd_win_prob,
     tridiag_block_eigs,
 )
-from .errors import HorizonError, SpecError, StartConditioningError
+from .errors import HorizonError, SpecError
 from .game import AbsorbingChain, GameSpec, build_game
-from .intertwine import PureBirthChain, SpectralLink, build_dual, dual_initial
 from .linalg import absorption_probabilities, prepend_ruin
-from .pgf import GeometricProductPgf, MixturePgf, SeriesPgf
+from .pgf import GeometricProductPgf, ResolventPgf
+from .specfile import check_eps, check_horizon
 
 MAX_HORIZON = 10**6
 
@@ -54,10 +57,6 @@ SPARSE_MIN_STATES = 200
 
 #: Steps per block of the power iteration.
 BLOCK_STEPS = 64
-
-#: Largest kappa of dual start weights whose rounding (1e-16 relative) keeps
-#: a pgf within 1e-9.
-MAX_KAPPA = 1e7
 
 #: Smallest normal double; iterate entries below it are flushed to zero.
 TINY = np.finfo(float).tiny
@@ -225,9 +224,15 @@ def absorb_dist(
     prepended by :func:`krongambler.linalg.prepend_ruin`. Iteration stops
     once the transient mass drops below eps or the horizon is reached;
     without an explicit horizon, failing to converge within 10^6 steps
-    raises. The check that the dual mixture reproduces this law for a game
-    is ``distribution_equality`` in :func:`krongambler.verify.run_checks`.
+    raises. ``eps`` and ``horizon`` follow the spec file's rules
+    (:func:`krongambler.specfile.check_eps`, ``check_horizon``) and are
+    checked before any step. The check that the dual mixture reproduces this
+    law for a game is ``distribution_equality`` in
+    :func:`krongambler.verify.run_checks`.
     """
+    eps = check_eps(eps)
+    if horizon is not None:
+        horizon = check_horizon(horizon)
     p = (chain.matrix if isinstance(chain, AbsorbingChain)
          else np.asarray(chain, dtype=float))
     start = np.asarray(nu, dtype=float).reshape(p.shape[0])
@@ -246,38 +251,16 @@ def absorb_dist(
     return AbsorptionDist(pmf=pmf, tail=tail, target=target, eps=eps)
 
 
-def pgf_multidim(game: GameSpec, nu_star, eps: float = 1e-12) -> MixturePgf:
-    """Pipeline pgf of the game's time to the win corner, start law nu_star.
+def pgf_multidim(game: GameSpec, nu_star) -> ResolventPgf:
+    """pgf of the game's time to the win corner from start law nu_star.
 
-    Validates the game by building it, builds the pure-birth dual and its
-    start weights nu_hat, and hands them to :func:`pgf_from_dual`. A start
-    whose weights amplify rounding by more than MAX_KAPPA raises.
+    Builds the game and reads its CSR kernel: each evaluation point is one
+    sparse LU solve of (I - sQ) h = s P[., win] (see
+    :class:`krongambler.pgf.ResolventPgf`), so there is no series, horizon
+    or dual. The pure-birth dual's law, mixed over the start weights nu_hat,
+    is the independent route, checked by ``distribution_equality`` in
+    :func:`krongambler.verify.run_checks`.
     """
-    build_game(game)
-    link, dual = build_dual(game)
-    init = dual_initial(link, nu_star)
-    if init.kappa > MAX_KAPPA:
-        states = np.argwhere(np.reshape(nu_star, game.shape)) + 1
-        raise StartConditioningError(
-            f"dual start weights at start "
-            f"{'; '.join(','.join(map(str, c)) for c in states)} have kappa = "
-            f"{init.kappa:.3e} > {MAX_KAPPA:.0e}: their rounding alone may "
-            f"move the pgf by more than 1e-9"
-        )
-    return pgf_from_dual(link, dual, init.values, eps=eps)
-
-
-def pgf_from_dual(
-    link: SpectralLink, dual: PureBirthChain, weights, eps: float = 1e-12
-) -> MixturePgf:
-    """pgf of the game's time to win from a built dual and its start weights.
-
-    The mixture of the dual's absorption laws over the signed weights nu_hat
-    is linear in nu_hat, so it is the law of one power iteration started at
-    nu_hat itself, scaled by ``link.iso_value``; the result has that one
-    series part. Iteration stops once the mixed iterate's transient l1 mass
-    is below eps, which bounds the mixture's own truncation error.
-    """
-    dist = absorb_dist(dual, weights, eps=eps)
-    part = SeriesPgf(pmf=dist.pmf, tail=dist.tail, eps=eps)
-    return MixturePgf(scale=link.iso_value, weights=(1.0,), parts=(part,))
+    chain = build_game(game)
+    nu = np.asarray(nu_star, dtype=float).reshape(chain.size)
+    return ResolventPgf(kernel=chain.matrix, nu=nu)

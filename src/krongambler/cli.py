@@ -106,9 +106,9 @@ def cmd_pgf(args) -> int:
     game = parsed.game
     start = _parse_start(args.start, parsed)
     nu = lattice_point_mass(game.shape, start)
-    mix = pgf_multidim(game, nu, eps=parsed.eps)
+    pgf = pgf_multidim(game, nu)
     points = [float(s) for s in args.eval.split(",")] if args.eval else [1.0]
-    values = {repr(s): mix.evaluate(s) for s in points}
+    values = {repr(s): pgf.evaluate(s) for s in points}
     rho = float(
         np.prod([bd_win_prob(spec)[c - 1] for spec, c in zip(game.dims, start)])
     )

@@ -29,10 +29,6 @@ class LinkPrecisionError(SpecError):
     """A component's spectral link fails its identities in double precision."""
 
 
-class StartConditioningError(SpecError):
-    """Signed dual start weights amplify rounding past the pgf's accuracy."""
-
-
 class HorizonError(RuntimeError):
     """Power iteration hit the step cap before the transient mass converged."""
 

@@ -223,7 +223,6 @@ class DualInitial:
 
     values: np.ndarray
     is_distribution: bool
-    kappa: float
 
 
 def dual_initial(link: SpectralLink, nu_star) -> DualInitial:
@@ -231,8 +230,7 @@ def dual_initial(link: SpectralLink, nu_star) -> DualInitial:
 
     ``nu_star`` is a distribution over lattice states, flat or in lattice
     shape. The result can carry negative weights; ``is_distribution`` is set
-    when it is entrywise nonnegative and sums to 1. ``kappa`` = iso *
-    sum|values| is the factor by which the mixture amplifies their rounding.
+    when it is entrywise nonnegative and sums to 1.
     """
     shape = link.dims
     size = prod(shape)
@@ -247,8 +245,7 @@ def dual_initial(link: SpectralLink, nu_star) -> DualInitial:
         tensor = np.moveaxis(solved.reshape(moved.shape), 0, axis)
     values = tensor.reshape(size)
     ok = values.min() >= -_WEIGHT_TOL and abs(values.sum() - 1.0) <= 1e-9
-    kappa = link.iso_value * float(np.abs(values).sum())
-    return DualInitial(values=values, is_distribution=bool(ok), kappa=kappa)
+    return DualInitial(values=values, is_distribution=bool(ok))
 
 
 def classical_ssd_1d(x: ErgodicBDSpec) -> tuple:

@@ -5,9 +5,10 @@ The game kernel and the pure-birth dual are assembled in CSR form by
 bidiagonal factors, and every command reads them in that form. Only
 ``verify`` makes a kernel dense (``game.AbsorbingChain.dense``), capped at
 ``MAX_ENTRIES``. :func:`prepend_ruin` makes ruin, a kernel's row deficit,
-an explicit state where a law needs it, and :func:`absorption_probabilities`
-is the one linear solve for absorption probabilities, a sparse LU on dense
-or sparse kernels.
+an explicit state where a law needs it, and :func:`absorption_system` is the
+one assembly of the sparse LU behind absorption probabilities
+(:func:`absorption_probabilities`) and the pgf and mean of a game
+(:class:`krongambler.pgf.ResolventPgf`), on dense or sparse kernels.
 """
 
 from __future__ import annotations
@@ -44,35 +45,49 @@ def prepend_ruin(kernel) -> sparse.csr_array:
     )
 
 
+def absorption_system(kernel, transient, target: int) -> tuple:
+    """LU factors of I - Q and the one-step hits P[transient, target].
+
+    ``kernel`` is a dense or sparse substochastic matrix, ``transient`` the
+    (nonempty) indices of its transient states and Q the transient block.
+    Solving with the factors against the hits gives the absorption
+    probabilities at ``target``; solving once more against those gives the
+    partial expectations of the absorption time.
+    """
+    coo = sparse.coo_array(kernel)
+    rows, cols, vals = coo.row, coo.col, coo.data
+    m = len(transient)
+    # position of each state among the transient ones, -1 elsewhere
+    pos = np.full(kernel.shape[0], -1)
+    pos[transient] = np.arange(m)
+    r, c = pos[rows], pos[cols]
+    inner = (r >= 0) & (c >= 0)
+    hit = (r >= 0) & (cols == target)
+    rhs = np.zeros(m)
+    rhs[r[hit]] = vals[hit]
+    r, c = r[inner], c[inner]
+    diag = np.arange(m)
+    # I - Q, built as CSC: splu warns on any other format
+    system = sparse.csc_array(
+        (np.concatenate([np.ones(m), -vals[inner]]),
+         (np.concatenate([diag, r]), np.concatenate([diag, c]))),
+        shape=(m, m),
+    )
+    return splu(system), rhs
+
+
 def absorption_probabilities(kernel, transient, target: int) -> np.ndarray:
     """Probability of absorption at ``target`` from every state of a chain.
 
     ``kernel`` is a dense or sparse substochastic matrix and ``transient``
     the indices of its transient states. On them the result h solves
     (I - Q) h = P[transient, target], Q the transient block, by one sparse
-    LU factorization; h is 1 at ``target`` and 0 at every other state.
+    LU factorization (:func:`absorption_system`); h is 1 at ``target`` and
+    0 at every other state.
     """
-    coo = sparse.coo_array(kernel)
-    rows, cols, vals = coo.row, coo.col, coo.data
     h = np.zeros(kernel.shape[0])
     h[target] = 1.0
-    m = len(transient)
-    if m:
-        # position of each state among the transient ones, -1 elsewhere
-        pos = np.full(len(h), -1)
-        pos[transient] = np.arange(m)
-        r, c = pos[rows], pos[cols]
-        inner = (r >= 0) & (c >= 0)
-        hit = (r >= 0) & (cols == target)
-        rhs = np.zeros(m)
-        rhs[r[hit]] = vals[hit]
-        r, c = r[inner], c[inner]
-        diag = np.arange(m)
-        # I - Q, built as CSC: splu warns on any other format
-        system = sparse.csc_array(
-            (np.concatenate([np.ones(m), -vals[inner]]),
-             (np.concatenate([diag, r]), np.concatenate([diag, c]))),
-            shape=(m, m),
-        )
-        h[transient] = splu(system).solve(rhs)
+    if len(transient):
+        lu, rhs = absorption_system(kernel, transient, target)
+        h[transient] = lu.solve(rhs)
     return h

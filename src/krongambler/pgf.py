@@ -1,32 +1,35 @@
 """Probability generating functions, represented semi-numerically.
 
 Three evaluable forms cover everything the package produces: products of
-geometric factors (optionally divided by other factors), finite mixtures with
-possibly signed weights, and truncated power series backed by an absorption
-pmf. For defective laws the value at s=1 is the total mass at the target
+geometric factors, optionally divided by other factors (the closed forms of
+one-dimensional chains); finite mixtures with possibly signed weights; and
+the resolvent of a game's CSR kernel, one sparse LU solve per evaluation
+point. For defective laws the value at s=1 is the total mass at the target
 rather than 1, and ``mean`` is the partial expectation sum(t * pmf(t)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .errors import HorizonError
+from .linalg import absorption_probabilities, absorption_system
 
 _SINGULARITY_TOL = 1e-14
 
 
 def _factor(lam: np.ndarray, s: float) -> float:
-    """prod over lam of (1-lam) s / (1-lam s)."""
+    """prod over lam of (1-lam) / (1-lam s): the geometric factors without s."""
     lam = np.asarray(lam, dtype=float)
     if lam.size == 0:
         return 1.0
     den = 1.0 - lam * s
     if np.min(np.abs(den)) < _SINGULARITY_TOL:
         raise ValueError(f"pgf evaluated at a pole, s={s}")
-    return float(np.prod((1.0 - lam) * s / den))
+    return float(np.prod((1.0 - lam) / den))
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,11 @@ class GeometricProductPgf:
     den: tuple = ()
 
     def evaluate(self, s: float) -> float:
-        return self.scale * _factor(np.array(self.num), s) / _factor(
-            np.array(self.den), s
-        )
+        if not math.isfinite(s):
+            raise ValueError(f"pgf evaluated at a non-finite s={s}")
+        # the factors' powers of s cancel, so s = 0 is no 0/0
+        power = s ** (len(self.num) - len(self.den))
+        return self.scale * power * _factor(self.num, s) / _factor(self.den, s)
 
     __call__ = evaluate
 
@@ -64,35 +69,37 @@ class GeometricProductPgf:
         return self.scale * acc
 
 
-@dataclass(frozen=True)
-class SeriesPgf:
-    """Truncated power series sum pmf[t] * s^t with a known tail bound.
+@dataclass(frozen=True, eq=False)
+class ResolventPgf:
+    """pgf of the time to reach a chain's last state, one sparse solve per point.
 
-    Valid for |s| <= 1, where the truncation error is at most ``tail``.
+    ``kernel`` is the substochastic kernel of a chain whose last state is its
+    one absorbing state (a game's win corner; ruin is the row deficit), and
+    ``nu`` a start law over its states. The value at s is nu . h(s), where
+    h(s) is the absorption probability at the last state of the kernel
+    s * P. Evaluable for |s| <= 1.
     """
 
-    pmf: np.ndarray
-    tail: float
-    eps: float = 1e-12
+    kernel: sparse.csr_array
+    nu: np.ndarray
 
     def evaluate(self, s: float) -> float:
         if not abs(s) <= 1.0:  # NaN fails this test too
-            raise ValueError("series-backed pgf is only evaluable for |s| <= 1")
-        powers = np.power(s, np.arange(len(self.pmf)))
-        return float(np.dot(self.pmf, powers))
+            raise ValueError("resolvent pgf is only evaluable for |s| <= 1")
+        n = self.kernel.shape[0]
+        h = absorption_probabilities(s * self.kernel, np.arange(n - 1), n - 1)
+        return float(self.nu @ h)
 
     __call__ = evaluate
 
     def mass(self) -> float:
-        return float(np.sum(self.pmf))
+        return self.evaluate(1.0)
 
     def mean(self) -> float:
-        if self.tail > self.eps:
-            raise HorizonError(
-                f"tail {self.tail:.3e} above eps {self.eps:.3e}; "
-                "extend the horizon before taking expectations"
-            )
-        return float(np.dot(np.arange(len(self.pmf)), self.pmf))
+        """nu . (I - Q)^-1 h(1): the derivative at s=1, by one more solve."""
+        n = self.kernel.shape[0]
+        lu, rhs = absorption_system(self.kernel, np.arange(n - 1), n - 1)
+        return float(self.nu[:-1] @ lu.solve(lu.solve(rhs)))
 
 
 @dataclass(frozen=True)

@@ -303,7 +303,8 @@ def signed_weights_doc():
 
     ``np.random.default_rng(3)`` draws the components of (d, N) = (1, 12),
     (1, 16), (1, 20), (2, 12), (2, 16) in that order with ``rand_bd`` at
-    budget 0.45; the last draw is the game. kappa = iso * sum|nu_hat| is
+    budget 0.45; the last draw is the game. iso * sum|nu_hat|, the factor by
+    which the dual's law amplifies the rounding of its start weights, is
     1.2e-2 at (2, 2), 1.4e5 at (6, 6), 3.3e7 at (8, 8) and 9.2e11 at
     (15, 15).
     """

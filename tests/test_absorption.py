@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from krongambler import (
     GameSpec,
     HorizonError,
     SpecError,
-    StartConditioningError,
     absorb_dist,
     bd_eigenvalues,
     bd_win_prob,
@@ -17,11 +18,10 @@ from krongambler import (
     pgf_two_sided,
     preset_r_of_d,
 )
-from krongambler.absorption import pgf_from_dual
 from krongambler.game import lattice_point_mass
 from krongambler.birth_death import bd_restricted
 from krongambler.intertwine import build_dual, dual_initial, pure_birth_1d
-from krongambler.pgf import GeometricProductPgf, SeriesPgf
+from krongambler.pgf import GeometricProductPgf
 from krongambler.specfile import parse_spec
 from krongambler.verify import geometric_convolution_pmf
 
@@ -30,6 +30,11 @@ from conftest import power_iteration_pmf, rand_bd, rand_game, signed_weights_doc
 
 def golden_spec(p=0.3, q=0.1):
     return BirthDeathSpec(N=3, p=(p, p), q=(q, q))
+
+
+def golden_game():
+    return GameSpec(dims=(golden_spec(),), subsets=(frozenset({1}),),
+                    coeffs=(1.0,))
 
 
 def eq61_closed_form(p, q, u):
@@ -302,68 +307,108 @@ def test_multidim_signed_mixture_matches_win_conditioned_law():
         start = np.zeros(game.size)
         start[int(rng.integers(0, game.size - 1))] = 1.0
         weights = dual_initial(link, start).values
-        mix = pgf_from_dual(link, dual, weights)
+        dual_pmf = link.iso_value * absorb_dist(dual, weights).pmf
         direct = absorb_dist(chain, start,
                              target=chain.win_index)
         horizon = len(direct.pmf)
-        mixture_pmf = np.zeros(horizon)
-        for w, part in zip(mix.weights, mix.parts):
-            contrib = np.asarray(part.pmf)[:horizon]
-            mixture_pmf[: len(contrib)] += mix.scale * w * contrib
+        mixture_pmf = np.pad(dual_pmf, (0, horizon))[:horizon]
         assert np.max(np.abs(mixture_pmf - direct.pmf)) < 1e-9
         assert mixture_pmf.min() > -1e-12
 
 
 def test_signed_weights_mixture_keeps_mass_and_mean():
-    # kappa = 3.3e7 here: one iteration of the mixed start keeps the
-    # truncation error of the mixture at eps instead of sum|nu_hat| * eps
+    # one iteration of the mixed start keeps the truncation error of the
+    # dual's law at eps instead of sum|nu_hat| * eps
     game = parse_spec(signed_weights_doc()).game
     chain = build_game(game)
     link, dual = build_dual(game)
     nu = lattice_point_mass(game.shape, (8, 8))
-    mix = pgf_from_dual(link, dual, dual_initial(link, nu).values)
+    mixed = absorb_dist(dual, dual_initial(link, nu).values)
     rho = bd_win_prob(game.dims[0])[7] * bd_win_prob(game.dims[1])[7]
-    assert abs(mix.evaluate(1.0) - rho) <= 1e-9
+    assert abs(link.iso_value * mixed.pmf.sum() - rho) <= 1e-9
     direct = absorb_dist(chain, nu)
-    assert abs(mix.mean() - direct.mean()) <= 1e-8 * direct.mean()
+    mean = link.iso_value * mixed.mean()
+    assert abs(mean - direct.mean()) <= 1e-8 * direct.mean()
 
 
-@pytest.mark.parametrize("start, kappa", [((8, 8), "3.276e+07"),
-                                          ((15, 15), "9.213e+11")])
-def test_pgf_multidim_refuses_ill_conditioned_starts(start, kappa):
+@pytest.mark.parametrize("start", [(8, 8), (15, 15)])
+def test_pgf_multidim_answers_ill_conditioned_starts(start):
+    # the dual's start weights are ill-conditioned here (iso * sum|nu_hat|
+    # is 3.3e7 and 9.2e11); the game's own kernel is not
     game = parse_spec(signed_weights_doc()).game
     nu = lattice_point_mass(game.shape, start)
-    with pytest.raises(StartConditioningError) as err:
-        pgf_multidim(game, nu)
-    assert f"kappa = {kappa}" in str(err.value)
-    assert f"start {start[0]},{start[1]}" in str(err.value)
+    pgf = pgf_multidim(game, nu)
+    rho = np.prod([bd_win_prob(s)[c - 1] for s, c in zip(game.dims, start)])
+    assert abs(pgf.mass() - rho) <= 1e-12
+    direct = absorb_dist(build_game(game), nu)
+    assert abs(pgf.mean() - direct.mean()) <= 1e-9 * direct.mean()
 
 
-def test_series_pgf_rejects_s_above_one():
-    pgf = SeriesPgf(pmf=np.array([0.0, 1.0]), tail=0.0)
+def test_resolvent_pgf_rejects_s_above_one():
+    pgf = pgf_multidim(golden_game(), np.array([0.0, 1.0, 0.0]))
     for s in (1.5, -1.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\|s\| <= 1"):
             pgf.evaluate(s)
 
 
 @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
-def test_series_pgf_rejects_non_finite_s(s):
-    with pytest.raises(ValueError):
-        SeriesPgf(pmf=np.array([0.0, 1.0]), tail=0.0).evaluate(s)
+def test_resolvent_pgf_rejects_non_finite_s(s):
+    pgf = pgf_multidim(golden_game(), np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"\|s\| <= 1"):
+        pgf.evaluate(s)
 
 
-@pytest.mark.parametrize("s", [-1.0, -0.5, 0.0, 0.25, 0.9, 1.0])
-def test_series_pgf_matches_horner(s):
-    alpha = 0.01
-    geometric = alpha * (1 - alpha) ** np.arange(3000)
-    geometric[0] = 0.0
-    rng = np.random.default_rng(50)
-    for pmf in (geometric, rng.random(1300) / 650, np.array([0.25])):
-        want = float(np.polynomial.polynomial.polyval(s, pmf))
-        got = SeriesPgf(pmf=pmf, tail=0.0).evaluate(s)
-        # both forms round within 2 * len * eps of the sum of |terms|
-        bound = 4 * len(pmf) * np.finfo(float).eps * np.abs(pmf).sum()
-        assert abs(got - want) <= bound
+ONE_DIM_POINTS = (-1.0, -0.3, 0.2, 0.6, 0.95, 1.0)
+
+
+@pytest.mark.parametrize("q1_zero", [False, True],
+                         ids=["two-sided", "interior"])
+def test_pgf_multidim_matches_one_dim_closed_forms(q1_zero):
+    rng = np.random.default_rng(51)
+    for _ in range(10):
+        spec = rand_bd(rng, int(rng.integers(2, 9)), q1_zero=q1_zero,
+                       budget=0.6)
+        start = int(rng.integers(1, spec.N))
+        game = GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
+        pgf = pgf_multidim(game, lattice_point_mass(game.shape, (start,)))
+        closed = (pgf_interior(spec, start) if q1_zero
+                  else pgf_two_sided(spec, start)[0])
+        for s in ONE_DIM_POINTS:
+            assert abs(pgf.evaluate(s) - closed.evaluate(s)) <= 1e-13
+        assert abs(pgf.mean() - closed.mean()) <= 1e-12 * closed.mean()
+
+
+def test_geometric_product_at_zero_is_the_pmf_at_zero():
+    spec = BirthDeathSpec(N=4, p=(0.3,) * 3, q=(0.1,) * 3)
+    chain = build_game(
+        GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
+    )
+    nu = lattice_point_mass(chain.dims, (2,))
+    win, lose = pgf_two_sided(spec, 2)
+    assert win.evaluate(0.0) == absorb_dist(chain, nu).pmf[0]
+    assert lose.evaluate(0.0) == absorb_dist(chain, nu, target="ruin").pmf[0]
+    interior = BirthDeathSpec(N=4, p=(0.3,) * 3, q=(0.0, 0.1, 0.1))
+    pmf = absorb_dist(bd_restricted(interior), np.eye(4)[1], target=3).pmf
+    assert pgf_interior(interior, 2).evaluate(0.0) == pmf[0]
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+def test_geometric_product_rejects_non_finite_s(s):
+    win, _ = pgf_two_sided(BirthDeathSpec(N=4, p=(0.3,) * 3, q=(0.1,) * 3), 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        win.evaluate(s)
+
+
+@pytest.mark.parametrize("kwargs", [{"eps": np.nan}, {"eps": 0.0},
+                                    {"eps": 2.0}, {"horizon": -5}],
+                         ids=["eps-nan", "eps-0", "eps-2", "horizon-neg"])
+def test_absorb_dist_rejects_bad_eps_and_horizon_before_iterating(kwargs):
+    spec = BirthDeathSpec(N=2, p=(0.3,), q=(0.0,))
+    t0 = time.perf_counter()
+    with pytest.raises(SpecError, match=next(iter(kwargs))):
+        absorb_dist(bd_restricted(spec), np.array([1.0, 0.0]), target=1,
+                    **kwargs)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_geometric_product_pole_detection():

@@ -3,10 +3,13 @@ import io
 import json
 import pathlib
 import re
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from krongambler import intertwine
 from krongambler.cli import main
 from krongambler.game import AbsorbingChain
 from krongambler.siegmund import win_prob_product
@@ -279,21 +282,6 @@ def test_pgf_at_one_matches_rho_on_signed_weights(tmp_path, capsys):
     assert abs(body["values"]["1.0"] - body["rho_at_1"]) <= 1e-12
 
 
-@pytest.mark.parametrize("start, code", [("2,2", 0), ("6,6", 0), ("8,8", 2),
-                                         ("15,15", 2)])
-def test_pgf_gates_ill_conditioned_start_weights(tmp_path, capsys, start, code):
-    path = write_spec(tmp_path, signed_weights_doc())
-    got, out, err = run_cli(capsys, ["pgf", path, "--start", start])
-    assert got == code
-    if code:
-        assert out == ""
-        assert re.fullmatch(
-            rf"dual start weights at start {start} have kappa = \d\.\d{{3}}e\+\d\d "
-            r"> 1e\+07: their rounding alone may move the pgf by more than 1e-9",
-            json.loads(err)["error"],
-        )
-
-
 def test_coupled_with_signed_weights_exits_two(tmp_path, capsys):
     path = write_spec(tmp_path, lazy_two_dim_doc(start=[2, 2], runs=50))
     code, _, err = run_cli(capsys, ["simulate", path, "--coupled"])
@@ -310,8 +298,8 @@ def test_invalid_rates_exit_two(tmp_path, capsys):
     assert "dims[0]" in json.loads(err)["field"]
 
 
-def lattice_doc(d, n):
-    """A valid d-coordinate r = 1 game with components of n states."""
+def lattice_doc(d, n, r=1):
+    """A valid d-coordinate game of the r-of-d preset with n-state components."""
     rng = np.random.default_rng(70)
     dims = []
     for _ in range(d):
@@ -320,7 +308,7 @@ def lattice_doc(d, n):
         scale = 0.9 / d / (p + q).max()
         dims.append({"N": n, "p": list(p * scale), "q": list(q * scale)})
     return {"version": 1, "dims": dims,
-            "mixing": {"preset": {"type": "r_of_d", "r": 1}}, "runs": 10}
+            "mixing": {"preset": {"type": "r_of_d", "r": r}}, "runs": 10}
 
 
 def past_dense_cap_doc():
@@ -347,6 +335,57 @@ def test_dense_commands_past_the_cap_exit_two(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert "dense kernel of 3249 states" in json.loads(err)["error"]
+
+
+def slow_rates_doc():
+    """A 9-state d = 2, r = 2 game of two N = 3 components, every rate 1e-5.
+
+    Its power iteration keeps a transient mass of 1.4e-4 after the 10^6-step
+    cap, so no absorption-time series converges on it.
+    """
+    dim = {"N": 3, "p": [1e-5, 1e-5], "q": [1e-5, 1e-5]}
+    return {"version": 1, "dims": [dim, dim],
+            "mixing": {"preset": {"type": "r_of_d", "r": 2}}}
+
+
+@pytest.mark.parametrize("doc, start, tol", [
+    (link_cliff_doc(), None, 1e-12),
+    *[(signed_weights_doc(), start, 1e-12)
+      for start in ("2,2", "6,6", "8,8", "15,15")],
+    (lattice_doc(2, 50), None, 1e-12),
+    (lattice_doc(2, 50, r=2), None, 1e-12),
+    (slow_rates_doc(), "1,1", 1e-10),
+    (slow_rates_doc(), "2,2", 1e-10),
+], ids=["link-cliff", "signed-2,2", "signed-6,6", "signed-8,8",
+        "signed-15,15", "N50-r1", "N50-r2", "slow-1,1", "slow-2,2"])
+def test_pgf_answers_games_past_the_dual_route(tmp_path, capsys, doc, start,
+                                               tol):
+    # past the link's precision, with ill-conditioned dual start weights, or
+    # with absorption times past the step cap: pgf reads the game's kernel
+    argv = ["pgf", write_spec(tmp_path, doc)]
+    if start:
+        argv += ["--start", start]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0, err
+    body = json.loads(out)
+    assert abs(body["values"]["1.0"] - body["rho_at_1"]) <= tol
+
+
+def test_pgf_builds_no_dual(capsys, monkeypatch):
+    def refuse(game):
+        raise AssertionError("pgf built the pure-birth dual")
+
+    # every module that holds the function, not only its home
+    build_dual = intertwine.build_dual
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("krongambler")
+                and getattr(module, "build_dual", None) is build_dual):
+            monkeypatch.setattr(module, "build_dual", refuse)
+    code, out, err = run_cli(capsys, ["pgf", str(CORPUS / "d3_r2.json")])
+    assert code == 0, err
+    assert out
 
 
 @pytest.mark.parametrize("n, argv", [
@@ -411,8 +450,8 @@ def test_oversized_games_exit_two(tmp_path, capsys, command, d, n, message):
 LINK_CLIFF = re.compile(r"intertwining residual \d\.\d{3}e-0\d in dimension 1 \(N=26\)")
 
 
-@pytest.mark.parametrize("argv", [["pgf"], ["simulate", "--coupled"]],
-                         ids=["pgf", "simulate-coupled"])
+@pytest.mark.parametrize("argv", [["simulate", "--coupled"]],
+                         ids=["simulate-coupled"])
 def test_link_past_double_precision_exits_two(tmp_path, capsys, argv):
     path = write_spec(tmp_path, link_cliff_doc())
     code, out, err = run_cli(capsys, [argv[0], path, *argv[1:]])

@@ -24,6 +24,7 @@ import re
 import pytest
 
 from krongambler.cli import ENV_WORKERS, main
+from krongambler.specfile import load_spec
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
 EXPECTED = CORPUS / "expected.json"
@@ -75,6 +76,17 @@ def test_cli_output_matches_recorded(spec, command, expected, monkeypatch):
         nums_got = [float(x) for x in NUMBER.findall(line_got)]
         nums_want = [float(x) for x in NUMBER.findall(line_want)]
         assert all(map(close, nums_got, nums_want)), (line_got, line_want)
+
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_pgf_at_one_is_the_win_prob_solve(spec):
+    # both are one sparse LU solve of the game's kernel at its start
+    pgf, win = run(spec, "pgf"), run(spec, "win-prob")
+    assert pgf["code"] == win["code"] == 0
+    start = ",".join(map(str, load_spec(str(CORPUS / f"{spec}.json")).start))
+    value = json.loads(pgf["stdout"])["values"]["1.0"]
+    assert abs(value - json.loads(win["stdout"])["rho_solve"][start]) <= 1e-15
 
 
 if __name__ == "__main__":

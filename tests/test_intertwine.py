@@ -342,7 +342,6 @@ def test_dual_initial_point_mass_at_bottom():
     out = dual_initial(link, nu)
     assert out.is_distribution
     assert np.allclose(out.values, nu, atol=1e-12)
-    assert abs(out.kappa - link.iso_value) < 1e-12
 
 
 def test_dual_initial_golden_values():
@@ -352,7 +351,6 @@ def test_dual_initial_golden_values():
     expected = np.array([-np.sqrt(q / p), 1 + q / p + np.sqrt(q / p), 0.0])
     assert np.max(np.abs(out.values - expected)) < 1e-12
     assert not out.is_distribution
-    assert abs(out.kappa - link.iso_value * np.abs(expected).sum()) < 1e-12
 
 
 def test_dual_initial_matches_dense_solve():
