@@ -8,10 +8,12 @@ by two independent methods, and look at the full law of the game duration.
 import numpy as np
 
 from krongambler import (
+    AbsorbingChain,
     BirthDeathSpec,
     absorb_dist,
     bd_eigenvalues,
     bd_matrix,
+    bd_restricted,
     bd_win_prob,
     bd_win_prob_solve,
     pgf_two_sided,
@@ -38,9 +40,9 @@ print("pgf of the winning time at s = 0.5:", win.evaluate(0.5))
 print("expected rounds spent before a win (partial expectation):",
       win.mean())
 
-nu = np.zeros(6)
-nu[start] = 1.0
-dist = absorb_dist(bd_matrix(spec), nu, target=5)
+nu = np.zeros(5)
+nu[start - 1] = 1.0
+dist = absorb_dist(AbsorbingChain(bd_restricted(spec), (spec.N,)), nu)
 print("\nfirst win-time probabilities:", np.round(dist.pmf[:8], 6))
 print("their total plus tail:", dist.pmf.sum() + dist.tail)
 print("expectation from the law:", dist.mean())

@@ -51,7 +51,7 @@ print("\nstart (2,2) dual weights:", np.round(weights.values, 4),
 
 # the mixture is linear in the weights: one run of the dual from them
 mixed = link.iso_value * absorb_dist(dual, weights.values).pmf
-direct = absorb_dist(chain, start, target=chain.win_index)
+direct = absorb_dist(chain, start)
 horizon = len(direct.pmf)
 mixture = np.pad(mixed, (0, horizon))[:horizon]
 print("winning-time law, game vs mixed dual, sup difference:",

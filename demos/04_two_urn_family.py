@@ -9,7 +9,7 @@ geometric variables; expectations come out in closed form too.
 
 import numpy as np
 
-from krongambler import absorb_dist, classical_ssd_1d
+from krongambler import AbsorbingChain, absorb_dist, classical_ssd_1d
 from krongambler.birth_death import bd_restricted
 from krongambler.intertwine import ehrenfest_closed_forms, ehrenfest_ergodic
 
@@ -27,7 +27,7 @@ for m in (1, 3, n):
     print(f"  expected time to the top: {forms.expected_time:.6f}")
     nu = np.zeros(n)
     nu[m - 1] = 1.0
-    dist = absorb_dist(bd_restricted(dual_spec), nu, target=n - 1)
+    dist = absorb_dist(AbsorbingChain(bd_restricted(dual_spec), (n,)), nu)
     print(f"  same, from the absorption law: {dist.mean():.6f}")
     print(f"  pgf at 0.9 (closed form): {forms.pgf.evaluate(0.9):.6f}")
 

@@ -9,25 +9,25 @@ nu_hat, is the independent route: since that mixture is linear it is the
 law of one power iteration of the dual started at nu_hat itself, which
 ``verify``'s ``distribution_equality`` compares with the game's own law.
 
-Power iteration runs on a chain's CSR kernel over lattice indices, whose
-last state is the win corner. Ruin, the kernel's row deficit, is a state
-only for the ``"ruin"`` target, which prepends it as a sink to the CSR
-kernel (``linalg.prepend_ruin``); no target needs ``AbsorbingChain.dense``.
+Power iteration runs on a chain's transient block Q over lattice indices
+0..n-2 (``game.AbsorbingChain.transient``): the chain leaves it through
+one exit vector per target, the win column P[:-1, win] or the ruin
+deficit (``AbsorbingChain.exit``), so ruin needs no state of its own and
+no target needs ``AbsorbingChain.dense``.
 
 One engine, ``_power_iteration``, iterates one start vector for
-``absorb_dist``, on games and duals. Each step is one application of the
-kernel to the iterate; the transient-mass test and the target entry are
-read once per block of BLOCK_STEPS steps, and the exact stop step is then
-located inside the block. A kernel row of a game or a dual has at most 3^d
-nonzeros, so kernels with SPARSE_MIN_STATES states or more are multiplied
-as a CSR copy of the transpose, made from the chain's CSR kernel without a
-dense round trip; smaller ones are multiplied as a dense array, made from
-the CSR kernel by the engine. The cutoff is the measured crossover (one
-thread of a 2-vCPU Xeon, OpenBLAS): dense still wins by 1-2 us per step at
-196 states, CSR wins from 216 states, and a step takes about 7 us in CSR
-against 56 us dense at 512 states and 28 us against 3.1 ms at 2,744
-states. The absorbed mass behind the horizon comes from one sparse LU
-solve (``linalg.absorption_probabilities``).
+``absorb_dist``, on games and duals. Each step is one application of Q to
+the transient iterate x; the transient mass sum|x| and the pmf entries
+x_{t-1} . exit are read once per block of BLOCK_STEPS steps, and the exact
+stop step is then located inside the block. A kernel row of a game or a
+dual has at most 3^d nonzeros, so blocks with SPARSE_MIN_STATES transient
+states or more are multiplied as a CSR copy of the transpose of Q; smaller
+ones are multiplied as a dense array, made from Q by the engine. The cutoff
+is the measured crossover (one thread of a 2-vCPU Xeon, OpenBLAS): dense
+still wins by 1-2 us per step at 196 states, CSR wins from 216 states, and
+a step takes about 7 us in CSR against 56 us dense at 512 states and 28 us
+against 3.1 ms at 2,744 states. The target mass behind the horizon is read
+off the last iterate by one sparse LU solve (``linalg.resolvent``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .birth_death import (
     BirthDeathSpec,
@@ -45,14 +44,14 @@ from .birth_death import (
 )
 from .errors import HorizonError, SpecError
 from .game import AbsorbingChain, GameSpec, build_game
-from .linalg import absorption_probabilities, prepend_ruin
+from .linalg import resolvent
 from .pgf import GeometricProductPgf, ResolventPgf
 from .specfile import check_eps, check_horizon
 
 MAX_HORIZON = 10**6
 
-#: Kernels with at least this many states iterate on a CSR copy of their
-#: transpose, smaller ones on a dense kernel (see the module docstring).
+#: Transient blocks of at least this many states iterate on a CSR copy of
+#: their transpose, smaller ones on a dense block (see the module docstring).
 SPARSE_MIN_STATES = 200
 
 #: Steps per block of the power iteration.
@@ -114,14 +113,14 @@ def pgf_two_sided(spec: BirthDeathSpec, start: int) -> tuple:
 class AbsorptionDist:
     """Time-indexed absorption probabilities P(T = t, absorbed at target).
 
-    ``tail`` is the target mass beyond the horizon, computed exactly from the
-    fundamental matrix, so pmf.sum() + tail equals the total absorption
-    probability at the target, a state index or ``"ruin"``.
+    ``tail`` is the target mass beyond the horizon, solved exactly from the
+    last transient iterate, so pmf.sum() + tail equals the total absorption
+    probability at the target, ``"win"`` or ``"ruin"``.
     """
 
     pmf: np.ndarray
     tail: float
-    target: int | str
+    target: str
     eps: float
 
     def mass(self) -> float:
@@ -136,61 +135,50 @@ class AbsorptionDist:
         return float(np.dot(np.arange(len(self.pmf)), self.pmf))
 
 
-def _power_iteration(p, start: np.ndarray, target: int,
+def _power_iteration(q, exit, start: np.ndarray,
                      horizon: int | None, eps: float) -> tuple:
-    """Absorption pmf at ``target`` from one start vector, which may be signed.
+    """Absorption pmf through ``exit`` from one transient start, maybe signed.
 
-    ``p`` is a dense or sparse kernel, iterated in CSR form from
-    SPARSE_MIN_STATES states and densely below. Iteration stops at the
-    first step t < horizon at which the iterate's transient l1 mass is below
-    eps, or after ``horizon`` steps; without a horizon, failing to converge
-    within MAX_HORIZON steps raises. Returns the pmf and the start's total
-    absorption mass at the target, solved exactly from the fundamental
-    matrix.
+    ``q`` is a chain's transient block in CSR form, iterated as such from
+    SPARSE_MIN_STATES states and densely below, and ``exit`` its one-step
+    exit probabilities to the target. Iteration stops at the first step
+    t < horizon at which the iterate's l1 mass is below eps, or after
+    ``horizon`` steps; without a horizon, failing to converge within
+    MAX_HORIZON steps raises. Returns the pmf, with pmf[0] = 0 and
+    pmf[t] = x_{t-1} . exit, and the tail (I - Q)^-1 exit . x_last, the
+    target mass behind the last step.
 
     Steps are written in blocks into one buffer of iterates (see the module
     docstring); everything kept past a block is copied out of it.
     """
-    n = p.shape[0]
-    if n >= SPARSE_MIN_STATES:
-        # one CSR copy serves the steps (as its transpose) and the tail solve
-        p = sparse.csr_array(p)
-        kernel_t = p.T.tocsr()
+    m = q.shape[0]
+    if m >= SPARSE_MIN_STATES:
+        q_t = q.T.tocsr()
 
         def step(x, out):
-            out[...] = kernel_t @ x
+            out[...] = q_t @ x
     else:
-        if sparse.issparse(p):
-            p = p.toarray()
+        dense = q.toarray()
 
         def step(x, out):
-            np.matmul(x, p, out=out)
+            np.matmul(x, dense, out=out)
 
-    absorbing = p.diagonal() >= 1.0 - 1e-12
-    if not absorbing[target]:
-        raise ValueError(f"state {target} is not absorbing")
-    transient = np.flatnonzero(~absorbing)
     cap = MAX_HORIZON if horizon is None else int(horizon)
-
-    buf = np.empty((BLOCK_STEPS + 1, n))
+    buf = np.empty((BLOCK_STEPS + 1, m))
     buf[0] = start
-    in_transient = (~absorbing).astype(float)
-
-    def transient_mass(x):
-        return np.abs(x) @ in_transient
-
-    reached = [buf[:1, target].copy()]
+    ones = np.ones(m)
+    pmf = [np.zeros(1)]
     t = 0
     last = None
     while last is None and t < cap:
         steps = min(BLOCK_STEPS, cap - t)
         for i in range(steps):
             step(buf[i], buf[i + 1])
-        below = np.flatnonzero(transient_mass(buf[:steps]) < eps)
+        below = np.flatnonzero(np.abs(buf[:steps]) @ ones < eps)
         if below.size:
             steps = int(below[0])
             last = buf[steps].copy()
-        reached.append(buf[1:steps + 1, target].copy())
+        pmf.append(buf[:steps] @ exit)
         t += steps
         if last is None:
             buf[0] = buf[steps]
@@ -201,30 +189,28 @@ def _power_iteration(p, start: np.ndarray, target: int,
         last = buf[0].copy()
         if horizon is None:
             raise HorizonError(
-                f"transient mass {transient_mass(last):.3e} after {cap} steps"
+                f"transient mass {np.abs(last) @ ones:.3e} after {cap} steps"
             )
-    pmf = np.diff(np.concatenate(reached), prepend=0.0)
-    return pmf, absorption_probabilities(p, transient, target) @ last
+    return np.concatenate(pmf), float(resolvent(q).solve(exit) @ last)
 
 
 def absorb_dist(
-    chain,
+    chain: AbsorbingChain,
     nu,
-    target: int | str | None = None,
+    target: str = "win",
     horizon: int | None = None,
     eps: float = 1e-12,
 ) -> AbsorptionDist:
     """Law of the absorption time at ``target`` by power iteration.
 
-    ``chain`` is a substochastic matrix or an AbsorbingChain (a game or its
-    pure-birth dual), and ``nu`` a start vector over its states; it may be
-    signed (mixtures of dual weights), in which case a clearly negative pmf
-    entry raises. ``target`` defaults to the last state (the win corner of
-    a chain); ``"ruin"`` targets the row deficits, collected in a sink
-    prepended by :func:`krongambler.linalg.prepend_ruin`. Iteration stops
-    once the transient mass drops below eps or the horizon is reached;
-    without an explicit horizon, failing to converge within 10^6 steps
-    raises. ``eps`` and ``horizon`` follow the spec file's rules
+    ``chain`` is an AbsorbingChain (a game or its pure-birth dual) and
+    ``nu`` a start vector over its states; it may be signed (mixtures of
+    dual weights), in which case a clearly negative pmf entry raises.
+    ``target`` is ``"win"`` (the win corner; pmf[0] is nu's mass there) or
+    ``"ruin"`` (the row deficits); anything else raises ValueError.
+    Iteration stops once the transient mass drops below eps or the horizon
+    is reached; without an explicit horizon, failing to converge within
+    10^6 steps raises. ``eps`` and ``horizon`` follow the spec file's rules
     (:func:`krongambler.specfile.check_eps`, ``check_horizon``) and are
     checked before any step. The check that the dual mixture reproduces this
     law for a game is ``distribution_equality`` in
@@ -233,21 +219,16 @@ def absorb_dist(
     eps = check_eps(eps)
     if horizon is not None:
         horizon = check_horizon(horizon)
-    p = (chain.matrix if isinstance(chain, AbsorbingChain)
-         else np.asarray(chain, dtype=float))
-    start = np.asarray(nu, dtype=float).reshape(p.shape[0])
-    if target == "ruin":
-        p = prepend_ruin(p)
-        start = np.pad(start, (1, 0))
-        index = 0
-    else:
-        target = index = p.shape[0] - 1 if target is None else int(target)
-    pmf, absorbed = _power_iteration(p, start, index, horizon, eps)
+    exit = chain.exit(target)
+    start = np.asarray(nu, dtype=float).reshape(chain.size)
+    pmf, tail = _power_iteration(chain.transient, exit, start[:-1], horizon,
+                                 eps)
+    if target == "win":
+        pmf[0] = start[-1]
     low = float(pmf.min(initial=0.0))
     if low < -1e-12:
         raise SpecError(f"mixture pmf entry {low:.3e}; inconsistent weights")
     np.clip(pmf, 0.0, None, out=pmf)
-    tail = float(absorbed - pmf.sum())
     return AbsorptionDist(pmf=pmf, tail=tail, target=target, eps=eps)
 
 
@@ -263,4 +244,4 @@ def pgf_multidim(game: GameSpec, nu_star) -> ResolventPgf:
     """
     chain = build_game(game)
     nu = np.asarray(nu_star, dtype=float).reshape(chain.size)
-    return ResolventPgf(kernel=chain.matrix, nu=nu)
+    return ResolventPgf(chain=chain, nu=nu)

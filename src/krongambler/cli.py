@@ -84,7 +84,7 @@ def cmd_absorb_dist(args) -> int:
     game = parsed.game
     start = _parse_start(args.start, parsed)
     chain = build_game(game)
-    target = None if args.target == "win" else "ruin"
+    target = "win" if args.target == "win" else "ruin"
     nu = lattice_point_mass(game.shape, start)
     horizon = (parsed.horizon if args.horizon is None
                else check_horizon(args.horizon, "--horizon"))

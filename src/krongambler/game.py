@@ -16,15 +16,18 @@ capped before it allocates: at ``linalg.MAX_TRIPLETS`` triplets, and at
 the dense cap for games of three or more coordinates.
 
 States are lattice points indexed 0..n-1 in row-major order (coordinate d
-varies fastest), so the win corner (N_1, ..., N_d) is the last index. Ruin
-is not a state index; it becomes an explicit state only where a law needs
-it as a category (``linalg.prepend_ruin`` and the simulator's step table).
+varies fastest), so the win corner (N_1, ..., N_d) is the last index and
+the others are transient. Ruin is not a state index: a chain leaves its
+transient states through ruin (the row deficit) or the win corner, so every
+absorption solve reads the transient block and one exit vector
+(``AbsorbingChain.transient`` and ``AbsorbingChain.exit``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, prod
 
 import numpy as np
@@ -137,9 +140,10 @@ class AbsorbingChain:
 
     ``matrix`` is the substochastic kernel over lattice indices 0..n-1 as a
     ``scipy.sparse.csr_array`` (a dense argument is converted); the last
-    index is the absorbing win corner (N_1..N_d). Each row's deficit is its
-    one-step probability of ruin. Code that needs the kernel as a dense
-    array calls :meth:`dense`, the one place it is made dense.
+    index is the absorbing win corner (N_1..N_d), the others are transient,
+    and each row's deficit is its one-step probability of ruin. Code that
+    needs the kernel as a dense array calls :meth:`dense`, the one place it
+    is made dense.
     """
 
     matrix: sparse.csr_array
@@ -156,10 +160,31 @@ class AbsorbingChain:
     def win_index(self) -> int:
         return self.size - 1
 
-    @property
+    @cached_property
     def ruin(self) -> np.ndarray:
-        """One-step ruin probability of every lattice state."""
-        return np.clip(1.0 - self.matrix @ np.ones(self.size), 0.0, None)
+        """One-step ruin probability of every lattice state (cached, read-only)."""
+        ruin = np.clip(1.0 - self.matrix @ np.ones(self.size), 0.0, None)
+        ruin.flags.writeable = False
+        return ruin
+
+    @cached_property
+    def transient(self) -> sparse.csr_array:
+        """Transient block Q: the kernel on states 0..n-2, in CSR (cached)."""
+        return self.matrix[:-1, :-1]
+
+    @cached_property
+    def _to_win(self) -> np.ndarray:
+        to_win = self.matrix[:-1, [self.win_index]].toarray()[:, 0]
+        to_win.flags.writeable = False
+        return to_win
+
+    def exit(self, target: str) -> np.ndarray:
+        """Transient states' one-step exits: P[:-1, win] or ``ruin[:-1]``."""
+        if target == "win":
+            return self._to_win
+        if target == "ruin":
+            return self.ruin[:-1]
+        raise ValueError(f"target must be 'win' or 'ruin', got {target!r}")
 
     def dense(self) -> np.ndarray:
         """The kernel as a new dense array.
@@ -346,22 +371,15 @@ def check_communication(chain: AbsorbingChain) -> bool:
     that coordinate back down, so strong connectivity is deliberately not
     required; it fails even for the plain one-coordinate-at-a-time game.
     """
-    n = chain.size
-    sub = chain.matrix[:-1, :-1]
-    edges = sparse.csr_array(
-        ((sub.data > 0.0).astype(float), sub.indices, sub.indptr),
-        shape=sub.shape,
-    )
-    edges.eliminate_zeros()
-    if n > 2:
+    edges = (chain.transient > 0.0).astype(float)
+    if chain.size > 2:
         n_comp, _ = connected_components(edges, directed=True, connection="weak")
         if n_comp != 1:
             return False
     # absorption reachable from everywhere: walk the digraph backwards from
     # the states that step straight into ruin or the win corner, one
     # mat-vec per step
-    to_win = chain.matrix[:-1, [n - 1]].toarray()[:, 0]
-    exits = (chain.ruin[:-1] > 0.0) | (to_win > 0.0)
+    exits = (chain.exit("ruin") > 0.0) | (chain.exit("win") > 0.0)
     reach = exits.copy()
     frontier = exits.astype(float)
     while frontier.any():

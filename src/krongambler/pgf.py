@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .linalg import absorption_probabilities, absorption_system
+from .game import AbsorbingChain
+from .linalg import resolvent
 
 _SINGULARITY_TOL = 1e-14
 
@@ -71,24 +71,23 @@ class GeometricProductPgf:
 
 @dataclass(frozen=True, eq=False)
 class ResolventPgf:
-    """pgf of the time to reach a chain's last state, one sparse solve per point.
+    """pgf of a chain's time to its win corner, one sparse solve per point.
 
-    ``kernel`` is the substochastic kernel of a chain whose last state is its
-    one absorbing state (a game's win corner; ruin is the row deficit), and
-    ``nu`` a start law over its states. The value at s is nu . h(s), where
-    h(s) is the absorption probability at the last state of the kernel
-    s * P. Evaluable for |s| <= 1.
+    ``chain`` is an AbsorbingChain (a game) and ``nu`` a start law over its
+    states. The value at s is nu[win] + nu[:-1] . h(s), where h(s) solves
+    (I - sQ) h = s P[:-1, win] on the transient block Q
+    (``linalg.resolvent``). Evaluable for |s| <= 1.
     """
 
-    kernel: sparse.csr_array
+    chain: AbsorbingChain
     nu: np.ndarray
 
     def evaluate(self, s: float) -> float:
         if not abs(s) <= 1.0:  # NaN fails this test too
             raise ValueError("resolvent pgf is only evaluable for |s| <= 1")
-        n = self.kernel.shape[0]
-        h = absorption_probabilities(s * self.kernel, np.arange(n - 1), n - 1)
-        return float(self.nu @ h)
+        chain = self.chain
+        h = resolvent(chain.transient, s).solve(s * chain.exit("win"))
+        return float(self.nu[:-1] @ h + self.nu[-1])
 
     __call__ = evaluate
 
@@ -97,9 +96,8 @@ class ResolventPgf:
 
     def mean(self) -> float:
         """nu . (I - Q)^-1 h(1): the derivative at s=1, by one more solve."""
-        n = self.kernel.shape[0]
-        lu, rhs = absorption_system(self.kernel, np.arange(n - 1), n - 1)
-        return float(self.nu[:-1] @ lu.solve(lu.solve(rhs)))
+        lu = resolvent(self.chain.transient)
+        return float(self.nu[:-1] @ lu.solve(lu.solve(self.chain.exit("win"))))
 
 
 @dataclass(frozen=True)

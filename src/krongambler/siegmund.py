@@ -17,7 +17,7 @@ import numpy as np
 
 from .birth_death import bd_win_prob
 from .game import AbsorbingChain, GameSpec
-from .linalg import absorption_probabilities
+from .linalg import resolvent
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +68,8 @@ def win_prob_solve(chain: AbsorbingChain) -> np.ndarray:
 
     One sparse LU of the CSR kernel's transient block; no dense copy.
     """
-    n = chain.size
-    return absorption_probabilities(chain.matrix, np.arange(n - 1), n - 1)
+    h = resolvent(chain.transient).solve(chain.exit("win"))
+    return np.append(h, 1.0)
 
 
 def stationary_of(p_x: np.ndarray) -> np.ndarray:

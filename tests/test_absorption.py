@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from krongambler import (
+    AbsorbingChain,
     BirthDeathSpec,
     GameSpec,
     HorizonError,
     SpecError,
     absorb_dist,
+    absorption,
     bd_eigenvalues,
     bd_win_prob,
     build_game,
@@ -162,8 +164,8 @@ def test_two_sided_requires_reachable_ruin():
 
 
 def test_absorb_dist_deterministic_step():
-    dual = pure_birth_1d(np.array([0.0, 1.0]))
-    dist = absorb_dist(dual, np.array([1.0, 0.0]), target=1)
+    dual = AbsorbingChain(pure_birth_1d(np.array([0.0, 1.0])), (2,))
+    dist = absorb_dist(dual, np.array([1.0, 0.0]))
     assert np.allclose(dist.pmf, [0.0, 1.0], atol=1e-15)
     assert dist.tail == 0.0
 
@@ -171,7 +173,8 @@ def test_absorb_dist_deterministic_step():
 def test_absorb_dist_geometric_law():
     alpha = 0.3
     spec = BirthDeathSpec(N=2, p=(alpha,), q=(0.0,))
-    dist = absorb_dist(bd_restricted(spec), np.array([1.0, 0.0]), target=1)
+    dist = absorb_dist(AbsorbingChain(bd_restricted(spec), (spec.N,)),
+                       np.array([1.0, 0.0]))
     t = np.arange(1, len(dist.pmf))
     assert np.max(np.abs(dist.pmf[1:] - alpha * (1 - alpha) ** (t - 1))) < 1e-12
 
@@ -183,7 +186,7 @@ def test_absorb_dist_matches_series_of_closed_form():
         GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
     )
     nu = np.array([0.0, 1.0, 0.0])
-    dist = absorb_dist(chain, nu, target=chain.win_index)
+    dist = absorb_dist(chain, nu)
     # series coefficients of the closed form, via geometric expansions
     lam = bd_eigenvalues(spec)[:-1]
     horizon = 31
@@ -199,8 +202,8 @@ def test_absorb_dist_matches_series_of_closed_form():
 
 def test_absorb_dist_horizon_and_tail():
     spec = BirthDeathSpec(N=2, p=(0.3,), q=(0.0,))
-    dist = absorb_dist(bd_restricted(spec), np.array([1.0, 0.0]), target=1,
-                       horizon=5)
+    dist = absorb_dist(AbsorbingChain(bd_restricted(spec), (spec.N,)),
+                       np.array([1.0, 0.0]), horizon=5)
     assert len(dist.pmf) <= 6
     assert dist.tail > 0
     assert abs(dist.pmf.sum() + dist.tail - 1.0) < 1e-12
@@ -208,10 +211,38 @@ def test_absorb_dist_horizon_and_tail():
         dist.mean()
 
 
-def test_absorb_dist_rejects_non_absorbing_target():
-    spec = golden_spec()
-    with pytest.raises(ValueError):
-        absorb_dist(bd_restricted(spec), np.array([1.0, 0.0, 0.0]), target=1)
+@pytest.mark.parametrize("target, want", [("win", 1.0), ("ruin", 0.0)])
+def test_absorb_dist_from_the_win_corner(target, want):
+    chain = build_game(golden_game())
+    dist = absorb_dist(chain, lattice_point_mass(chain.dims, (3,)),
+                       target=target)
+    assert dist.pmf.tolist() == [want]
+    assert dist.tail == 0.0
+
+
+@pytest.mark.parametrize("target", ["lose", 2, None])
+def test_absorb_dist_rejects_unknown_target(target):
+    chain = build_game(golden_game())
+    with pytest.raises(ValueError, match="target"):
+        absorb_dist(chain, lattice_point_mass(chain.dims, (2,)), target=target)
+
+
+def test_slow_game_keeps_its_transient_states(monkeypatch):
+    # Every rate is 1e-13, so each transient state holds with probability
+    # 1 - 2e-13; such a state is still transient, and its mass still counts.
+    spec = BirthDeathSpec(N=3, p=(1e-13, 1e-13), q=(0.0, 1e-13))
+    chain = build_game(
+        GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
+    )
+    nu = lattice_point_mass(chain.dims, (1,))
+    monkeypatch.setattr(absorption, "MAX_HORIZON", 1000)
+    with pytest.raises(HorizonError, match="transient mass 1.000e"):
+        absorb_dist(chain, nu)
+    dist = absorb_dist(chain, nu, horizon=10)
+    assert dist.pmf.shape == (11,)
+    # rho = 1; the remaining 1.2e-3 is the 1 - P[i, i] cancellation of the
+    # resolvent's diagonal on so slow a game
+    assert dist.mass() >= 0.99
 
 
 def test_ruin_target_matches_two_sided_lose_branch():
@@ -247,8 +278,8 @@ def test_expected_time_two_routes_agree():
     for _ in range(10):
         spec = rand_bd(rng, int(rng.integers(2, 6)), q1_zero=True, budget=0.5)
         pgf = pgf_keilson(spec)
-        dist = absorb_dist(bd_restricted(spec), np.eye(spec.N)[0],
-                           target=spec.N - 1)
+        dist = absorb_dist(AbsorbingChain(bd_restricted(spec), (spec.N,)),
+                           np.eye(spec.N)[0])
         assert abs(pgf.mean() - dist.mean()) < 1e-8
 
 
@@ -257,7 +288,8 @@ def test_keilson_factorization_against_convolution():
     for _ in range(10):
         n = int(rng.integers(2, 11))
         spec = rand_bd(rng, n, q1_zero=True, budget=0.5)
-        dist = absorb_dist(bd_restricted(spec), np.eye(n)[0], target=n - 1)
+        dist = absorb_dist(AbsorbingChain(bd_restricted(spec), (n,)),
+                           np.eye(n)[0])
         lam = bd_eigenvalues(spec)[:-1]
         conv = geometric_convolution_pmf(1.0 - lam, len(dist.pmf) - 1)
         assert np.max(np.abs(conv - dist.pmf)) < 1e-10
@@ -289,8 +321,7 @@ def test_multidim_no_ruin_start_bottom_equals_dual_time():
         link, dual = build_dual(game)
         nu = np.zeros(game.size)
         nu[0] = 1.0
-        direct = absorb_dist(chain, nu,
-                             target=chain.win_index)
+        direct = absorb_dist(chain, nu)
         dual_dist = absorb_dist(dual, nu)
         horizon = min(len(direct.pmf), len(dual_dist.pmf))
         assert np.max(
@@ -308,8 +339,7 @@ def test_multidim_signed_mixture_matches_win_conditioned_law():
         start[int(rng.integers(0, game.size - 1))] = 1.0
         weights = dual_initial(link, start).values
         dual_pmf = link.iso_value * absorb_dist(dual, weights).pmf
-        direct = absorb_dist(chain, start,
-                             target=chain.win_index)
+        direct = absorb_dist(chain, start)
         horizon = len(direct.pmf)
         mixture_pmf = np.pad(dual_pmf, (0, horizon))[:horizon]
         assert np.max(np.abs(mixture_pmf - direct.pmf)) < 1e-9
@@ -388,7 +418,8 @@ def test_geometric_product_at_zero_is_the_pmf_at_zero():
     assert win.evaluate(0.0) == absorb_dist(chain, nu).pmf[0]
     assert lose.evaluate(0.0) == absorb_dist(chain, nu, target="ruin").pmf[0]
     interior = BirthDeathSpec(N=4, p=(0.3,) * 3, q=(0.0, 0.1, 0.1))
-    pmf = absorb_dist(bd_restricted(interior), np.eye(4)[1], target=3).pmf
+    pmf = absorb_dist(AbsorbingChain(bd_restricted(interior), (4,)),
+                      np.eye(4)[1]).pmf
     assert pgf_interior(interior, 2).evaluate(0.0) == pmf[0]
 
 
@@ -406,8 +437,8 @@ def test_absorb_dist_rejects_bad_eps_and_horizon_before_iterating(kwargs):
     spec = BirthDeathSpec(N=2, p=(0.3,), q=(0.0,))
     t0 = time.perf_counter()
     with pytest.raises(SpecError, match=next(iter(kwargs))):
-        absorb_dist(bd_restricted(spec), np.array([1.0, 0.0]), target=1,
-                    **kwargs)
+        absorb_dist(AbsorbingChain(bd_restricted(spec), (spec.N,)),
+                    np.array([1.0, 0.0]), **kwargs)
     assert time.perf_counter() - t0 < 0.1
 
 

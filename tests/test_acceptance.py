@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from krongambler import (
+    AbsorbingChain,
     BirthDeathSpec,
     GameSpec,
     SimConfig,
@@ -117,8 +118,7 @@ def test_criterion_3_distribution_equality():
         link, dual = build_dual(game)
         nu = np.zeros(game.size)
         nu[0] = 1.0
-        direct = absorb_dist(chain, nu,
-                             target=chain.win_index, eps=1e-12)
+        direct = absorb_dist(chain, nu, eps=1e-12)
         dual_dist = absorb_dist(dual, nu, eps=1e-12)
         horizon = min(len(direct.pmf), len(dual_dist.pmf))
         worst_safe = max(
@@ -132,8 +132,7 @@ def test_criterion_3_distribution_equality():
         link, dual = build_dual(game)
         nu = np.zeros(game.size)
         nu[0] = 1.0
-        direct = absorb_dist(chain, nu,
-                             target=chain.win_index, eps=1e-12)
+        direct = absorb_dist(chain, nu, eps=1e-12)
         mixture = mixture_pmf_against(direct.pmf, link, dual,
                                       dual_initial(link, nu).values)
         worst_two_sided = max(
@@ -266,8 +265,8 @@ def test_criterion_8_geometric_factorization():
     for _ in range(15):
         n = int(rng.integers(2, 11))
         spec = rand_bd(rng, n, q1_zero=True, budget=0.6)
-        dist = absorb_dist(bd_restricted(spec), np.eye(n)[0], target=n - 1,
-                           eps=1e-12)
+        dist = absorb_dist(AbsorbingChain(bd_restricted(spec), (n,)),
+                           np.eye(n)[0], eps=1e-12)
         lam = bd_eigenvalues(spec)[:-1]
         conv = geometric_convolution_pmf(1.0 - lam, len(dist.pmf) - 1)
         worst = max(worst, float(np.max(np.abs(conv - dist.pmf))))

@@ -254,6 +254,16 @@ def test_pgf_eval_beyond_radius_exits_two(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("target, pmf", [("win", 1.0), ("lose", 0.0)])
+def test_absorb_dist_from_the_win_corner(tmp_path, capsys, target, pmf):
+    path = write_spec(tmp_path, lazy_two_dim_doc())
+    code, out, _ = run_cli(
+        capsys, ["absorb-dist", path, "--start", "3,3", "--target", target]
+    )
+    assert code == 0
+    assert out.splitlines() == ["t,pmf,cdf", f"0,{pmf!r},{pmf!r}"]
+
+
 @pytest.mark.parametrize("points", ["nan,1.0", "inf", "0.5,-inf"])
 def test_pgf_eval_non_finite_exits_two(tmp_path, capsys, points):
     path = write_spec(tmp_path, lazy_two_dim_doc())

@@ -5,8 +5,9 @@ before the pure-birth dual and the power iteration were each reduced to a
 single construction. Exit codes, line counts and all non-numeric text (JSON
 keys, check names, pass flags) must match exactly. Numbers must agree within
 1e-12 * max(1, |x|) rather than byte for byte: the Kronecker assembly of the
-dual and the cumulative-difference pmf round a few results differently in the
-last one or two bits.
+dual and the pmf read as the exit flow x_{t-1} . exit (once a difference of
+cumulative target masses) round a few results differently in the last one or
+two bits.
 
 Record the outputs again (only when a change of output is intended) with
 

@@ -305,6 +305,19 @@ def test_chain_converts_dense_matrix_to_csr():
     assert np.array_equal(chain.ruin, [0.25, 0.0, 0.0])
 
 
+def test_chain_reads_transient_block_and_exits_once():
+    m = np.array([[0.25, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+    chain = AbsorbingChain(matrix=m, dims=(3,))
+    assert np.array_equal(chain.transient.toarray(), m[:-1, :-1])
+    assert np.array_equal(chain.exit("win"), [0.0, 0.5])
+    assert np.array_equal(chain.exit("ruin"), [0.25, 0.0])
+    assert chain.exit("win") is chain.exit("win")
+    # the cached vectors are shared by every caller, so they are read-only
+    for target in ("win", "ruin"):
+        with pytest.raises(ValueError, match="read-only"):
+            chain.exit(target)[0] = 1.0
+
+
 def test_dense_kernel_past_the_cap_raises_size_error():
     rng = np.random.default_rng(44)
     dims = [rand_bd(rng, 57, budget=0.45) for _ in range(2)]

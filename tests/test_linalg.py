@@ -2,10 +2,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krongambler import AbsorbingChain
 from krongambler.birth_death import bd_matrix, bd_restricted
 from krongambler.game import _kron_triplets
 from krongambler.intertwine import SpectralLink
-from krongambler.linalg import prepend_ruin
 
 from conftest import rand_bd
 
@@ -69,16 +69,6 @@ def test_kron_hand_expansion():
     assert np.array_equal(kron(a, b), expected)
 
 
-def test_augment_stochastic_input_has_unreachable_sink():
-    out = prepend_ruin(np.eye(2)).toarray()
-    assert np.array_equal(out, np.eye(3))
-
-
-def test_augment_collects_leak():
-    out = prepend_ruin(np.array([[0.5]])).toarray()
-    assert np.allclose(out, [[1.0, 0.0], [0.5, 0.5]])
-
-
 def test_augment_restrict_round_trip_matches_game_matrix():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -86,7 +76,8 @@ def test_augment_restrict_round_trip_matches_game_matrix():
         full = bd_matrix(spec)
         interior = full[1:, 1:]
         assert np.array_equal(interior, bd_restricted(spec))
-        assert np.allclose(prepend_ruin(interior).toarray(), full, atol=1e-15)
+        chain = AbsorbingChain(interior, (spec.N,))
+        assert np.allclose(chain.ruin, full[1:, 0], atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)

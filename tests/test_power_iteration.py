@@ -4,9 +4,10 @@ Every case asks for the same pmf length as the oracle and agreement within
 1e-12 on the pmf and the absorbed mass.
 """
 
+import math
+
 import numpy as np
 import pytest
-from scipy import sparse
 
 from krongambler import (
     HorizonError,
@@ -18,18 +19,24 @@ from krongambler import (
 from krongambler.absorption import _power_iteration
 from krongambler.game import lattice_point_mass
 from krongambler.intertwine import build_dual, dual_initial
+from krongambler.specfile import load_spec
 
 from conftest import dual_safe_budget, rand_bd, reference_power_iteration
+from test_cli_corpus import CORPUS
 
 TOL = 1e-12
 
 
-def assert_matches_reference(p, start, target, horizon=None, eps=1e-12):
-    got_pmf, got_absorbed = _power_iteration(p, start, target, horizon, eps)
-    want_pmf, want_absorbed = reference_power_iteration(
-        p.toarray() if sparse.issparse(p) else p, start[None], target, horizon,
-        eps,
+def assert_matches_reference(chain, start, horizon=None, eps=1e-12):
+    """The engine's win law against the oracle's; returns (pmf, absorbed)."""
+    got_pmf, got_tail = _power_iteration(
+        chain.transient, chain.exit("win"), start[:-1], horizon, eps
     )
+    got_pmf[0] = start[-1]
+    want_pmf, want_absorbed = reference_power_iteration(
+        chain.dense(), start[None], chain.win_index, horizon, eps
+    )
+    got_absorbed = got_pmf.sum() + got_tail
     assert got_pmf.shape == want_pmf[0].shape
     assert np.max(np.abs(got_pmf - want_pmf[0])) <= TOL
     assert abs(got_absorbed - want_absorbed[0]) <= TOL
@@ -64,7 +71,7 @@ def test_game_kernel_matches_reference(shape):
     chain = build_game(game)
     start = np.zeros(game.size)
     start[int(rng.integers(0, game.size - 1))] = 1.0
-    assert_matches_reference(chain.matrix, start, chain.win_index)
+    assert_matches_reference(chain, start)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -76,7 +83,7 @@ def test_dual_batch_matches_reference(shape):
     nu = lattice_point_mass(game.shape, (2,) * len(shape))
     weights = dual_initial(link, nu).values
     assert weights.min() < 0.0
-    assert_matches_reference(dual.matrix, weights, dual.win_index)
+    assert_matches_reference(dual, weights)
 
 
 def test_storage_cutoff_splits_the_shapes():
@@ -92,7 +99,7 @@ def test_signed_start_row_matches_reference(shape):
     chain = build_game(game)
     start = rng.normal(size=game.size)
     start /= np.abs(start).sum()
-    assert_matches_reference(chain.matrix, start, chain.win_index)
+    assert_matches_reference(chain, start)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -107,7 +114,7 @@ def test_stop_at_block_boundary(shape, offset):
     # eps between the masses at stop - 1 and stop: the first step whose
     # transient mass falls below eps is exactly ``stop``.
     eps = float(np.sqrt(masses[stop - 1] * masses[stop]))
-    pmf, _ = assert_matches_reference(chain.matrix, start, chain.win_index, eps=eps)
+    pmf, _ = assert_matches_reference(chain, start, eps=eps)
     assert pmf.shape == (stop + 1,)
 
 
@@ -117,9 +124,7 @@ def test_horizon_shorter_than_convergence(offset):
     chain = build_game(random_game(rng, (15, 15)))
     horizon = absorption.BLOCK_STEPS + offset
     start = lattice_point_mass(chain.dims, (1, 1))
-    pmf, absorbed = assert_matches_reference(
-        chain.matrix, start, chain.win_index, horizon=horizon
-    )
+    pmf, absorbed = assert_matches_reference(chain, start, horizon=horizon)
     assert pmf.shape == (horizon + 1,)
     dist = absorb_dist(chain, start, horizon=horizon)
     assert dist.tail > dist.eps
@@ -136,9 +141,35 @@ def test_non_convergence_raises_like_reference(monkeypatch):
             chain.dense(), start[None], chain.win_index, None, 1e-12
         )
     with pytest.raises(HorizonError) as got:
-        _power_iteration(chain.matrix, start, chain.win_index, None, 1e-12)
+        _power_iteration(chain.transient, chain.exit("win"), start[:-1],
+                         None, 1e-12)
     assert str(got.value) == str(want.value)
     assert f"after {absorption.BLOCK_STEPS + 5} steps" in str(got.value)
+
+
+@pytest.mark.parametrize("target", ["win", "ruin"])
+def test_tail_matches_the_series_past_the_horizon(target):
+    # The oracle continues the dense power iteration past the horizon and
+    # sums the exit terms x_{t-1} . exit; it does not use the LU.
+    spec = load_spec(CORPUS / "d3_r2.json")
+    chain = build_game(spec.game)
+    nu = lattice_point_mass(chain.dims, spec.start)
+    horizon = 260
+    dist = absorb_dist(chain, nu, target=target, horizon=horizon)
+    kernel = chain.dense()
+    q = kernel[:-1, :-1]
+    exit = (kernel[:-1, -1] if target == "win"
+            else np.clip(1.0 - kernel.sum(axis=1), 0.0, None)[:-1])
+    x = nu[:-1]
+    for _ in range(horizon):
+        x = x @ q
+    terms = []
+    while np.abs(x).sum() > 1e-300:
+        terms.append(float(x @ exit))
+        x = x @ q
+    series = math.fsum(terms)
+    assert series > 0.0
+    assert abs(dist.tail - series) <= 1e-12 * series
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 4), (15, 15)])

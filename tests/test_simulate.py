@@ -172,8 +172,7 @@ def test_coupled_win_times_pass_chi_square():
     nu[0] = 1.0
     report = simulate_coupled(game, nu, SimConfig(runs=30_000, seed=7))
     chain = build_game(game)
-    exact = absorb_dist(chain, nu,
-                        target=chain.win_index)
+    exact = absorb_dist(chain, nu)
     obs, exp = chi_square_bins(
         report.counts_win.astype(float),
         exact.pmf / exact.pmf.sum(),
@@ -192,7 +191,7 @@ def test_plain_win_times_pass_chi_square():
     report = simulate(chain, (2,), SimConfig(runs=30_000, seed=17, workers=2))
     nu = np.zeros(4)
     nu[1] = 1.0
-    exact = absorb_dist(chain, nu, target=chain.win_index)
+    exact = absorb_dist(chain, nu)
     obs, exp = chi_square_bins(
         report.counts_win.astype(float),
         exact.pmf / exact.pmf.sum(),
