@@ -144,9 +144,11 @@ def _power_iteration(q, exit, start: np.ndarray,
     exit probabilities to the target. Iteration stops at the first step
     t < horizon at which the iterate's l1 mass is below eps, or after
     ``horizon`` steps; without a horizon, failing to converge within
-    MAX_HORIZON steps raises. Returns the pmf, with pmf[0] = 0 and
-    pmf[t] = x_{t-1} . exit, and the tail (I - Q)^-1 exit . x_last, the
-    target mass behind the last step.
+    MAX_HORIZON steps raises. A nonnegative start keeps
+    sum(x_t) >= sum(x_0) * r^t, with r the least row sum of Q, so when that
+    floor is still at least eps at MAX_HORIZON it raises before any step.
+    Returns the pmf, with pmf[0] = 0 and pmf[t] = x_{t-1} . exit, and the
+    tail (I - Q)^-1 exit . x_last, the target mass behind the last step.
 
     Steps are written in blocks into one buffer of iterates (see the module
     docstring); everything kept past a block is copied out of it.
@@ -164,9 +166,17 @@ def _power_iteration(q, exit, start: np.ndarray,
             np.matmul(x, dense, out=out)
 
     cap = MAX_HORIZON if horizon is None else int(horizon)
+    ones = np.ones(m)
+    if horizon is None and start.min(initial=0.0) >= 0.0:
+        r = float((q @ ones).min(initial=1.0))
+        floor = start.sum() * r**cap
+        if floor >= eps:
+            raise HorizonError(
+                f"transient mass stays >= {floor:.3e} for {cap} steps "
+                f"(least row sum of Q {r!r}); pass a horizon"
+            )
     buf = np.empty((BLOCK_STEPS + 1, m))
     buf[0] = start
-    ones = np.ones(m)
     pmf = [np.zeros(1)]
     t = 0
     last = None

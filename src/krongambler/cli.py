@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -23,8 +22,6 @@ from .specfile import check_eps, check_horizon, load_spec
 from .simulate import SimConfig, simulate, simulate_coupled
 from .verify import all_passed, run_checks
 
-ENV_WORKERS = "GAMBLER_WORKERS"
-
 
 def _fail(message: str, field: str | None = None) -> int:
     body = {"error": message}
@@ -32,19 +29,6 @@ def _fail(message: str, field: str | None = None) -> int:
         body["field"] = field
     print(json.dumps(body), file=sys.stderr)
     return 2
-
-
-def _workers(default: int = 1) -> int:
-    raw = os.environ.get(ENV_WORKERS)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SpecError(f"{ENV_WORKERS} must be an integer, got {raw!r}")
-    if value < 1:
-        raise SpecError(f"{ENV_WORKERS} must be >= 1")
-    return value
 
 
 def _parse_start(arg: str | None, parsed):
@@ -122,7 +106,7 @@ def cmd_simulate(args) -> int:
     start = _parse_start(args.start, parsed)
     runs = args.runs if args.runs is not None else parsed.runs
     seed = args.seed if args.seed is not None else parsed.seed
-    cfg = SimConfig(runs=runs, seed=seed, workers=_workers())
+    cfg = SimConfig(runs=runs, seed=seed)
     if args.coupled:
         nu = lattice_point_mass(game.shape, start)
         report = simulate_coupled(game, nu, cfg)

@@ -1,9 +1,12 @@
 """Monte Carlo simulation of game chains and the coupled pure-birth dual.
 
-The runs split into ``workers`` random streams, run one after another in
-this process, not in parallel: stream w draws from a PCG64 generator seeded
-with ``SeedSequence(seed).spawn(workers)[w]``, and results merge in stream
-order, so a report depends only on (seed, runs, workers, max_steps).
+``simulate`` and ``simulate_coupled`` step the game through one walk
+(``_walk``) and count the runs by one tally; the coupled dual moves between
+the walk's steps. The runs split into ``workers`` random streams,
+consecutive slices of the run arrays, run one after another in this
+process, not in parallel: stream w draws from a PCG64 generator seeded with
+``SeedSequence(seed).spawn(workers)[w]``, so a report depends only on
+(seed, runs, workers, max_steps).
 
 Runs move over lattice indices 0..n-1, the win corner last. A step samples
 the categories [ruin | the row's nonzeros] of the current row of the CSR
@@ -30,6 +33,12 @@ RUIN = -1
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Runs, seed, step cap and number of random streams of a simulation.
+
+    The ``workers`` streams take consecutive slices of the runs, the first
+    ``runs % workers`` of them one run longer (see the module docstring).
+    """
+
     runs: int
     seed: int
     max_steps: int = 1_000_000
@@ -42,12 +51,12 @@ class SimConfig:
             raise ValueError("workers must be >= 1")
 
     def streams(self):
+        """(generator, slice of the run arrays) per stream, in stream order."""
         seqs = np.random.SeedSequence(self.seed).spawn(self.workers)
-        return [np.random.default_rng(s) for s in seqs]
-
-    def chunks(self):
         base, extra = divmod(self.runs, self.workers)
-        return [base + (1 if w < extra else 0) for w in range(self.workers)]
+        ends = [w * base + min(w, extra) for w in range(self.workers + 1)]
+        return [(np.random.default_rng(s), slice(a, b))
+                for s, a, b in zip(seqs, ends, ends[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,17 +128,6 @@ def _sample_rows(cum: np.ndarray, dest: np.ndarray, states: np.ndarray,
     return dest[states, (u[:, None] >= cum[states]).sum(axis=1)]
 
 
-def _merge(counts_win, counts_lose):
-    t_max = max([len(c) for c in counts_win + counts_lose] + [1])
-    win = np.zeros(t_max, dtype=np.int64)
-    lose = np.zeros(t_max, dtype=np.int64)
-    for c in counts_win:
-        win[: len(c)] += c
-    for c in counts_lose:
-        lose[: len(c)] += c
-    return win, lose
-
-
 def _row_table(kernel, lead=None) -> tuple:
     """(values, destinations) of every row's CSR nonzeros, in column order.
 
@@ -168,6 +166,48 @@ def _cum_rows(chain: AbsorbingChain) -> tuple:
     return cum, dest
 
 
+def _walk(cum, dest, win: int, states: np.ndarray, times: np.ndarray,
+          rng, max_steps: int):
+    """Step one stream's runs through the game until absorbed or timed out.
+
+    ``states`` and ``times`` are the stream's views of the run arrays,
+    updated in place; a run's time is the step at which it was absorbed,
+    0 if it starts at the win corner. Each step yields the runs that moved
+    (indices into the views) and their new states.
+    """
+    active = np.flatnonzero(states != win)
+    for step in range(1, max_steps + 1):
+        if len(active) == 0:
+            return
+        nxt = _sample_rows(cum, dest, states[active], rng.random(len(active)))
+        states[active] = nxt
+        done = (nxt == win) | (nxt == RUIN)
+        times[active[done]] = step
+        yield active, nxt
+        active = active[~done]
+
+
+def _tally(states: np.ndarray, times: np.ndarray, win: int, cfg: SimConfig,
+           violations: int | None = None) -> SimReport:
+    """Report of all runs from their final states and absorption times."""
+    won, lost = states == win, states == RUIN
+    n_win, n_lose = int(won.sum()), int(lost.sum())
+    n_timeout = cfg.runs - n_win - n_lose
+    length = int(times.max(initial=0)) + 1
+    return SimReport(
+        runs=cfg.runs,
+        seed=cfg.seed,
+        workers=cfg.workers,
+        n_win=n_win,
+        n_lose=n_lose,
+        n_timeout=n_timeout,
+        counts_win=np.bincount(times[won], minlength=length),
+        counts_lose=np.bincount(times[lost], minlength=length),
+        coupling_violations=violations,
+        horizon_warning=n_timeout > 0.001 * cfg.runs,
+    )
+
+
 def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
     """Estimate the winning frequency and absorption-time laws empirically.
 
@@ -177,45 +217,13 @@ def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
     if not 0 <= s0 < chain.win_index:
         raise ValueError("start state must be transient")
     cum, dest = _cum_rows(chain)
-    win = chain.win_index
-
-    counts_win, counts_lose = [], []
-    n_win = n_lose = n_timeout = 0
-    for rng, n_runs in zip(cfg.streams(), cfg.chunks()):
-        states = np.full(n_runs, s0, dtype=np.int64)
-        times = np.zeros(n_runs, dtype=np.int64)
-        active = np.arange(n_runs)
-        for step in range(1, cfg.max_steps + 1):
-            if len(active) == 0:
-                break
-            u = rng.random(len(active))
-            nxt = _sample_rows(cum, dest, states[active], u)
-            states[active] = nxt
-            done = (nxt == win) | (nxt == RUIN)
-            times[active[done]] = step
-            active = active[~done]
-        w_mask = states == win
-        l_mask = states == RUIN
-        w_mask[active] = False
-        l_mask[active] = False
-        n_win += int(w_mask.sum())
-        n_lose += int(l_mask.sum())
-        n_timeout += len(active)
-        counts_win.append(np.bincount(times[w_mask]))
-        counts_lose.append(np.bincount(times[l_mask]))
-
-    merged_win, merged_lose = _merge(counts_win, counts_lose)
-    return SimReport(
-        runs=cfg.runs,
-        seed=cfg.seed,
-        workers=cfg.workers,
-        n_win=n_win,
-        n_lose=n_lose,
-        n_timeout=n_timeout,
-        counts_win=merged_win,
-        counts_lose=merged_lose,
-        horizon_warning=n_timeout > 0.001 * cfg.runs,
-    )
+    states = np.full(cfg.runs, s0, dtype=np.int64)
+    times = np.zeros(cfg.runs, dtype=np.int64)
+    for rng, runs in cfg.streams():
+        for _ in _walk(cum, dest, chain.win_index, states[runs], times[runs],
+                       rng, cfg.max_steps):
+            pass
+    return _tally(states, times, chain.win_index, cfg)
 
 
 def _conditional_draw(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -243,7 +251,8 @@ def simulate_coupled(
     proportionally to nu_hat(.) * link(., e*). The construction synchronizes
     the two paths: the dual reaches its top corner exactly when the game
     reaches the win corner, and every mismatch is counted as a violation.
-    Runs that end in ruin stop without a dual endpoint.
+    Runs that end in ruin stop without a dual endpoint; runs that start at
+    the win corner count as wins at t = 0.
 
     Requires the dual start weights to form a distribution (always true when
     the game starts at the minimal corner). With ``record_paths`` the return
@@ -259,87 +268,37 @@ def simulate_coupled(
         )
     nu_hat = np.clip(init.values, 0.0, None)
     nu_hat = nu_hat / nu_hat.sum()
-    nu_star = np.asarray(nu_star, dtype=float).reshape(chain.size)
-
     charged = np.flatnonzero(nu_hat)
     dual_values, dual_dest = _row_table(dual.matrix)
     win = chain.win_index
-    dual_win = dual.win_index
-
     cum, dest = _cum_rows(chain)
-    cum_nu = np.cumsum(nu_star)
+    cum_nu = np.cumsum(np.asarray(nu_star, dtype=float).reshape(chain.size))
     cum_nu[-1] = max(cum_nu[-1], 1.0)
 
-    counts_win, counts_lose = [], []
-    n_win = n_lose = n_timeout = 0
+    states = np.zeros(cfg.runs, dtype=np.int64)
+    times = np.zeros(cfg.runs, dtype=np.int64)
     violations = 0
     paths = [] if record_paths else None
-
-    for rng, n_runs in zip(cfg.streams(), cfg.chunks()):
-        u = rng.random(n_runs)
-        estar = np.searchsorted(cum_nu, u, side="right").astype(np.int64)
+    for rng, runs in cfg.streams():
+        estar = states[runs]
+        estar[:] = np.searchsorted(cum_nu, rng.random(len(estar)),
+                                   side="right")
         w0 = nu_hat[charged] * link.entries(charged, estar[:, None])
-        ehat = charged[_conditional_draw(w0, rng.random(n_runs))]
-        times = np.zeros(n_runs, dtype=np.int64)
-        outcome = np.zeros(n_runs, dtype=np.int8)  # 0 active, 1 win, 2 lose
-        active = np.arange(n_runs)
-        run_paths = (
-            [[(int(e), int(h))] for e, h in zip(estar, ehat)]
-            if record_paths
-            else None
-        )
-        for step in range(1, cfg.max_steps + 1):
-            if len(active) == 0:
-                break
-            u = rng.random(len(active))
-            nxt = _sample_rows(cum, dest, estar[active], u)
-
-            lost = nxt == RUIN
-            lost_runs = active[lost]
-            outcome[lost_runs] = 2
-            times[lost_runs] = step
-
-            alive = active[~lost]
-            nxt_alive = nxt[~lost]
-            if len(alive):
-                cand = dual_dest[ehat[alive]]
-                rows = dual_values[ehat[alive]] * link.entries(
-                    cand, nxt_alive[:, None]
-                )
-                pick = _conditional_draw(rows, rng.random(len(alive)))
-                new_hat = cand[np.arange(len(alive)), pick]
-                violations += int(
-                    np.sum((new_hat == dual_win) != (nxt_alive == win))
-                )
-                ehat[alive] = new_hat
-                estar[alive] = nxt_alive
-                won = nxt_alive == win
-                won_runs = alive[won]
-                outcome[won_runs] = 1
-                times[won_runs] = step
-            if record_paths:
-                for r, e_new in zip(alive, nxt_alive):
-                    run_paths[r].append((int(e_new), int(ehat[r])))
-            active = active[(~lost) & (nxt != win)]
-        n_win += int(np.sum(outcome == 1))
-        n_lose += int(np.sum(outcome == 2))
-        n_timeout += int(np.sum(outcome == 0))
-        counts_win.append(np.bincount(times[outcome == 1]))
-        counts_lose.append(np.bincount(times[outcome == 2]))
+        ehat = charged[_conditional_draw(w0, rng.random(len(estar)))]
         if record_paths:
-            paths.extend(run_paths)
+            paths += [[(int(e), int(h))] for e, h in zip(estar, ehat)]
+        for moved, nxt in _walk(cum, dest, win, estar, times[runs], rng,
+                                cfg.max_steps):
+            alive, nxt = moved[nxt != RUIN], nxt[nxt != RUIN]
+            cand = dual_dest[ehat[alive]]
+            rows = dual_values[ehat[alive]] * link.entries(cand, nxt[:, None])
+            pick = _conditional_draw(rows, rng.random(len(alive)))
+            ehat[alive] = cand[np.arange(len(alive)), pick]
+            violations += int(np.sum((ehat[alive] == dual.win_index)
+                                     != (nxt == win)))
+            if record_paths:
+                for r, e in zip(alive, nxt):
+                    paths[runs.start + r].append((int(e), int(ehat[r])))
 
-    merged_win, merged_lose = _merge(counts_win, counts_lose)
-    report = SimReport(
-        runs=cfg.runs,
-        seed=cfg.seed,
-        workers=cfg.workers,
-        n_win=n_win,
-        n_lose=n_lose,
-        n_timeout=n_timeout,
-        counts_win=merged_win,
-        counts_lose=merged_lose,
-        coupling_violations=violations,
-        horizon_warning=n_timeout > 0.001 * cfg.runs,
-    )
+    report = _tally(states, times, win, cfg, violations)
     return (report, paths) if record_paths else report

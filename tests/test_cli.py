@@ -188,12 +188,37 @@ def test_simulate_coupled_reports_zero_violations(tmp_path, capsys):
     assert json.loads(out)["coupling_violations"] == 0
 
 
-def test_workers_env_override(tmp_path, capsys, monkeypatch):
+def test_workers_env_leaves_simulate_unchanged(tmp_path, capsys, monkeypatch):
+    # the CLI always runs one stream; the environment does not split it
     path = write_spec(tmp_path, lazy_two_dim_doc(seed=3, runs=1000))
+    monkeypatch.delenv("GAMBLER_WORKERS", raising=False)
+    code_a, out_a, _ = run_cli(capsys, ["simulate", path])
     monkeypatch.setenv("GAMBLER_WORKERS", "3")
-    code, out, _ = run_cli(capsys, ["simulate", path])
+    code_b, out_b, _ = run_cli(capsys, ["simulate", path])
+    assert code_a == code_b == 0
+    assert out_b == out_a
+    assert json.loads(out_b)["workers"] == 1
+
+
+def test_simulate_coupled_from_the_win_corner(tmp_path, capsys):
+    # runs that start at the win corner are wins at t = 0, as absorb-dist says
+    doc = {
+        "version": 1,
+        "dims": [{"N": 3, "p": [0.3, 0.25], "q": [0.0, 0.1]}],
+        "mixing": {"subsets": [[1]], "coeffs": [1.0]},
+        "seed": 1,
+    }
+    path = write_spec(tmp_path, doc)
+    code, out, _ = run_cli(
+        capsys, ["simulate", path, "--coupled", "--start", "3", "--runs", "10"]
+    )
     assert code == 0
-    assert json.loads(out)["workers"] == 3
+    body = json.loads(out)
+    assert body["counts_win"] == [10]
+    assert body["coupling_violations"] == 0
+    code, out, _ = run_cli(capsys, ["absorb-dist", path, "--start", "3"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,1.0,1.0"]
 
 
 def test_verify_passes_on_valid_spec(tmp_path, capsys):

@@ -18,13 +18,12 @@ import contextlib
 import io
 import json
 import math
-import os
 import pathlib
 import re
 
 import pytest
 
-from krongambler.cli import ENV_WORKERS, main
+from krongambler.cli import main
 from krongambler.specfile import load_spec
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
@@ -64,8 +63,7 @@ def expected():
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 @pytest.mark.parametrize("spec", SPECS)
-def test_cli_output_matches_recorded(spec, command, expected, monkeypatch):
-    monkeypatch.delenv(ENV_WORKERS, raising=False)
+def test_cli_output_matches_recorded(spec, command, expected):
     want = expected[f"{spec} {command}"]
     got = run(spec, command)
     assert got["code"] == want["code"]
@@ -91,6 +89,5 @@ def test_pgf_at_one_is_the_win_prob_solve(spec):
 
 
 if __name__ == "__main__":
-    os.environ.pop(ENV_WORKERS, None)
     record = {f"{s} {c}": run(s, c) for s in SPECS for c in COMMANDS}
     EXPECTED.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -222,3 +222,32 @@ def test_plain_and_coupled_agree_on_win_frequency():
     exact = bd_win_prob(spec)[0]
     assert abs(plain.win_freq - exact) < 4 * plain.win_se
     assert abs(coupled.win_freq - exact) < 4 * coupled.win_se
+
+
+def test_coupled_start_at_the_win_corner_counts_at_time_zero():
+    # from nu = (0.5, 0, 0.5) the law puts 0.5 at t = 0 and none at t = 1
+    spec = BirthDeathSpec(N=3, p=(0.3, 0.25), q=(0.0, 0.1))
+    game = one_dim_game(spec)
+    nu = np.array([0.5, 0.0, 0.5])
+    law = absorb_dist(build_game(game), nu).pmf
+    assert law[0] == 0.5 and law[1] == 0.0
+    report = simulate_coupled(game, nu, SimConfig(runs=10_000, seed=1))
+    assert report.coupling_violations == 0
+    assert report.counts_win[1] == 0
+    assert abs(report.counts_win[0] / report.runs - 0.5) < 4 * 0.5 / 100
+
+
+def test_more_streams_than_runs():
+    spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.1, 0.1))
+    game = one_dim_game(spec)
+    chain = build_game(game)
+    cfg = SimConfig(runs=2, seed=6, workers=5)
+    assert [s.stop - s.start for _, s in cfg.streams()] == [1, 1, 0, 0, 0]
+    nu = np.zeros(3)
+    nu[0] = 1.0
+    for run in (lambda: simulate(chain, (1,), cfg),
+                lambda: simulate_coupled(game, nu, cfg)):
+        report = run()
+        assert report.n_win + report.n_lose + report.n_timeout == cfg.runs
+        assert sum(report.counts_win) + sum(report.counts_lose) == cfg.runs
+        assert json.dumps(run().as_dict()) == json.dumps(report.as_dict())
