@@ -55,12 +55,7 @@ from .intertwine import (
     spectral_link_1d,
 )
 from .pgf import GeometricProductPgf, MixturePgf, ResolventPgf
-from .siegmund import (
-    OrderMatrix,
-    product_order,
-    win_prob_product,
-    win_prob_solve,
-)
+from .siegmund import win_prob_product, win_prob_solve
 from .simulate import SimConfig, SimReport, simulate, simulate_coupled
 
 __version__ = "0.1.0"

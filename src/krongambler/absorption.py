@@ -46,7 +46,7 @@ from .errors import HorizonError, SpecError
 from .game import AbsorbingChain, GameSpec, build_game
 from .linalg import resolvent
 from .pgf import GeometricProductPgf, ResolventPgf
-from .specfile import check_eps, check_horizon
+from .specfile import check_count, check_eps
 
 MAX_HORIZON = 10**6
 
@@ -221,14 +221,14 @@ def absorb_dist(
     Iteration stops once the transient mass drops below eps or the horizon
     is reached; without an explicit horizon, failing to converge within
     10^6 steps raises. ``eps`` and ``horizon`` follow the spec file's rules
-    (:func:`krongambler.specfile.check_eps`, ``check_horizon``) and are
+    (:func:`krongambler.specfile.check_eps`, ``check_count``) and are
     checked before any step. The check that the dual mixture reproduces this
     law for a game is ``distribution_equality`` in
     :func:`krongambler.verify.run_checks`.
     """
     eps = check_eps(eps)
     if horizon is not None:
-        horizon = check_horizon(horizon)
+        horizon = check_count(horizon, "horizon", 0)
     exit = chain.exit(target)
     start = np.asarray(nu, dtype=float).reshape(chain.size)
     pmf, tail = _power_iteration(chain.transient, exit, start[:-1], horizon,

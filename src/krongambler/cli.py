@@ -14,11 +14,10 @@ import sys
 import numpy as np
 
 from .absorption import absorb_dist, pgf_multidim
-from .birth_death import bd_win_prob
 from .errors import CouplingError, HorizonError, SpecError
-from .game import build_game, lattice_point_mass
+from .game import build_game, lattice_point_mass, linear_index
 from .siegmund import win_prob_product, win_prob_solve
-from .specfile import check_eps, check_horizon, load_spec
+from .specfile import check_count, check_eps, load_spec
 from .simulate import SimConfig, simulate, simulate_coupled
 from .verify import all_passed, run_checks
 
@@ -71,7 +70,7 @@ def cmd_absorb_dist(args) -> int:
     target = "win" if args.target == "win" else "ruin"
     nu = lattice_point_mass(game.shape, start)
     horizon = (parsed.horizon if args.horizon is None
-               else check_horizon(args.horizon, "--horizon"))
+               else check_count(args.horizon, "--horizon", 0))
     eps = parsed.eps if args.eps is None else check_eps(args.eps, "--eps")
     dist = absorb_dist(chain, nu, target=target, horizon=horizon, eps=eps)
     lines = ["t,pmf,cdf"]
@@ -93,9 +92,7 @@ def cmd_pgf(args) -> int:
     pgf = pgf_multidim(game, nu)
     points = [float(s) for s in args.eval.split(",")] if args.eval else [1.0]
     values = {repr(s): pgf.evaluate(s) for s in points}
-    rho = float(
-        np.prod([bd_win_prob(spec)[c - 1] for spec, c in zip(game.dims, start)])
-    )
+    rho = float(win_prob_product(game)[linear_index(game.shape, start)])
     print(json.dumps({"values": values, "rho_at_1": rho}, indent=2))
     return 0
 
@@ -104,8 +101,10 @@ def cmd_simulate(args) -> int:
     parsed = load_spec(args.spec)
     game = parsed.game
     start = _parse_start(args.start, parsed)
-    runs = args.runs if args.runs is not None else parsed.runs
-    seed = args.seed if args.seed is not None else parsed.seed
+    runs = (parsed.runs if args.runs is None
+            else check_count(args.runs, "--runs", 1))
+    seed = (parsed.seed if args.seed is None
+            else check_count(args.seed, "--seed", 0))
     cfg = SimConfig(runs=runs, seed=seed)
     if args.coupled:
         nu = lattice_point_mass(game.shape, start)

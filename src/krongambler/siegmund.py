@@ -1,16 +1,17 @@
 """Siegmund duality on products of total orders.
 
-The coordinatewise order on the lattice is encoded by a 0/1 indicator matrix
-C (a Kronecker product of one-dimensional "upper triangle of ones" factors)
-whose inverse is the Mobius function of the order. Conjugating with C turns
-absorption probabilities of the game chain into the stationary distribution
-of an ergodic partner chain, which is what makes the product formula for
-winning probabilities checkable by three independent routes.
+The coordinatewise order on the lattice has the 0/1 indicator matrix C (a
+Kronecker product of one-dimensional "upper triangle of ones" factors),
+whose inverse is the Mobius function of the order. C is never formed: it is
+applied as cumulative sums along the lattice axes and C^-1 as differences,
+which are exact on integers. Conjugating with C turns absorption
+probabilities of the game chain into the stationary distribution of an
+ergodic partner chain, which is what makes the product formula for winning
+probabilities checkable by three independent routes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -20,39 +21,37 @@ from .game import AbsorbingChain, GameSpec
 from .linalg import resolvent
 
 
-@dataclass(frozen=True, eq=False)
-class OrderMatrix:
-    """Indicator of the product order and its exact integer inverse."""
-
-    c: np.ndarray
-    mobius: np.ndarray
-    dims: tuple
-
-
-def product_order(dims) -> OrderMatrix:
-    """Order matrix C = kron of total-order indicators, with Mobius inverse.
-
-    Each one-dimensional factor is upper triangular ones; its inverse is the
-    bidiagonal +1/-1 matrix, and a Kronecker product of exact integer
-    inverses is the exact inverse of the product.
-    """
-    dims = tuple(int(n) for n in dims)
-    cs = [np.triu(np.ones((n, n), dtype=np.int64)) for n in dims]
-    mus = [
-        np.eye(n, dtype=np.int64) - np.eye(n, k=1, dtype=np.int64) for n in dims
-    ]
-    return OrderMatrix(c=reduce(np.kron, cs), mobius=reduce(np.kron, mus), dims=dims)
+def order_rows(x: np.ndarray, dims) -> np.ndarray:
+    """C @ x: reversed cumulative sums of x's rows along each lattice axis."""
+    y = x.reshape(*dims, -1)
+    for axis in range(len(dims)):
+        y = np.flip(np.cumsum(np.flip(y, axis), axis), axis)
+    return y.reshape(x.shape)
 
 
-def reconstruct_primal(chain: AbsorbingChain, order: OrderMatrix) -> np.ndarray:
+def order_cols(x: np.ndarray, dims) -> np.ndarray:
+    """x @ C: cumulative sums of x's columns along each lattice axis."""
+    y = x.reshape(*x.shape[:-1], *dims)
+    for axis in range(-len(dims), 0):
+        y = np.cumsum(y, axis)
+    return y.reshape(x.shape)
+
+
+def mobius_cols(x: np.ndarray, dims) -> np.ndarray:
+    """x @ C^-1: differences of x's columns along each lattice axis."""
+    y = x.reshape(*x.shape[:-1], *dims)
+    for axis in range(-len(dims), 0):
+        y = np.diff(y, axis=axis, prepend=0)
+    return y.reshape(x.shape)
+
+
+def reconstruct_primal(chain: AbsorbingChain) -> np.ndarray:
     """Ergodic partner C (P')^T C^-1 of a built game's kernel P'.
 
     Row sums are exactly 1; entrywise nonnegativity is equivalent to the
     Mobius monotonicity of the partner and holds for valid games.
     """
-    c = order.c.astype(float)
-    mobius = order.mobius.astype(float)
-    return c @ chain.dense().T @ mobius
+    return mobius_cols(order_rows(chain.dense().T, chain.dims), chain.dims)
 
 
 def win_prob_product(game: GameSpec) -> np.ndarray:
@@ -86,14 +85,10 @@ def stationary_of(p_x: np.ndarray) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
-def win_prob_pi_route(chain: AbsorbingChain, order: OrderMatrix | None = None) -> np.ndarray:
+def win_prob_pi_route(chain: AbsorbingChain) -> np.ndarray:
     """Winning probabilities as cumulative stationary mass of the partner chain.
 
     Third, duality-based route: reconstruct the ergodic partner, find its
-    stationary vector, and accumulate it through the order matrix.
+    stationary vector, and accumulate it along the order.
     """
-    if order is None:
-        order = product_order(chain.dims)
-    p_x = reconstruct_primal(chain, order)
-    pi = stationary_of(p_x)
-    return pi @ order.c.astype(float)
+    return order_cols(stationary_of(reconstruct_primal(chain)), chain.dims)

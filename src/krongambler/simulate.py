@@ -47,6 +47,8 @@ class SimConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -211,11 +213,12 @@ def _tally(states: np.ndarray, times: np.ndarray, win: int, cfg: SimConfig,
 def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
     """Estimate the winning frequency and absorption-time laws empirically.
 
-    ``start`` is a lattice index or a tuple of 1-based coordinates.
+    ``start`` is a lattice index or a tuple of 1-based coordinates; runs
+    that start at the win corner count as wins at t = 0.
     """
     s0 = int(start) if np.isscalar(start) else chain.to_linear(start)
-    if not 0 <= s0 < chain.win_index:
-        raise ValueError("start state must be transient")
+    if not 0 <= s0 < chain.size:
+        raise ValueError(f"start index {s0} is not a state of {chain.dims}")
     cum, dest = _cum_rows(chain)
     states = np.full(cfg.runs, s0, dtype=np.int64)
     times = np.zeros(cfg.runs, dtype=np.int64)

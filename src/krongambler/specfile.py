@@ -41,9 +41,9 @@ def _int(value, field: str) -> int:
     return int(value)
 
 
-def check_horizon(value, field: str = "horizon") -> int:
+def check_count(value, field: str, least: int) -> int:
     value = _int(value, field)
-    _require(value >= 0, field, "must be >= 0")
+    _require(value >= least, field, f"must be >= {least}")
     return value
 
 
@@ -141,12 +141,11 @@ def parse_spec(doc: dict) -> ParsedSpec:
     for i, (c, s) in enumerate(zip(start, dims)):
         _require(1 <= c <= s.N, f"start[{i}]", f"must lie in 1..{s.N}")
 
-    seed = _int(doc.get("seed", 0), "seed")
-    runs = _int(doc.get("runs", 10000), "runs")
-    _require(runs >= 1, "runs", "must be >= 1")
+    seed = check_count(doc.get("seed", 0), "seed", 0)
+    runs = check_count(doc.get("runs", 10000), "runs", 1)
     horizon = doc.get("horizon")
     if horizon is not None:
-        horizon = check_horizon(horizon)
+        horizon = check_count(horizon, "horizon", 0)
     eps = check_eps(doc.get("eps", 1e-12))
 
     return ParsedSpec(game=game, start=start, seed=seed, runs=runs,

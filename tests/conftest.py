@@ -28,6 +28,21 @@ def kron_all(mats):
     return reduce(np.kron, mats)
 
 
+def product_order(dims):
+    """Dense order matrix C and its Mobius inverse C^-1, as int64 arrays.
+
+    The oracle for ``siegmund.order_rows``, ``order_cols`` and
+    ``mobius_cols``: C is the Kronecker product of upper triangles of ones,
+    and C^-1 that of the bidiagonal +1/-1 factors.
+    """
+    c = kron_all([np.triu(np.ones((n, n), dtype=np.int64)) for n in dims])
+    mobius = kron_all([
+        np.eye(n, dtype=np.int64) - np.eye(n, k=1, dtype=np.int64)
+        for n in dims
+    ])
+    return c, mobius
+
+
 def rand_bd(rng, n, q1_zero=False, budget=0.9, min_rate=0.3):
     """Random valid chain spec with per-state move mass p(i)+q(i) <= budget.
 

@@ -78,6 +78,8 @@ def test_parse_round_trip(tmp_path):
         (lambda d: d.__setitem__("start", [9]), "start[0]"),
         (lambda d: d["mixing"].__setitem__("coeffs", [0.5]), "mixing"),
         (lambda d: d["mixing"]["subsets"][0].append(7), "mixing.subsets[0]"),
+        (lambda d: d.__setitem__("seed", -3), "seed"),
+        (lambda d: d.__setitem__("runs", 0), "runs"),
     ],
 )
 def test_parse_errors_name_fields(mutate, field):
@@ -307,6 +309,32 @@ def test_absorb_dist_flags_follow_the_spec_file_rules(tmp_path, capsys, flag,
     assert code == 2
     assert out == ""
     assert json.loads(err)["field"] == flag
+
+
+@pytest.mark.parametrize("extra, flags, field", [
+    ({"seed": -3}, [], "seed"),
+    ({"runs": 0}, [], "runs"),
+    ({}, ["--seed", "-1"], "--seed"),
+    ({}, ["--runs", "0"], "--runs"),
+])
+def test_simulate_seed_and_runs_errors_name_fields(tmp_path, capsys, extra,
+                                                   flags, field):
+    path = write_spec(tmp_path, golden_doc(**extra))
+    code, out, err = run_cli(capsys, ["simulate", path, *flags])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["field"] == field
+
+
+def test_simulate_from_the_win_corner(tmp_path, capsys):
+    path = write_spec(tmp_path, lazy_two_dim_doc())
+    code, out, _ = run_cli(
+        capsys, ["simulate", path, "--start", "3,3", "--runs", "10"]
+    )
+    assert code == 0
+    body = json.loads(out)
+    assert body["counts_win"] == [10]
+    assert (body["n_win"], body["n_lose"], body["n_timeout"]) == (10, 0, 0)
 
 
 def test_pgf_at_one_matches_rho_on_signed_weights(tmp_path, capsys):

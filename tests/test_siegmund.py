@@ -1,42 +1,46 @@
 import numpy as np
+import pytest
 
 from krongambler import (
     BirthDeathSpec,
     bd_win_prob,
     build_game,
     preset_r_of_d,
-    product_order,
     siegmund_dual_1d,
     win_prob_product,
     win_prob_solve,
 )
 from krongambler.birth_death import bd_restricted, ergodic_matrix
 from krongambler.siegmund import (
+    mobius_cols,
+    order_cols,
+    order_rows,
     reconstruct_primal,
     stationary_of,
     win_prob_pi_route,
 )
 
-from conftest import rand_bd, rand_ergodic, rand_game
+from conftest import product_order, rand_bd, rand_ergodic, rand_game
 
 
-def siegmund_dual(p_x, order):
+def siegmund_dual(p_x, dims):
     """Dual kernel (C^-1 P C)^T of a stochastic matrix on the ordered lattice.
 
     The result is substochastic exactly when the input is Mobius monotone.
     """
-    return (order.mobius.astype(float) @ p_x @ order.c.astype(float)).T
+    c, mobius = product_order(dims)
+    return (mobius.astype(float) @ p_x @ c.astype(float)).T
 
 
 def test_total_order_matrix():
-    order = product_order((3,))
-    assert np.array_equal(order.c, np.triu(np.ones((3, 3), dtype=int)))
+    c, mobius = product_order((3,))
+    assert np.array_equal(c, np.triu(np.ones((3, 3), dtype=int)))
     expected_mobius = np.array([[1, -1, 0], [0, 1, -1], [0, 0, 1]])
-    assert np.array_equal(order.mobius, expected_mobius)
+    assert np.array_equal(mobius, expected_mobius)
 
 
 def test_product_order_two_by_two():
-    order = product_order((2, 2))
+    c, _ = product_order((2, 2))
     # states in linear order: (1,1), (1,2), (2,1), (2,2)
     expected = np.array(
         [
@@ -46,22 +50,39 @@ def test_product_order_two_by_two():
             [0, 0, 0, 1],
         ]
     )
-    assert np.array_equal(order.c, expected)
+    assert np.array_equal(c, expected)
 
 
 def test_order_inverse_exact_for_various_dims():
     for dims in [(2,), (4,), (2, 3), (3, 2, 2)]:
-        order = product_order(dims)
-        n = order.c.shape[0]
-        assert np.array_equal(order.c @ order.mobius, np.eye(n, dtype=int))
+        c, mobius = product_order(dims)
+        n = c.shape[0]
+        assert np.array_equal(c @ mobius, np.eye(n, dtype=int))
         # linear state order is a linear extension of the product order
-        assert np.array_equal(order.c, np.triu(order.c))
-        assert set(np.unique(order.c)) <= {0, 1}
+        assert np.array_equal(c, np.triu(c))
+        assert set(np.unique(c)) <= {0, 1}
+
+
+@pytest.mark.parametrize("dims", [(2,), (4,), (2, 3), (3, 2, 2)])
+def test_order_operators_match_dense_oracle(dims):
+    rng = np.random.default_rng(sum(dims))
+    c, mobius = product_order(dims)
+    n = c.shape[0]
+    x = rng.integers(-9, 10, size=(n, n))
+    v = rng.integers(-9, 10, size=n)
+    assert np.array_equal(order_rows(x, dims), c @ x)
+    assert np.array_equal(order_cols(x, dims), x @ c)
+    assert np.array_equal(order_cols(v, dims), v @ c)
+    assert np.array_equal(mobius_cols(x, dims), x @ mobius)
+    assert np.array_equal(mobius_cols(v, dims), v @ mobius)
+    # on floats too, C^-1 undoes C bit for bit on integer values
+    xf = x.astype(float)
+    assert np.array_equal(mobius_cols(order_cols(xf, dims), dims), xf)
+    assert np.array_equal(mobius_cols(order_cols(x, dims), dims), x)
 
 
 def test_dual_of_identity_is_identity():
-    order = product_order((2, 2))
-    assert np.array_equal(siegmund_dual(np.eye(4), order), np.eye(4))
+    assert np.array_equal(siegmund_dual(np.eye(4), (2, 2)), np.eye(4))
 
 
 def test_dual_matches_one_dimensional_renaming():
@@ -72,8 +93,7 @@ def test_dual_matches_one_dimensional_renaming():
 
         if not bd_is_monotone(x):
             continue
-        order = product_order((x.M,))
-        dual = siegmund_dual(ergodic_matrix(x), order)
+        dual = siegmund_dual(ergodic_matrix(x), (x.M,))
         expected = bd_restricted(siegmund_dual_1d(x))
         assert np.max(np.abs(dual - expected)) < 1e-12
 
@@ -83,12 +103,8 @@ def test_dual_of_product_chain_is_product_of_duals():
     xa = rand_ergodic(rng, 3, budget=0.5)
     xb = rand_ergodic(rng, 4, budget=0.5)
     big = np.kron(ergodic_matrix(xa), ergodic_matrix(xb))
-    order = product_order((3, 4))
-    dual = siegmund_dual(big, order)
-    parts = [
-        siegmund_dual(ergodic_matrix(x), product_order((x.M,)))
-        for x in (xa, xb)
-    ]
+    dual = siegmund_dual(big, (3, 4))
+    parts = [siegmund_dual(ergodic_matrix(x), (x.M,)) for x in (xa, xb)]
     assert np.max(np.abs(dual - np.kron(parts[0], parts[1]))) < 1e-12
 
 
@@ -135,10 +151,12 @@ def test_reconstructed_primal_is_mobius_monotone_stochastic():
     for _ in range(20):
         game = rand_game(rng, dual_safe=False)
         chain = build_game(game)
-        order = product_order(game.shape)
-        primal = reconstruct_primal(chain, order)
+        primal = reconstruct_primal(chain)
         assert np.max(np.abs(primal.sum(axis=1) - 1.0)) < 1e-12
         assert primal.min() > -1e-10
+        c, mobius = product_order(game.shape)
+        dense = c.astype(float) @ chain.dense().T @ mobius.astype(float)
+        assert np.max(np.abs(primal - dense)) < 1e-14
 
 
 def test_duality_identity_at_powers():
@@ -146,9 +164,8 @@ def test_duality_identity_at_powers():
     for _ in range(10):
         game = rand_game(rng, dual_safe=False)
         chain = build_game(game)
-        order = product_order(game.shape)
-        primal = reconstruct_primal(chain, order)
-        c = order.c.astype(float)
+        primal = reconstruct_primal(chain)
+        c = product_order(game.shape)[0].astype(float)
         restricted = chain.dense()
         lhs = np.eye(len(primal))
         rhs = np.eye(len(primal))
@@ -163,8 +180,7 @@ def test_stationary_product_law():
     for _ in range(10):
         game = rand_game(rng, dual_safe=False)
         chain = build_game(game)
-        order = product_order(game.shape)
-        primal = reconstruct_primal(chain, order)
+        primal = reconstruct_primal(chain)
         pi_parts = [np.diff(np.concatenate([[0.0], bd_win_prob(s)]))
                     for s in game.dims]
         pi = pi_parts[0]
@@ -179,12 +195,11 @@ def test_pi_route_equals_cumulative_stationary():
     rng = np.random.default_rng(26)
     game = rand_game(rng, d=2, dual_safe=False)
     chain = build_game(game)
-    order = product_order(game.shape)
-    primal = reconstruct_primal(chain, order)
+    primal = reconstruct_primal(chain)
     pi = stationary_of(primal)
-    assert np.max(
-        np.abs(pi @ order.c.astype(float) - win_prob_solve(chain))
-    ) < 1e-9
+    c = product_order(game.shape)[0].astype(float)
+    assert np.max(np.abs(pi @ c - win_prob_solve(chain))) < 1e-9
+    assert np.max(np.abs(win_prob_pi_route(chain) - pi @ c)) < 1e-14
 
 
 def test_win_prob_solve_on_ninety_thousand_states():

@@ -70,11 +70,13 @@ def test_horizon_warning_on_tiny_step_cap():
     assert report.n_timeout > 0
 
 
-def test_start_state_must_be_transient():
+def test_start_at_the_win_corner_is_a_win_at_time_zero():
+    # a start at the win corner is a sure win at t = 0, as absorb_dist says
     spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.1, 0.1))
     chain = build_game(one_dim_game(spec))
-    with pytest.raises(ValueError):
-        simulate(chain, (3,), SimConfig(runs=10, seed=0))
+    report = simulate(chain, (3,), SimConfig(runs=10, seed=0))
+    assert report.counts_win.tolist() == [10]
+    assert (report.n_win, report.n_lose, report.n_timeout) == (10, 0, 0)
 
 
 def test_scalar_start_is_lattice_index():
@@ -83,7 +85,7 @@ def test_scalar_start_is_lattice_index():
     cfg = SimConfig(runs=500, seed=11)
     by_index = simulate(chain, chain.to_linear((2,)), cfg)
     assert by_index.as_dict() == simulate(chain, (2,), cfg).as_dict()
-    for bad in (-1, chain.win_index, chain.size):
+    for bad in (-1, chain.size):
         with pytest.raises(ValueError):
             simulate(chain, bad, cfg)
 
@@ -251,3 +253,13 @@ def test_more_streams_than_runs():
         assert report.n_win + report.n_lose + report.n_timeout == cfg.runs
         assert sum(report.counts_win) + sum(report.counts_lose) == cfg.runs
         assert json.dumps(run().as_dict()) == json.dumps(report.as_dict())
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"runs": 0, "seed": 0}, "runs must be >= 1"),
+    ({"runs": 10, "seed": -3}, "seed must be >= 0"),
+    ({"runs": 10, "seed": 0, "workers": 0}, "workers must be >= 1"),
+])
+def test_config_rejects_out_of_range_values(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**kwargs)

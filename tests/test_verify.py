@@ -1,11 +1,11 @@
 import numpy as np
 
 from krongambler import (
+    AbsorbingChain,
     BirthDeathSpec,
     GameSpec,
     build_game,
     preset_r_of_d,
-    product_order,
     verify,
 )
 from krongambler.siegmund import reconstruct_primal, stationary_of
@@ -91,10 +91,10 @@ def test_perturbed_partner_fails_pi_route(monkeypatch):
     by_name = {c.name: c for c in run_checks(game)}
     assert by_name["win_prob_pi_route"].passed
 
-    def perturbed(chain, order):
+    def perturbed(chain):
         # move 1e-3 of row 2's mass from its diagonal to its first entry:
         # still stochastic, but with another stationary law
-        p_x = reconstruct_primal(chain, order)
+        p_x = reconstruct_primal(chain)
         p_x[2, 2] -= 1e-3
         p_x[2, 0] += 1e-3
         return p_x
@@ -104,7 +104,29 @@ def test_perturbed_partner_fails_pi_route(monkeypatch):
     assert not by_name["win_prob_pi_route"].passed
     assert by_name["win_prob_pi_route"].residual > 1e-6
     # the solve is exact for the partner it is given
-    p_x = perturbed(build_game(game), product_order(game.shape))
+    p_x = perturbed(build_game(game))
     pi = stationary_of(p_x)
     assert abs(pi.sum() - 1.0) < 1e-14
     assert np.max(np.abs(pi @ p_x - pi)) < 1e-14
+
+
+def test_mutated_kernel_fails_product_checks(monkeypatch):
+    rng = np.random.default_rng(60)
+    dims = [rand_bd(rng, 3, budget=0.2), rand_bd(rng, 3, budget=0.2)]
+    game = preset_r_of_d(dims, 1)
+    true_build = verify.build_game
+
+    def mutated(spec):
+        # move 1e-6 of the centre state (2, 2)'s holding mass to (2, 3):
+        # still substochastic and communicating, but no longer this game
+        chain = true_build(spec)
+        kernel = chain.dense()
+        centre, right = chain.to_linear((2, 2)), chain.to_linear((2, 3))
+        kernel[centre, centre] -= 1e-6
+        kernel[centre, right] += 1e-6
+        return AbsorbingChain(kernel, chain.dims)
+
+    monkeypatch.setattr(verify, "build_game", mutated)
+    by_name = {c.name: c for c in run_checks(game)}
+    for name in ("win_prob_product_vs_solve", "stationary_product"):
+        assert not by_name[name].passed, name
