@@ -187,7 +187,7 @@ class AbsorbingChain:
         raise ValueError(f"target must be 'win' or 'ruin', got {target!r}")
 
     def dense(self) -> np.ndarray:
-        """The kernel as a new dense array.
+        """The kernel as a dense array (cached, read-only).
 
         Raises SizeError, naming the state count, when the array would hold
         more than ``linalg.MAX_ENTRIES`` entries.
@@ -198,7 +198,13 @@ class AbsorbingChain:
                 f"a dense kernel of {n} states would hold {n * n} entries "
                 f"(cap {MAX_ENTRIES})"
             )
-        return self.matrix.toarray()
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        kernel = self.matrix.toarray()
+        kernel.flags.writeable = False
+        return kernel
 
     def to_linear(self, multi) -> int:
         return linear_index(self.dims, multi)

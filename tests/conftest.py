@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 
 from krongambler import (
     BirthDeathSpec,
+    CouplingError,
     ErgodicBDSpec,
     HorizonError,
     absorption,
@@ -41,6 +42,33 @@ def product_order(dims):
         for n in dims
     ])
     return c, mobius
+
+
+def row_major_draw(values, dest, states, u):
+    """Inverse-cdf draw from row-major (n, W) values and destinations.
+
+    The oracle for ``simulate._sample_rows`` on the ``simulate._cum_rows``
+    tables: each state's cumulative row, its last entry raised to at least
+    1 (a sure bound for u < 1), and a draw that counts the entries with
+    u >= entry.
+    """
+    cum = np.cumsum(values, axis=1)
+    cum[:, -1] = np.maximum(cum[:, -1], 1.0)
+    return dest[states, (u[:, None] >= cum[states]).sum(axis=1)]
+
+
+def row_major_conditional_draw(rows, u):
+    """Column per row drawn proportionally to (runs, W) nonnegative weights.
+
+    The oracle for ``simulate._conditional_draw``: cumulative rows divided
+    by the row totals, the last entry set to 1.
+    """
+    totals = rows.sum(axis=1)
+    if np.any(totals <= 0.0):
+        raise CouplingError("zero-probability dual step; link column vanished")
+    cum = np.cumsum(rows, axis=1) / totals[:, None]
+    cum[:, -1] = 1.0
+    return (u[:, None] >= cum).sum(axis=1)
 
 
 def rand_bd(rng, n, q1_zero=False, budget=0.9, min_rate=0.3):

@@ -18,7 +18,8 @@ from krongambler.specfile import SpecFileError, load_spec, parse_spec
 from conftest import link_cliff_doc, signed_weights_doc
 
 
-CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
+DATA = pathlib.Path(__file__).parent / "data"
+CORPUS = DATA / "cli_corpus"
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -335,6 +336,21 @@ def test_simulate_from_the_win_corner(tmp_path, capsys):
     body = json.loads(out)
     assert body["counts_win"] == [10]
     assert (body["n_win"], body["n_lose"], body["n_timeout"]) == (10, 0, 0)
+
+
+@pytest.mark.parametrize("flags", [[], ["--coupled"]],
+                         ids=["plain", "coupled"])
+def test_hopeless_simulation_exits_two_at_once(capsys, flags):
+    # every rate 1e-13: a run finishes within the 10^6-step cap with
+    # probability at most 1.0e-7, so simulate stops before its first draw
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, ["simulate", str(DATA / "slow_game.json"), *flags]
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "probability at most 1.000e-07" in json.loads(err)["error"]
 
 
 def test_pgf_at_one_matches_rho_on_signed_weights(tmp_path, capsys):

@@ -298,10 +298,14 @@ def test_chain_converts_dense_matrix_to_csr():
     chain = AbsorbingChain(matrix=m, dims=(3,))
     assert isinstance(chain.matrix, sparse.csr_array)
     assert chain.matrix.nnz == 5
-    dense = chain.dense()
+    dense = chain.dense().copy()
     assert np.array_equal(dense, m)
     dense[0, 0] = 0.0
     assert chain.matrix[0, 0] == 0.25
+    # one cached dense kernel is shared by every caller, so it is read-only
+    assert chain.dense() is chain.dense()
+    with pytest.raises(ValueError, match="read-only"):
+        chain.dense()[0, 0] = 0.0
     assert np.array_equal(chain.ruin, [0.25, 0.0, 0.0])
 
 

@@ -1,4 +1,7 @@
+import pathlib
+
 import numpy as np
+from scipy import sparse
 
 from krongambler import (
     AbsorbingChain,
@@ -9,6 +12,7 @@ from krongambler import (
     verify,
 )
 from krongambler.siegmund import reconstruct_primal, stationary_of
+from krongambler.specfile import load_spec
 from krongambler.verify import all_passed, diagonal_eigenvalue_check, run_checks
 
 from conftest import rand_bd
@@ -120,7 +124,7 @@ def test_mutated_kernel_fails_product_checks(monkeypatch):
         # move 1e-6 of the centre state (2, 2)'s holding mass to (2, 3):
         # still substochastic and communicating, but no longer this game
         chain = true_build(spec)
-        kernel = chain.dense()
+        kernel = chain.dense().copy()
         centre, right = chain.to_linear((2, 2)), chain.to_linear((2, 3))
         kernel[centre, centre] -= 1e-6
         kernel[centre, right] += 1e-6
@@ -130,3 +134,29 @@ def test_mutated_kernel_fails_product_checks(monkeypatch):
     by_name = {c.name: c for c in run_checks(game)}
     for name in ("win_prob_product_vs_solve", "stationary_product"):
         assert not by_name[name].passed, name
+
+
+def test_run_checks_makes_the_game_dense_once(monkeypatch):
+    chains = []
+    true_build = verify.build_game
+
+    def build(spec):
+        chains.append(true_build(spec))
+        return chains[-1]
+
+    converted = []
+    true_toarray = sparse.csr_array.toarray
+
+    def toarray(self, *args, **kwargs):
+        converted.append(self)
+        return true_toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_game", build)
+    monkeypatch.setattr(sparse.csr_array, "toarray", toarray)
+    spec = pathlib.Path(__file__).parent / "data" / "cli_corpus" / "d3_r2.json"
+    checks = run_checks(load_spec(str(spec)).game)
+    assert all_passed(checks)
+    assert len(chains) == 1
+    # the intertwining and eigenvalue checks and the Siegmund partner share
+    # the game's one dense kernel
+    assert sum(m is chains[0].matrix for m in converted) == 1
