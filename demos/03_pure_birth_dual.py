@@ -39,7 +39,7 @@ print("\ndual chain (holding probabilities on the diagonal):")
 print(np.array_str(dual.dense(), precision=3, suppress_small=True))
 spectrum = np.sort(np.linalg.eigvals(chain.dense()).real)
 print("game spectrum vs sorted dual diagonal, max diff:",
-      np.max(np.abs(spectrum - np.sort(dual.diag))))
+      np.max(np.abs(spectrum - np.sort(dual.matrix.diagonal()))))
 
 # start away from the bottom corner: dual weights go signed, the mixed law
 # still reproduces the game's winning-time law exactly

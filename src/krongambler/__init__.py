@@ -46,7 +46,6 @@ from .game import (
     preset_r_of_d,
 )
 from .intertwine import (
-    PureBirthChain,
     SpectralLink,
     build_dual,
     classical_ssd_1d,

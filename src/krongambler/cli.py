@@ -15,7 +15,7 @@ import numpy as np
 
 from .absorption import absorb_dist, pgf_multidim
 from .errors import CouplingError, HorizonError, SpecError
-from .game import build_game, lattice_point_mass, linear_index
+from .game import build_game, lattice_coords, lattice_point_mass, linear_index
 from .siegmund import win_prob_product, win_prob_solve
 from .specfile import check_count, check_eps, load_spec
 from .simulate import SimConfig, simulate, simulate_coupled
@@ -51,7 +51,7 @@ def cmd_win_prob(args) -> int:
     chain = build_game(game)
     rho_prod = win_prob_product(game)
     rho_solve = win_prob_solve(chain)
-    coords = (np.indices(game.shape).reshape(game.d, -1) + 1).T.tolist()
+    coords = (lattice_coords(game.shape) + 1).T.tolist()
     keys = [",".join(map(str, c)) for c in coords]
     out = {
         "rho": dict(zip(keys, rho_prod.tolist())),

@@ -17,7 +17,10 @@ the dense cap for games of three or more coordinates.
 
 States are lattice points indexed 0..n-1 in row-major order (coordinate d
 varies fastest), so the win corner (N_1, ..., N_d) is the last index and
-the others are transient. Ruin is not a state index: a chain leaves its
+the others are transient. Only this module knows the layout:
+:func:`linear_index`, :func:`multi_index` and :func:`lattice_coords` map
+indices to coordinates, and :func:`kron_apply` applies a Kronecker product
+one lattice axis at a time. Ruin is not a state index: a chain leaves its
 transient states through ruin (the row deficit) or the win corner, so every
 absorption solve reads the transient block and one exit vector
 (``AbsorbingChain.transient`` and ``AbsorbingChain.exit``).
@@ -32,7 +35,7 @@ from math import comb, prod
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .birth_death import BirthDeathSpec
 from .errors import CommunicationError, SizeError, SpecError, StochasticityError
@@ -63,6 +66,27 @@ def multi_index(dims: tuple, linear: int) -> tuple:
     if not 0 <= linear < size:
         raise IndexError(f"linear index {linear} out of range 0..{size - 1}")
     return tuple(int(c) + 1 for c in np.unravel_index(linear, dims))
+
+
+def lattice_coords(dims: tuple) -> np.ndarray:
+    """(d, n) table of the 0-based coordinates of every lattice index."""
+    return np.indices(dims).reshape(len(dims), -1)
+
+
+def kron_apply(x, dims: tuple, ops) -> np.ndarray:
+    """x @ (A_1 kron ... kron A_d) over x's last index, read as a lattice index.
+
+    ``ops[j]`` is the dense factor A_{j+1}, or a callable applying A_{j+1}^T
+    to an (N_{j+1}, m) array whose rows run along lattice axis j + 1. Axes
+    are taken in order 1..d, each brought to the front and rotated to the
+    back (the "shuffle" product); a dense factor's z^T A comes out rotated.
+    """
+    x = np.asarray(x)
+    y = x.reshape(-1, prod(dims)).T
+    for side, op in zip(dims, ops, strict=True):
+        z = y.reshape(side, -1)
+        y = z.T @ op if isinstance(op, np.ndarray) else op(z).T
+    return y.reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,23 +400,25 @@ def check_communication(chain: AbsorbingChain) -> bool:
     the win corner. States with a coordinate already at its top cannot move
     that coordinate back down, so strong connectivity is deliberately not
     required; it fails even for the plain one-coordinate-at-a-time game.
+    Reaching an exit is one breadth-first search of the reversed digraph,
+    from an extra node m that leads to every state stepping straight into
+    ruin or the win corner, so the check costs O(nnz).
     """
     edges = (chain.transient > 0.0).astype(float)
-    if chain.size > 2:
+    m = chain.size - 1
+    if m > 1:
         n_comp, _ = connected_components(edges, directed=True, connection="weak")
         if n_comp != 1:
             return False
-    # absorption reachable from everywhere: walk the digraph backwards from
-    # the states that step straight into ruin or the win corner, one
-    # mat-vec per step
-    exits = (chain.exit("ruin") > 0.0) | (chain.exit("win") > 0.0)
-    reach = exits.copy()
-    frontier = exits.astype(float)
-    while frontier.any():
-        new = (edges @ frontier > 0.0) & ~reach
-        reach |= new
-        frontier = new.astype(float)
-    return bool(reach.all())
+    exits = np.flatnonzero((chain.exit("ruin") > 0.0) | (chain.exit("win") > 0.0))
+    # the forward digraph's CSC arrays, read as CSR, are the reversed one
+    back = edges.tocsc()
+    nnz = back.nnz + len(exits)
+    reverse = sparse.csr_array(
+        (np.ones(nnz), np.append(back.indices, exits), np.append(back.indptr, nnz)),
+        shape=(m + 1, m + 1),
+    )
+    return len(breadth_first_order(reverse, m, return_predecessors=False)) == m + 1
 
 
 def preset_r_of_d(dims, r: int) -> GameSpec:

@@ -10,12 +10,12 @@ pure-birth chain, which is cheap to analyze.
 :func:`build_dual` gates the per-dimension link identities, then
 assembles the dual once, as a CSR Kronecker mixture of bidiagonal factors
 by the game's own assembly (:func:`krongambler.game.kron_mixture`). The
-link is kept as its per-dimension factors; an entry of the Kronecker link
-is a product of factor entries (:meth:`SpectralLink.entries`), so no
-command forms it. The global intertwining residual against the built game
-is the ``intertwining`` check of :func:`krongambler.verify.run_checks`,
-which forms the dense link; the entry-by-entry dual formula is a test
-oracle.
+link is kept as its per-dimension factors and no dense link is formed
+anywhere: an entry is a product of factor entries
+(:meth:`SpectralLink.entries`), and the link acts on vectors and matrices
+one factor per lattice axis (:func:`krongambler.game.kron_apply`), as in
+:func:`dual_initial` and the ``intertwining`` check of
+:func:`krongambler.verify.run_checks`.
 
 The module also carries the classical sharp-dual construction for ergodic
 chains, and the closed forms of the lazy two-urn diffusion family, whose link
@@ -25,6 +25,7 @@ can be reached both spectrally and through the classical route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from math import comb, prod
 
 import numpy as np
@@ -46,7 +47,7 @@ from .errors import (
     MonotonicityError,
     SpecError,
 )
-from .game import AbsorbingChain, GameSpec, kron_mixture
+from .game import AbsorbingChain, GameSpec, kron_apply, kron_mixture, lattice_coords
 from .pgf import GeometricProductPgf, MixturePgf
 
 _DEGENERATE_TOL = 1e-12
@@ -133,28 +134,16 @@ class SpectralLink:
 
         Each entry is the product of its factor entries, multiplied left to
         right like a dense Kronecker product, so it equals that product's
-        entry bit for bit. Coordinates come from integer division by the
-        lattice strides.
+        entry bit for bit; coordinates come from the lattice's table.
         """
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        out = np.ones(np.broadcast_shapes(rows.shape, cols.shape))
-        stride = prod(self.dims)
-        for side, factor in zip(self.dims, self.per_dim):
-            stride //= side
-            out = out * factor[rows // stride % side, cols // stride % side]
+        out = 1.0
+        for coord, factor in zip(self._coords, self.per_dim):
+            out = out * factor[coord.take(rows), coord.take(cols)]
         return out
 
-
-class PureBirthChain(AbsorbingChain):
-    """Pure-birth dual on the lattice: no coordinate ever decreases.
-
-    ``diag`` holds the holding probabilities; the diagonal doubles as the
-    spectrum of the game's kernel.
-    """
-
-    @property
-    def diag(self) -> np.ndarray:
-        return self.matrix.diagonal()
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        return lattice_coords(self.dims)
 
 
 def _nonzeros(m: np.ndarray) -> tuple:
@@ -203,7 +192,7 @@ def build_dual(game: GameSpec) -> tuple:
                 f"(N={s.N}): corner residual {corner:.3e}"
             )
 
-    dual = PureBirthChain(
+    dual = AbsorbingChain(
         matrix=kron_mixture(
             [_nonzeros(b) for b in births], game.subsets, game.coeffs, SpecError,
             "pure-birth dual entry {low:.3e} at lattice states {src} -> {dst}; "
@@ -237,13 +226,10 @@ def dual_initial(link: SpectralLink, nu_star) -> DualInitial:
     nu = np.asarray(nu_star, dtype=float)
     if nu.size != size:
         raise ValueError(f"start vector has {nu.size} entries, expected {size}")
-    tensor = nu.reshape(shape).copy()
-    for axis, lam in enumerate(link.per_dim):
-        moved = np.moveaxis(tensor, axis, 0)
-        flat = moved.reshape(lam.shape[0], -1)
-        solved = solve_triangular(lam, flat, trans="T", lower=True)
-        tensor = np.moveaxis(solved.reshape(moved.shape), 0, axis)
-    values = tensor.reshape(size)
+    values = kron_apply(nu.reshape(size), shape, [
+        partial(solve_triangular, lam, trans="T", lower=True)
+        for lam in link.per_dim
+    ])
     ok = values.min() >= -_WEIGHT_TOL and abs(values.sum() - 1.0) <= 1e-9
     return DualInitial(values=values, is_distribution=bool(ok))
 
@@ -293,20 +279,6 @@ def ehrenfest_binomial_link(n: int) -> np.ndarray:
     return out
 
 
-def ehrenfest_binomial_link_inv(n: int) -> np.ndarray:
-    """Exact inverse: entries (-1)^(j-i) 2^(j-1) binom(i-1, j-1).
-
-    Row i holds the coefficients of (2x - 1)^(i-1).
-    """
-    out = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            out[i - 1, j - 1] = (-1.0) ** (j - i) * 2.0 ** (j - 1) * comb(
-                i - 1, j - 1
-            )
-    return out
-
-
 def ehrenfest_dual_weights(n: int, m: int) -> np.ndarray:
     """Closed-form start weights of the pure-birth dual for start state m."""
     if not 1 <= m <= n:
@@ -327,16 +299,6 @@ def ehrenfest_dual_weights(n: int, m: int) -> np.ndarray:
             * comb(m, j - 1)
         ) / ((n - j) * denom)
     return nu
-
-
-def ehrenfest_dual_weights_link_route(n: int, m: int) -> np.ndarray:
-    """Same weights through the two-link matrix route, for cross-checking."""
-    if not 1 <= m <= n:
-        raise SpecError(f"start must lie in 1..{n}, got {m}")
-    _, link_classical = classical_ssd_1d(ehrenfest_ergodic(n))
-    nu_star = np.zeros(n)
-    nu_star[m - 1] = 1.0
-    return nu_star @ link_classical @ ehrenfest_binomial_link_inv(n)
 
 
 def ehrenfest_pgf(n: int, m: int) -> MixturePgf:

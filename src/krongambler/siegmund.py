@@ -4,7 +4,8 @@ The coordinatewise order on the lattice has the 0/1 indicator matrix C (a
 Kronecker product of one-dimensional "upper triangle of ones" factors),
 whose inverse is the Mobius function of the order. C is never formed: it is
 applied as cumulative sums along the lattice axes and C^-1 as differences,
-which are exact on integers. Conjugating with C turns absorption
+which are exact on integers, one axis at a time by
+:func:`krongambler.game.kron_apply`. Conjugating with C turns absorption
 probabilities of the game chain into the stationary distribution of an
 ergodic partner chain, which is what makes the product formula for winning
 probabilities checkable by three independent routes.
@@ -17,32 +18,40 @@ from functools import reduce
 import numpy as np
 
 from .birth_death import bd_win_prob
-from .game import AbsorbingChain, GameSpec
+from .game import AbsorbingChain, GameSpec, kron_apply
 from .linalg import resolvent
+
+
+def _cumsum(z: np.ndarray) -> np.ndarray:
+    # np.cumsum(z, axis=0) bit for bit, and several times faster on the
+    # lattice's short axes: whole rows are added one after another
+    out = np.array(z)
+    for row in range(1, len(out)):
+        out[row] += out[row - 1]
+    return out
+
+
+def _difference(z: np.ndarray) -> np.ndarray:
+    # np.diff(z, axis=0, prepend=0) bit for bit
+    out = np.array(z)
+    out[1:] -= z[:-1]
+    return out
 
 
 def order_rows(x: np.ndarray, dims) -> np.ndarray:
     """C @ x: reversed cumulative sums of x's rows along each lattice axis."""
-    y = x.reshape(*dims, -1)
-    for axis in range(len(dims)):
-        y = np.flip(np.cumsum(np.flip(y, axis), axis), axis)
-    return y.reshape(x.shape)
+    ops = [lambda z: _cumsum(z[::-1])[::-1]] * len(dims)
+    return kron_apply(x.T, dims, ops).T
 
 
 def order_cols(x: np.ndarray, dims) -> np.ndarray:
     """x @ C: cumulative sums of x's columns along each lattice axis."""
-    y = x.reshape(*x.shape[:-1], *dims)
-    for axis in range(-len(dims), 0):
-        y = np.cumsum(y, axis)
-    return y.reshape(x.shape)
+    return kron_apply(x, dims, [_cumsum] * len(dims))
 
 
 def mobius_cols(x: np.ndarray, dims) -> np.ndarray:
     """x @ C^-1: differences of x's columns along each lattice axis."""
-    y = x.reshape(*x.shape[:-1], *dims)
-    for axis in range(-len(dims), 0):
-        y = np.diff(y, axis=axis, prepend=0)
-    return y.reshape(x.shape)
+    return kron_apply(x, dims, [_difference] * len(dims))
 
 
 def reconstruct_primal(chain: AbsorbingChain) -> np.ndarray:

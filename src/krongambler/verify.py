@@ -35,8 +35,9 @@ enforced by ``build_game`` and ``build_dual``, which raise; they show up
 here only as a failed ``build``, ``dual_nonnegative`` or ``dual_link``
 entry, the last for a link past double-precision reach
 (``LinkPrecisionError``). ``verify`` is the one command that makes the
-kernel, the dual and the link dense, so a game too large to check raises
-SizeError instead, from the build or from the dense kernel. Checks that
+kernel and the dual dense (the link is applied one factor per lattice
+axis), so a game too large to check raises SizeError instead, from the
+build or from the dense kernel. Checks that
 do not apply to a spec (matrix coefficients, a game without a dual, games
 of more than one dimension for the factorization) are skipped rather than
 failed.
@@ -52,7 +53,7 @@ import numpy as np
 from .absorption import absorb_dist
 from .birth_death import bd_eigenvalues, bd_win_prob
 from .errors import LinkPrecisionError, SizeError, SpecError
-from .game import GameSpec, build_game, lattice_point_mass
+from .game import GameSpec, build_game, kron_apply, lattice_point_mass
 from .intertwine import build_dual, dual_initial, spectral_polynomials
 from .siegmund import (
     order_cols,
@@ -165,11 +166,10 @@ def run_checks(
     checks.append(CheckResult("dual_nonnegative", True, 0.0))
 
     p_hat = dual.dense()
-    # the dense link holds as many entries as the dense kernel above
-    lam = reduce(np.kron, link.per_dim)
-    checks.append(
-        _result("intertwining", np.max(np.abs(lam @ kernel - p_hat @ lam)), 1e-10)
-    )
+    # L P' - P_hat L, applying L = kron_j L_j one factor per lattice axis
+    gap = (kron_apply(kernel.T, dims, [lam.T for lam in link.per_dim]).T
+           - kron_apply(p_hat, dims, link.per_dim))
+    checks.append(_result("intertwining", np.max(np.abs(gap)), 1e-10))
     checks.append(
         _result("pure_birth_rows", np.max(np.abs(p_hat.sum(axis=1) - 1.0)), 1e-12)
     )
@@ -180,7 +180,7 @@ def run_checks(
             qk_resid = max(qk_resid, -float(qk.min()))
     checks.append(_result("spectral_polynomials_substochastic", qk_resid, 1e-10))
 
-    checks.append(diagonal_eigenvalue_check(kernel, dual.diag))
+    checks.append(diagonal_eigenvalue_check(kernel, dual.matrix.diagonal()))
 
     nu_star = lattice_point_mass(dims, start)
     weights = dual_initial(link, nu_star).values

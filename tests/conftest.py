@@ -6,6 +6,7 @@ from math import comb
 
 import numpy as np
 
+from scipy.linalg import solve_triangular
 from scipy.sparse.csgraph import connected_components
 
 from krongambler import (
@@ -18,6 +19,8 @@ from krongambler import (
     preset_r_of_d,
 )
 from krongambler.birth_death import bd_restricted
+from krongambler.errors import SpecError
+from krongambler.intertwine import classical_ssd_1d, ehrenfest_ergodic
 
 
 def kron_all(mats):
@@ -42,6 +45,51 @@ def product_order(dims):
         for n in dims
     ])
     return c, mobius
+
+
+def ehrenfest_binomial_link_inv(n: int) -> np.ndarray:
+    """Exact inverse of ``intertwine.ehrenfest_binomial_link``.
+
+    Entries (-1)^(j-i) 2^(j-1) binom(i-1, j-1): row i holds the
+    coefficients of (2x - 1)^(i-1).
+    """
+    out = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            out[i - 1, j - 1] = (-1.0) ** (j - i) * 2.0 ** (j - 1) * comb(
+                i - 1, j - 1
+            )
+    return out
+
+
+def ehrenfest_dual_weights_link_route(n: int, m: int) -> np.ndarray:
+    """Closed-form dual start weights through the two-link matrix route.
+
+    The oracle for ``intertwine.ehrenfest_dual_weights``: the classical
+    sharp-dual link times the inverse binomial link.
+    """
+    if not 1 <= m <= n:
+        raise SpecError(f"start must lie in 1..{n}, got {m}")
+    _, link_classical = classical_ssd_1d(ehrenfest_ergodic(n))
+    nu_star = np.zeros(n)
+    nu_star[m - 1] = 1.0
+    return nu_star @ link_classical @ ehrenfest_binomial_link_inv(n)
+
+
+def moveaxis_dual_initial(link, nu_star):
+    """Dual start weights by one triangular solve per lattice axis.
+
+    The oracle for ``intertwine.dual_initial``: each axis is moved to the
+    front, the others are flattened in row-major order, and L_j^T is solved
+    against the resulting columns.
+    """
+    tensor = np.asarray(nu_star, dtype=float).reshape(link.dims)
+    for axis, lam in enumerate(link.per_dim):
+        moved = np.moveaxis(tensor, axis, 0)
+        flat = moved.reshape(lam.shape[0], -1)
+        solved = solve_triangular(lam, flat, trans="T", lower=True)
+        tensor = np.moveaxis(solved.reshape(moved.shape), 0, axis)
+    return tensor.reshape(-1)
 
 
 def row_major_draw(values, dest, states, u):

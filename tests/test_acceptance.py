@@ -30,13 +30,17 @@ from krongambler.birth_death import bd_restricted
 from krongambler.intertwine import (
     classical_ssd_1d,
     ehrenfest_closed_forms,
-    ehrenfest_dual_weights_link_route,
     ehrenfest_ergodic,
 )
 from krongambler.siegmund import win_prob_pi_route
 from krongambler.verify import diagonal_eigenvalue_check, geometric_convolution_pmf
 
-from conftest import kron_all, rand_bd, rand_game
+from conftest import (
+    ehrenfest_dual_weights_link_route,
+    kron_all,
+    rand_bd,
+    rand_game,
+)
 
 
 def report(number, passed, detail):
@@ -181,7 +185,9 @@ def test_criterion_5_dual_diagonal_is_spectrum():
     for game in cases:
         chain = build_game(game)
         _, dual = build_dual(game)
-        check = diagonal_eigenvalue_check(chain.dense(), dual.diag)
+        check = diagonal_eigenvalue_check(
+            chain.dense(), dual.matrix.diagonal()
+        )
         worst = max(worst, check.residual)
     report(
         5,

@@ -1,3 +1,6 @@
+import time
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -18,6 +21,7 @@ from krongambler import (
     preset_r_of_d,
 )
 from krongambler import game as game_module
+from krongambler.game import kron_apply
 from krongambler.birth_death import bd_restricted
 from krongambler.verify import diagonal_eigenvalue_check
 
@@ -26,6 +30,7 @@ from conftest import (
     dense_mixture,
     direct_game_matrix,
     game_safe_budget,
+    kron_all,
     rand_bd,
     rand_game,
 )
@@ -291,6 +296,89 @@ def test_communication_agrees_with_dense_check():
         assert check_communication(AbsorbingChain(matrix=m, dims=(n,))) == want
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_communication_agrees_with_dense_check_on_random_games():
+    # positive mixtures over random move subsets: a subset family that
+    # leaves a coordinate out freezes it and splits the transient states
+    rng = np.random.default_rng(44)
+    seen = set()
+    for _ in range(60):
+        d = int(rng.integers(1, 4))
+        dims = tuple(
+            rand_bd(rng, int(rng.integers(2, 5)), q1_zero=bool(rng.integers(2)),
+                    budget=0.9 / d)
+            for _ in range(d)
+        )
+        subsets = tuple({
+            frozenset(int(j) for j in rng.choice(
+                np.arange(1, d + 1), size=int(rng.integers(1, d + 1)),
+                replace=False))
+            for _ in range(int(rng.integers(1, 4)))
+        })
+        weights = rng.uniform(0.2, 1.0, len(subsets))
+        game = GameSpec(dims=dims, subsets=subsets,
+                        coeffs=tuple(weights / weights.sum()))
+        kernel = dense_mixture(game)
+        want = dense_communication(kernel)
+        assert check_communication(AbsorbingChain(kernel, game.shape)) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_communication_counts_a_rounding_residue_as_ruin():
+    # states 0-2 pass all their mass among themselves, but row 0 sums to
+    # 1 - 1.1e-16, and that residue counts as a step into ruin: the check
+    # answers as it always has until ruin rates are exact
+    a, b = 0.3, 0.6
+    c = 1.0 - a - b
+    m = np.array([
+        [a, b, c, 0.0],
+        [c, a, b, 0.0],
+        [b, c, a, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    chain = AbsorbingChain(matrix=m, dims=(4,))
+    assert chain.ruin[0] > 0.0 and not chain.ruin[1:].any()
+    assert check_communication(chain)
+    assert dense_communication(m)
+
+
+def test_communication_check_is_linear_on_a_long_chain():
+    # one breadth-first search: a walk of one matrix-vector product per
+    # level took about 9 s on this 50,000-state chain
+    n = 50_000
+    chain = build_game(preset_r_of_d(
+        [BirthDeathSpec(N=n, p=(0.3,) * (n - 1), q=(0.3,) * (n - 1))], 1
+    ))
+    start = time.perf_counter()
+    assert check_communication(chain)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("dims", [(2,), (4,), (2, 3), (3, 2, 2)])
+def test_kron_apply_equals_the_dense_kronecker_product(dims):
+    # integer factors, so both products are exact; no factor is symmetric
+    # and the two 2 x 2 factors differ, so a transposed or swapped factor
+    # gives another answer
+    rng = np.random.default_rng(sum(dims))
+    factors = [rng.integers(-4, 5, (n, n)).astype(float) for n in dims]
+    assert all(not np.array_equal(f, f.T) for f in factors)
+    if dims == (3, 2, 2):
+        assert not np.array_equal(factors[1], factors[2])
+    dense = kron_all(factors)
+    n = len(dense)
+    # each factor as a callable applying its transpose, or as the matrix
+    for ops in ([partial(np.matmul, f.T) for f in factors], factors):
+        for x in (rng.integers(-9, 10, n).astype(float),
+                  rng.integers(-9, 10, (5, n)).astype(float)):
+            got = kron_apply(x, dims, ops)
+            assert got.shape == x.shape
+            assert np.array_equal(got, x @ dense)
+        # a transposed view, as the row-side order operators pass
+        matrix = rng.integers(-9, 10, (n, n)).astype(float)
+        got = kron_apply(matrix.T, dims, ops).T
+        assert np.array_equal(got, dense.T @ matrix)
 
 
 def test_chain_converts_dense_matrix_to_csr():

@@ -26,9 +26,7 @@ from krongambler.birth_death import bd_restricted, ergodic_matrix
 from krongambler.errors import LinkPrecisionError
 from krongambler.intertwine import (
     ehrenfest_binomial_link,
-    ehrenfest_binomial_link_inv,
     ehrenfest_closed_forms,
-    ehrenfest_dual_weights_link_route,
     ehrenfest_ergodic,
     pure_birth_1d,
     spectral_polynomials,
@@ -39,8 +37,11 @@ from krongambler.verify import diagonal_eigenvalue_check
 from conftest import (
     dense_mixture,
     direct_dual_kernel,
+    ehrenfest_binomial_link_inv,
+    ehrenfest_dual_weights_link_route,
     kron_all,
     link_cliff_doc,
+    moveaxis_dual_initial,
     rand_bd,
     rand_ergodic,
     rand_game,
@@ -228,7 +229,9 @@ def test_dual_is_the_clipped_dense_mixture_bit_for_bit():
         assert kernel.data.min() > 0.0
         mixed = dense_mixture(game, birth_factors(game))
         assert np.array_equal(dual.dense(), np.clip(mixed, 0.0, None))
-        assert np.array_equal(dual.diag, np.clip(np.diag(mixed), 0.0, None))
+        assert np.array_equal(
+            dual.matrix.diagonal(), np.clip(np.diag(mixed), 0.0, None)
+        )
 
 
 def test_link_gates_run_before_assembly(monkeypatch):
@@ -252,7 +255,7 @@ def test_link_entries_equal_the_dense_link_bit_for_bit():
     # Batches in the simulator's shapes, past 8,192 rows: a (k, 1) column of
     # game states against (k, w) dual candidates or a row of charged states.
     # numpy 2.4.6's unravel_index returns wrong coordinates for (k, 1)
-    # inputs of this size; the strides route must not.
+    # inputs of this size; the coordinate table must not.
     k = 9000
     game_states = (np.arange(k) % game.size)[:, None]
     candidates = (np.arange(4 * k).reshape(k, 4) * 7) % game.size
@@ -321,16 +324,17 @@ def test_dual_diagonal_is_game_spectrum():
     for game in games + [degenerate]:
         chain = build_game(game)
         _, dual = build_dual(game)
+        diag = dual.matrix.diagonal()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = diagonal_eigenvalue_check(chain.dense(), dual.diag)
+            result = diagonal_eigenvalue_check(chain.dense(), diag)
         assert result.passed and result.residual <= 1e-12, result
-        shifted = diagonal_eigenvalue_check(chain.dense(), dual.diag - 0.05)
+        shifted = diagonal_eigenvalue_check(chain.dense(), diag - 0.05)
         assert not shifted.passed, shifted
-        moved = dual.diag.copy()
+        moved = diag.copy()
         moved[int(rng.integers(len(moved)))] += 1e-6
         assert not diagonal_eigenvalue_check(chain.dense(), moved).passed
-    assert np.min(np.diff(np.sort(dual.diag))) == 0.0
+    assert np.min(np.diff(np.sort(diag))) == 0.0
 
 
 def test_dual_initial_point_mass_at_bottom():
@@ -363,6 +367,20 @@ def test_dual_initial_matches_dense_solve():
         dense = np.linalg.solve(kron_all(link.per_dim).T, nu)
         assert np.max(np.abs(out.values - dense)) < 1e-10
         assert support_dominates(game.shape, nu, out.values)
+
+
+def test_dual_initial_equals_the_moveaxis_solves_bit_for_bit():
+    rng = np.random.default_rng(38)
+    for d in (1, 2, 3):
+        for _ in range(6):
+            game = rand_game(rng, d=d, n_max=5 if d < 3 else 3)
+            link, _ = build_dual(game)
+            for nu in (rng.dirichlet(np.ones(game.size)),
+                       np.eye(game.size)[int(rng.integers(game.size))]):
+                want = moveaxis_dual_initial(link, nu)
+                assert np.array_equal(dual_initial(link, nu).values, want)
+                flat = dual_initial(link, nu.reshape(game.shape)).values
+                assert np.array_equal(flat, want)
 
 
 def test_dual_initial_round_trip_through_link():

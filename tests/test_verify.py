@@ -11,6 +11,7 @@ from krongambler import (
     preset_r_of_d,
     verify,
 )
+from krongambler.intertwine import SpectralLink
 from krongambler.siegmund import reconstruct_primal, stationary_of
 from krongambler.specfile import load_spec
 from krongambler.verify import all_passed, diagonal_eigenvalue_check, run_checks
@@ -134,6 +135,31 @@ def test_mutated_kernel_fails_product_checks(monkeypatch):
     by_name = {c.name: c for c in run_checks(game)}
     for name in ("win_prob_product_vs_solve", "stationary_product"):
         assert not by_name[name].passed, name
+
+
+def test_mutated_link_fails_intertwining(monkeypatch):
+    rng = np.random.default_rng(61)
+    dims = [rand_bd(rng, 4, budget=0.2), rand_bd(rng, 3, budget=0.2)]
+    game = preset_r_of_d(dims, 1)
+    by_name = {c.name: c for c in run_checks(game)}
+    assert by_name["intertwining"].passed
+    true_build = verify.build_dual
+
+    def mutated(spec):
+        # 1e-8 on one entry below the diagonal of the first factor
+        link, dual = true_build(spec)
+        factor = link.per_dim[0].copy()
+        factor[2, 1] += 1e-8
+        changed = SpectralLink(
+            per_dim=(factor, *link.per_dim[1:]),
+            iso_value=link.iso_value,
+            dims=link.dims,
+        )
+        return changed, dual
+
+    monkeypatch.setattr(verify, "build_dual", mutated)
+    by_name = {c.name: c for c in run_checks(game)}
+    assert not by_name["intertwining"].passed, by_name["intertwining"]
 
 
 def test_run_checks_makes_the_game_dense_once(monkeypatch):
