@@ -1,9 +1,9 @@
 """Monte Carlo cross-checks, including the coupled dual construction.
 
-Simulation is reproducible: a fixed (seed, runs, workers) triple always
-yields the bit-identical report. The coupled run rebuilds the pure-birth
-dual path step by step from the observed game path; the two reach their top
-corners at exactly the same moment, on every single path.
+Simulation is reproducible: a fixed (seed, runs) pair always yields the
+bit-identical report. The coupled run rebuilds the pure-birth dual path
+step by step from the observed game path; the two reach their top corners
+at exactly the same moment, on every single path.
 """
 
 import json
@@ -24,7 +24,7 @@ spec = BirthDeathSpec(N=3, p=(0.08, 0.07), q=(0.05, 0.06))
 game = preset_r_of_d([spec, spec], 1)
 chain = build_game(game)
 
-cfg = SimConfig(runs=50_000, seed=123, workers=4)
+cfg = SimConfig(runs=50_000, seed=123)
 report = simulate(chain, (2, 2), cfg)
 exact = win_prob_product(game)[chain.to_linear((2, 2))]
 print(f"empirical win frequency: {report.win_freq:.5f} "

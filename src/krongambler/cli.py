@@ -8,6 +8,7 @@ input. All numeric JSON output round-trips at full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -17,7 +18,7 @@ from .absorption import absorb_dist, pgf_multidim
 from .errors import CouplingError, HorizonError, SpecError
 from .game import build_game, lattice_coords, lattice_point_mass, linear_index
 from .siegmund import win_prob_product, win_prob_solve
-from .specfile import check_count, check_eps, load_spec
+from .specfile import SpecFileError, check_count, check_eps, load_spec
 from .simulate import SimConfig, simulate, simulate_coupled
 from .verify import all_passed, run_checks
 
@@ -30,18 +31,21 @@ def _fail(message: str, field: str | None = None) -> int:
     return 2
 
 
+def _flag_list(arg: str, flag: str, kind) -> tuple:
+    try:
+        return tuple(kind(c) for c in arg.split(","))
+    except ValueError:
+        raise SpecFileError(flag, f"expected {kind.__name__}s, got {arg!r}")
+
+
 def _parse_start(arg: str | None, parsed):
     if arg is None:
         return parsed.start
-    try:
-        coords = tuple(int(c) for c in arg.split(","))
-    except ValueError:
-        raise SpecError(f"--start must be comma-separated integers, got {arg!r}")
+    coords = _flag_list(arg, "--start", int)
     shape = parsed.game.shape
     if len(coords) != len(shape) or not all(
-        1 <= c <= n for c, n in zip(coords, shape)
-    ):
-        raise SpecError(f"--start {arg!r} is not a lattice state of {shape}")
+            1 <= c <= n for c, n in zip(coords, shape)):
+        raise SpecFileError("--start", f"{arg!r} is off the lattice {shape}")
     return coords
 
 
@@ -88,9 +92,8 @@ def cmd_pgf(args) -> int:
     parsed = load_spec(args.spec)
     game = parsed.game
     start = _parse_start(args.start, parsed)
-    nu = lattice_point_mass(game.shape, start)
-    pgf = pgf_multidim(game, nu)
-    points = [float(s) for s in args.eval.split(",")] if args.eval else [1.0]
+    points = _flag_list(args.eval, "--eval", float)
+    pgf = pgf_multidim(game, lattice_point_mass(game.shape, start))
     values = {repr(s): pgf.evaluate(s) for s in points}
     rho = float(win_prob_product(game)[linear_index(game.shape, start)])
     print(json.dumps({"values": values, "rho_at_1": rho}, indent=2))
@@ -123,6 +126,7 @@ def cmd_verify(args) -> int:
     return 0 if all_passed(checks) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="krongambler",
@@ -145,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pgf", help="evaluate the absorption-time pgf")
     p.add_argument("spec")
     p.add_argument("--start")
-    p.add_argument("--eval", help="comma-separated evaluation points")
+    p.add_argument("--eval", default="1",
+                   help="comma-separated evaluation points")
     p.set_defaults(func=cmd_pgf)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate")
@@ -163,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SpecError as exc:

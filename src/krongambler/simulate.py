@@ -2,11 +2,9 @@
 
 ``simulate`` and ``simulate_coupled`` step the game through one walk
 (``_walk``) and count the runs by one tally; the coupled dual moves between
-the walk's steps. The runs split into ``workers`` random streams,
-consecutive slices of the run arrays, run one after another in this
-process, not in parallel: stream w draws from a PCG64 generator seeded with
-``SeedSequence(seed).spawn(workers)[w]``, so a report depends only on
-(seed, runs, workers, max_steps).
+the walk's steps. All runs draw from one PCG64 generator seeded with
+``SeedSequence(seed).spawn(1)[0]`` (``SimConfig.rng``), so a report depends
+only on (seed, runs, max_steps).
 
 Runs move over lattice indices 0..n-1, the win corner last. A step samples
 the categories [ruin | the row's nonzeros] of the current row of the CSR
@@ -48,37 +46,28 @@ TIMEOUT_SHARE = 0.001
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Runs, seed, step cap and number of random streams of a simulation.
-
-    The ``workers`` streams take consecutive slices of the runs, the first
-    ``runs % workers`` of them one run longer (see the module docstring).
-    """
+    """Runs, seed and step cap of a simulation."""
 
     runs: int
     seed: int
     max_steps: int = 1_000_000
-    workers: int = 1
 
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
-    def streams(self):
-        """(generator, slice of the run arrays) per stream, in stream order."""
-        seqs = np.random.SeedSequence(self.seed).spawn(self.workers)
-        base, extra = divmod(self.runs, self.workers)
-        ends = [w * base + min(w, extra) for w in range(self.workers + 1)]
-        return [(np.random.default_rng(s), slice(a, b))
-                for s, a, b in zip(seqs, ends, ends[1:])]
+    def rng(self) -> np.random.Generator:
+        """A fresh generator for all the runs of one simulation."""
+        # the first spawned child: every recorded report drew from it
+        seq = np.random.SeedSequence(self.seed).spawn(1)[0]
+        return np.random.default_rng(seq)
 
 
 @dataclass(frozen=True, eq=False)
 class SimReport:
-    """Aggregated simulation outcome.
+    """Aggregated outcome of all the runs of one ``SimConfig``.
 
     ``counts_win``/``counts_lose`` are time-indexed run counts; the pmf
     properties condition them on the corresponding outcome.
@@ -86,7 +75,6 @@ class SimReport:
 
     runs: int
     seed: int
-    workers: int
     n_win: int
     n_lose: int
     n_timeout: int
@@ -118,7 +106,6 @@ class SimReport:
         out = {
             "runs": self.runs,
             "seed": self.seed,
-            "workers": self.workers,
             "win_freq": self.win_freq,
             "win_se": self.win_se,
             "n_win": self.n_win,
@@ -199,12 +186,12 @@ def _cum_rows(chain: AbsorbingChain) -> tuple:
 
 def _walk(cum, dest, win: int, states: np.ndarray, times: np.ndarray,
           rng, max_steps: int):
-    """Step one stream's runs through the game until absorbed or timed out.
+    """Step the runs through the game until absorbed or timed out.
 
-    ``states`` and ``times`` are the stream's views of the run arrays,
-    updated in place; a run's time is the step at which it was absorbed,
-    0 if it starts at the win corner. Each step yields the runs that moved
-    (indices into the views) and their new states.
+    ``states`` and ``times`` are the run arrays, updated in place; a run's
+    time is the step at which it was absorbed, 0 if it starts at the win
+    corner. Each step yields the indices of the runs that moved and their
+    new states.
     """
     active = np.flatnonzero(states != win)
     for step in range(1, max_steps + 1):
@@ -228,7 +215,6 @@ def _tally(states: np.ndarray, times: np.ndarray, win: int, cfg: SimConfig,
     return SimReport(
         runs=cfg.runs,
         seed=cfg.seed,
-        workers=cfg.workers,
         n_win=n_win,
         n_lose=n_lose,
         n_timeout=n_timeout,
@@ -273,10 +259,9 @@ def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
     cum, dest = _cum_rows(chain)
     states = np.full(cfg.runs, s0, dtype=np.int64)
     times = np.zeros(cfg.runs, dtype=np.int64)
-    for rng, runs in cfg.streams():
-        for _ in _walk(cum, dest, chain.win_index, states[runs], times[runs],
-                       rng, cfg.max_steps):
-            pass
+    for _ in _walk(cum, dest, chain.win_index, states, times, cfg.rng(),
+                   cfg.max_steps):
+        pass
     return _tally(states, times, chain.win_index, cfg)
 
 
@@ -331,30 +316,26 @@ def simulate_coupled(
     cum_nu = np.cumsum(np.asarray(nu_star, dtype=float).reshape(chain.size))
     cum_nu[-1] = max(cum_nu[-1], 1.0)
 
-    states = np.zeros(cfg.runs, dtype=np.int64)
+    rng = cfg.rng()
+    states = np.searchsorted(cum_nu, rng.random(cfg.runs), side="right")
     times = np.zeros(cfg.runs, dtype=np.int64)
+    w0 = nu_hat[charged] * link.entries(charged, states[:, None])
+    ehat = charged[_conditional_draw(w0, rng.random(cfg.runs))]
     violations = 0
-    paths = [] if record_paths else None
-    for rng, runs in cfg.streams():
-        estar = states[runs]
-        estar[:] = np.searchsorted(cum_nu, rng.random(len(estar)),
-                                   side="right")
-        w0 = nu_hat[charged] * link.entries(charged, estar[:, None])
-        ehat = charged[_conditional_draw(w0, rng.random(len(estar)))]
+    paths = ([[(int(e), int(h))] for e, h in zip(states, ehat)]
+             if record_paths else None)
+    for moved, nxt in _walk(cum, dest, win, states, times, rng,
+                            cfg.max_steps):
+        alive, nxt = moved[nxt != RUIN], nxt[nxt != RUIN]
+        cand = dual_dest[ehat[alive]]
+        rows = dual_values[ehat[alive]] * link.entries(cand, nxt[:, None])
+        pick = _conditional_draw(rows, rng.random(len(alive)))
+        ehat[alive] = cand[np.arange(len(alive)), pick]
+        violations += int(np.sum((ehat[alive] == dual.win_index)
+                                 != (nxt == win)))
         if record_paths:
-            paths += [[(int(e), int(h))] for e, h in zip(estar, ehat)]
-        for moved, nxt in _walk(cum, dest, win, estar, times[runs], rng,
-                                cfg.max_steps):
-            alive, nxt = moved[nxt != RUIN], nxt[nxt != RUIN]
-            cand = dual_dest[ehat[alive]]
-            rows = dual_values[ehat[alive]] * link.entries(cand, nxt[:, None])
-            pick = _conditional_draw(rows, rng.random(len(alive)))
-            ehat[alive] = cand[np.arange(len(alive)), pick]
-            violations += int(np.sum((ehat[alive] == dual.win_index)
-                                     != (nxt == win)))
-            if record_paths:
-                for r, e in zip(alive, nxt):
-                    paths[runs.start + r].append((int(e), int(ehat[r])))
+            for r, e in zip(alive, nxt):
+                paths[r].append((int(e), int(ehat[r])))
 
     report = _tally(states, times, win, cfg, violations)
     return (report, paths) if record_paths else report

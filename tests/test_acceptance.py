@@ -233,7 +233,7 @@ def test_criterion_7_monte_carlo_concordance():
     spec_b = BirthDeathSpec(N=3, p=(0.25, 0.3), q=(0.15, 0.1))
     game = preset_r_of_d([spec_a, spec_b], 1)
     chain = build_game(game)
-    cfg = SimConfig(runs=100_000, seed=20240901, workers=4)
+    cfg = SimConfig(runs=100_000, seed=20240901)
     rep = simulate(chain, (2, 2), cfg)
     exact = float(win_prob_product(game)[chain.to_linear((2, 2))])
     freq_ok = abs(rep.win_freq - exact) < 4 * rep.win_se
@@ -246,7 +246,7 @@ def test_criterion_7_monte_carlo_concordance():
     nu = np.zeros(9)
     nu[0] = 1.0
     coupled = simulate_coupled(
-        lazy_game, nu, SimConfig(runs=30_000, seed=7, workers=2)
+        lazy_game, nu, SimConfig(runs=30_000, seed=7)
     )
     elapsed = time.perf_counter() - t0
     passed = (

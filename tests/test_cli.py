@@ -200,7 +200,7 @@ def test_workers_env_leaves_simulate_unchanged(tmp_path, capsys, monkeypatch):
     code_b, out_b, _ = run_cli(capsys, ["simulate", path])
     assert code_a == code_b == 0
     assert out_b == out_a
-    assert json.loads(out_b)["workers"] == 1
+    assert "workers" not in json.loads(out_b)
 
 
 def test_simulate_coupled_from_the_win_corner(tmp_path, capsys):
@@ -263,7 +263,7 @@ def test_malformed_start_flag_exits_two(tmp_path, capsys):
     path = write_spec(tmp_path, golden_doc())
     code, _, err = run_cli(capsys, ["pgf", path, "--start", "a,b"])
     assert code == 2
-    assert "error" in json.loads(err)
+    assert json.loads(err)["field"] == "--start"
 
 
 @pytest.mark.parametrize("command", ["absorb-dist", "pgf", "simulate"])
@@ -272,7 +272,9 @@ def test_start_flag_off_the_lattice_exits_two(tmp_path, capsys, command, start):
     path = write_spec(tmp_path, lazy_two_dim_doc(runs=50))
     code, _, err = run_cli(capsys, [command, path, "--start", start])
     assert code == 2
-    assert "--start" in json.loads(err)["error"]
+    body = json.loads(err)
+    assert body["field"] == "--start"
+    assert "--start" in body["error"]
 
 
 def test_pgf_eval_beyond_radius_exits_two(tmp_path, capsys):
@@ -280,6 +282,15 @@ def test_pgf_eval_beyond_radius_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["pgf", path, "--eval", "1.5"])
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("points", ["", "0.5,", "a"])
+def test_pgf_eval_malformed_exits_two(tmp_path, capsys, points):
+    path = write_spec(tmp_path, lazy_two_dim_doc())
+    code, out, err = run_cli(capsys, ["pgf", path, "--eval", points])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["field"] == "--eval"
 
 
 @pytest.mark.parametrize("target, pmf", [("win", 1.0), ("lose", 0.0)])

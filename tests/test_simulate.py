@@ -62,7 +62,7 @@ def test_two_dim_frequency_matches_product():
     spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.1, 0.1))
     game = preset_r_of_d([spec, spec], 1)
     chain = build_game(game)
-    cfg = SimConfig(runs=100_000, seed=3, workers=4)
+    cfg = SimConfig(runs=100_000, seed=3)
     report = simulate(chain, (2, 2), cfg)
     exact = win_prob_product(game)[chain.to_linear((2, 2))]
     assert abs(report.win_freq - exact) < 4 * report.win_se
@@ -71,11 +71,11 @@ def test_two_dim_frequency_matches_product():
 def test_reports_identical_for_identical_config():
     spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.1, 0.1))
     chain = build_game(one_dim_game(spec))
-    cfg = SimConfig(runs=5_000, seed=9, workers=3)
+    cfg = SimConfig(runs=5_000, seed=9)
     a = simulate(chain, (2,), cfg)
     b = simulate(chain, (2,), cfg)
     assert json.dumps(a.as_dict()) == json.dumps(b.as_dict())
-    c = simulate(chain, (2,), SimConfig(runs=5_000, seed=10, workers=3))
+    c = simulate(chain, (2,), SimConfig(runs=5_000, seed=10))
     assert json.dumps(a.as_dict()) != json.dumps(c.as_dict())
 
 
@@ -208,7 +208,7 @@ def test_plain_win_times_pass_chi_square():
     spec = BirthDeathSpec(N=4, p=(0.3, 0.25, 0.3), q=(0.1, 0.15, 0.1))
     game = one_dim_game(spec)
     chain = build_game(game)
-    report = simulate(chain, (2,), SimConfig(runs=30_000, seed=17, workers=2))
+    report = simulate(chain, (2,), SimConfig(runs=30_000, seed=17))
     nu = np.zeros(4)
     nu[1] = 1.0
     exact = absorb_dist(chain, nu)
@@ -236,7 +236,7 @@ def test_plain_and_coupled_agree_on_win_frequency():
     chain = build_game(game)
     nu = np.zeros(3)
     nu[0] = 1.0
-    cfg = SimConfig(runs=30_000, seed=8, workers=2)
+    cfg = SimConfig(runs=30_000, seed=8)
     plain = simulate(chain, (1,), cfg)
     coupled = simulate_coupled(game, nu, cfg)
     exact = bd_win_prob(spec)[0]
@@ -257,12 +257,11 @@ def test_coupled_start_at_the_win_corner_counts_at_time_zero():
     assert abs(report.counts_win[0] / report.runs - 0.5) < 4 * 0.5 / 100
 
 
-def test_more_streams_than_runs():
+def test_two_runs_add_up_and_repeat():
     spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.1, 0.1))
     game = one_dim_game(spec)
     chain = build_game(game)
-    cfg = SimConfig(runs=2, seed=6, workers=5)
-    assert [s.stop - s.start for _, s in cfg.streams()] == [1, 1, 0, 0, 0]
+    cfg = SimConfig(runs=2, seed=6)
     nu = np.zeros(3)
     nu[0] = 1.0
     for run in (lambda: simulate(chain, (1,), cfg),
@@ -276,7 +275,6 @@ def test_more_streams_than_runs():
 @pytest.mark.parametrize("kwargs, message", [
     ({"runs": 0, "seed": 0}, "runs must be >= 1"),
     ({"runs": 10, "seed": -3}, "seed must be >= 0"),
-    ({"runs": 10, "seed": 0, "workers": 0}, "workers must be >= 1"),
 ])
 def test_config_rejects_out_of_range_values(kwargs, message):
     with pytest.raises(ValueError, match=message):
