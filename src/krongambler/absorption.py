@@ -144,11 +144,9 @@ def _power_iteration(q, exit, start: np.ndarray,
     exit probabilities to the target. Iteration stops at the first step
     t < horizon at which the iterate's l1 mass is below eps, or after
     ``horizon`` steps; without a horizon, failing to converge within
-    MAX_HORIZON steps raises. A nonnegative start keeps
-    sum(x_t) >= sum(x_0) * r^t, with r the least row sum of Q, so when that
-    floor is still at least eps at MAX_HORIZON it raises before any step.
-    Returns the pmf, with pmf[0] = 0 and pmf[t] = x_{t-1} . exit, and the
-    tail (I - Q)^-1 exit . x_last, the target mass behind the last step.
+    MAX_HORIZON steps raises. Returns the pmf, with pmf[0] = 0 and
+    pmf[t] = x_{t-1} . exit, and the tail (I - Q)^-1 exit . x_last, the
+    target mass behind the last step.
 
     Steps are written in blocks into one buffer of iterates (see the module
     docstring); everything kept past a block is copied out of it.
@@ -167,14 +165,6 @@ def _power_iteration(q, exit, start: np.ndarray,
 
     cap = MAX_HORIZON if horizon is None else int(horizon)
     ones = np.ones(m)
-    if horizon is None and start.min(initial=0.0) >= 0.0:
-        r = float((q @ ones).min(initial=1.0))
-        floor = start.sum() * r**cap
-        if floor >= eps:
-            raise HorizonError(
-                f"transient mass stays >= {floor:.3e} for {cap} steps "
-                f"(least row sum of Q {r!r}); pass a horizon"
-            )
     buf = np.empty((BLOCK_STEPS + 1, m))
     buf[0] = start
     pmf = [np.zeros(1)]
@@ -220,7 +210,9 @@ def absorb_dist(
     ``"ruin"`` (the row deficits); anything else raises ValueError.
     Iteration stops once the transient mass drops below eps or the horizon
     is reached; without an explicit horizon, failing to converge within
-    10^6 steps raises. ``eps`` and ``horizon`` follow the spec file's rules
+    10^6 steps raises, before any step when the floor sum(x_0) * r^(10^6)
+    of a nonnegative start, r the chain's ``least_row_sum``, is still at
+    least eps. ``eps`` and ``horizon`` follow the spec file's rules
     (:func:`krongambler.specfile.check_eps`, ``check_count``) and are
     checked before any step. The check that the dual mixture reproduces this
     law for a game is ``distribution_equality`` in
@@ -231,8 +223,16 @@ def absorb_dist(
         horizon = check_count(horizon, "horizon", 0)
     exit = chain.exit(target)
     start = np.asarray(nu, dtype=float).reshape(chain.size)
-    pmf, tail = _power_iteration(chain.transient, exit, start[:-1], horizon,
-                                 eps)
+    x0 = start[:-1]
+    if horizon is None and x0.min(initial=0.0) >= 0.0:
+        r = chain.least_row_sum
+        floor = x0.sum() * r**MAX_HORIZON
+        if floor >= eps:
+            raise HorizonError(
+                f"transient mass stays >= {floor:.3e} for {MAX_HORIZON} "
+                f"steps (least row sum of Q {r!r}); pass a horizon"
+            )
+    pmf, tail = _power_iteration(chain.transient, exit, x0, horizon, eps)
     if target == "win":
         pmf[0] = start[-1]
     low = float(pmf.min(initial=0.0))

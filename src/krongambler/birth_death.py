@@ -5,11 +5,15 @@ game chain on ``{0, 1, .., N}`` (0 is ruin, N is the win); its sink-restricted
 matrix on ``{1..N}`` is the building block of every multidimensional
 construction. :class:`ErgodicBDSpec` describes an ergodic walk on ``{1..M}``
 and is related to the absorbing flavour through Siegmund duality.
+Each flavour's ``band``, the (diag, upper, lower) arrays of its matrix, is
+the one place its tridiagonal layout is written: the dense matrices, the
+spectra, the monotonicity test and ``game.kron_mixture`` all read bands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -46,18 +50,26 @@ class BirthDeathSpec:
                 f"p and q must have length N-1={self.N - 1}, "
                 f"got {len(p)} and {len(q)}"
             )
-        if any(x <= 0.0 for x in p):
+        # each test is written so that NaN fails it
+        if not all(x > 0.0 for x in p):
             raise SpecError("birth rates p(i) must be positive")
-        if q and q[0] < 0.0:
+        if q and not q[0] >= 0.0:
             raise SpecError("q(1) must be nonnegative")
-        if any(x <= 0.0 for x in q[1:]):
+        if not all(x > 0.0 for x in q[1:]):
             raise SpecError("death rates q(i), i >= 2, must be positive")
-        if any(a + b > 1.0 + DEFAULT_TOL for a, b in zip(p, q)):
+        if not all(a + b <= 1.0 + DEFAULT_TOL for a, b in zip(p, q)):
             raise SpecError("p(i) + q(i) must not exceed 1")
 
     @property
     def sink_reachable(self) -> bool:
         return bool(self.q) and self.q[0] > 0.0
+
+    @cached_property
+    def band(self) -> tuple:
+        """Read-only band of :func:`bd_restricted`: upper[i] at (i, i+1),
+        lower[i] at (i+1, i); hold 1 - p - q and an absorbing last row."""
+        p, q = np.array(self.p), np.array(self.q)
+        return _read_only(np.append(1.0 - p - q, 1.0), p, np.append(q, 0.0)[1:])
 
 
 @dataclass(frozen=True)
@@ -84,26 +96,39 @@ class ErgodicBDSpec:
                 f"p and q must have length M-1={self.M - 1}, "
                 f"got {len(p)} and {len(q)}"
             )
-        if any(x <= 0.0 for x in p) or any(x <= 0.0 for x in q):
+        if not all(x > 0.0 for x in p + q):  # NaN fails each test
             raise SpecError("ergodic rates must be positive")
         for i in range(1, self.M + 1):
             up = p[i - 1] if i < self.M else 0.0
             down = q[i - 2] if i >= 2 else 0.0
-            if up + down > 1.0 + DEFAULT_TOL:
+            if not up + down <= 1.0 + DEFAULT_TOL:
                 raise SpecError(f"rates out of state {i} sum to more than 1")
+
+    @cached_property
+    def band(self) -> tuple:
+        """Read-only band of :func:`ergodic_matrix`: upper[i] = p'(i+1) at
+        (i, i+1), lower[i] = q'(i+2) at (i+1, i), hold 1 - p' - q'."""
+        p, q = np.array(self.p), np.array(self.q)
+        return _read_only(1.0 - np.append(p, 0.0) - np.append(0.0, q), p, q)
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _band_dense(band) -> np.ndarray:
+    """The square matrix of a (diag, upper, lower) band."""
+    diag, upper, lower = band
+    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
 
 
 def bd_matrix(spec: BirthDeathSpec) -> np.ndarray:
     """(N+1)x(N+1) transition matrix on {0..N} with 0 and N absorbing."""
-    n = spec.N
-    m = np.zeros((n + 1, n + 1))
+    m = np.pad(bd_restricted(spec), ((1, 0), (1, 0)))
     m[0, 0] = 1.0
-    m[n, n] = 1.0
-    for i in range(1, n):
-        up, down = spec.p[i - 1], spec.q[i - 1]
-        m[i, i + 1] = up
-        m[i, i - 1] = down
-        m[i, i] = 1.0 - up - down
+    m[1, 0] = spec.q[0] if spec.q else 0.0
     return m
 
 
@@ -112,7 +137,7 @@ def bd_restricted(spec: BirthDeathSpec) -> np.ndarray:
 
     Substochastic when q(1) > 0 (state 1 leaks to the removed ruin state).
     """
-    return bd_matrix(spec)[1:, 1:].copy()
+    return _band_dense(spec.band)
 
 
 def _sym_tridiag_eigs(diag, upper, lower) -> np.ndarray:
@@ -133,10 +158,9 @@ def tridiag_block_eigs(spec: BirthDeathSpec, lo: int, hi: int) -> np.ndarray:
     """
     if hi < lo:
         return np.empty(0)
-    p = np.asarray(spec.p)
-    q = np.asarray(spec.q)
+    diag, upper, lower = spec.band
     return _sym_tridiag_eigs(
-        1.0 - p[lo - 1 : hi] - q[lo - 1 : hi], p[lo - 1 : hi - 1], q[lo:hi]
+        diag[lo - 1 : hi], upper[lo - 1 : hi - 1], lower[lo - 1 : hi - 1]
     )
 
 
@@ -184,17 +208,7 @@ def bd_win_prob_solve(spec: BirthDeathSpec) -> np.ndarray:
 
 def ergodic_matrix(spec: ErgodicBDSpec) -> np.ndarray:
     """MxM transition matrix of the ergodic walk."""
-    m = spec.M
-    out = np.zeros((m, m))
-    for i in range(1, m + 1):
-        up = spec.p[i - 1] if i < m else 0.0
-        down = spec.q[i - 2] if i >= 2 else 0.0
-        if i < m:
-            out[i - 1, i] = up
-        if i >= 2:
-            out[i - 1, i - 2] = down
-        out[i - 1, i - 1] = 1.0 - up - down
-    return out
+    return _band_dense(spec.band)
 
 
 def bd_stationary(spec: ErgodicBDSpec) -> np.ndarray:
@@ -205,34 +219,19 @@ def bd_stationary(spec: ErgodicBDSpec) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _monotone_condition(spec) -> bool:
-    if isinstance(spec, BirthDeathSpec):
-        pairs = zip(spec.p[:-1], spec.q[1:])
-    elif isinstance(spec, ErgodicBDSpec):
-        pairs = zip(spec.p, spec.q)
-    else:
-        raise TypeError(f"unsupported spec type {type(spec)!r}")
-    return all(a + b <= 1.0 + DEFAULT_TOL for a, b in pairs)
-
-
-def _spectrum(spec) -> np.ndarray:
-    if isinstance(spec, BirthDeathSpec):
-        return bd_eigenvalues(spec)
-    # detailed balance symmetrizes the ergodic matrix the same way
-    up = np.append(spec.p, 0.0)
-    down = np.append(0.0, spec.q)
-    return _sym_tridiag_eigs(1.0 - up - down, spec.p, spec.q)
-
-
 def bd_is_monotone(spec) -> bool:
     """Stochastic monotonicity: p(i-1) + q(i) <= 1 for every adjacent pair.
 
-    A nonnegative spectrum always implies this condition (the converse can
+    That is upper + lower <= 1 on the band of either chain flavour. A
+    nonnegative spectrum always implies this condition (the converse can
     fail), so a chain reported non-monotone while its eigenvalues are clearly
     nonnegative indicates a bug and raises.
     """
-    cond = _monotone_condition(spec)
-    if not cond and _spectrum(spec)[0] >= 1e-9:
+    if not isinstance(spec, (BirthDeathSpec, ErgodicBDSpec)):
+        raise TypeError(f"unsupported spec type {type(spec)!r}")
+    band = spec.band
+    cond = bool(np.all(band[1] + band[2] <= 1.0 + DEFAULT_TOL))
+    if not cond and _sym_tridiag_eigs(*band)[0] >= 1e-9:
         raise InternalCheckError(
             "nonnegative spectrum with violated adjacent-pair condition"
         )

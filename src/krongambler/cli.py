@@ -92,9 +92,10 @@ def cmd_pgf(args) -> int:
     parsed = load_spec(args.spec)
     game = parsed.game
     start = _parse_start(args.start, parsed)
-    points = _flag_list(args.eval, "--eval", float)
+    # a repeated point is printed once, so it is solved once
+    points = {repr(s): s for s in _flag_list(args.eval, "--eval", float)}
     pgf = pgf_multidim(game, lattice_point_mass(game.shape, start))
-    values = {repr(s): pgf.evaluate(s) for s in points}
+    values = {key: pgf.evaluate(s) for key, s in points.items()}
     rho = float(win_prob_product(game)[linear_index(game.shape, start)])
     print(json.dumps({"values": values, "rho_at_1": rho}, indent=2))
     return 0

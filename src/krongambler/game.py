@@ -7,8 +7,8 @@ is the game's kernel on the lattice: a substochastic matrix whose row
 deficits are the one-step probabilities of the common ruin state. A
 Kronecker product of tridiagonal factors has at most 3^d nonzeros per row,
 so the kernel is assembled and validated as a CSR matrix straight from the
-components' bands by :func:`kron_mixture`, which also assembles the
-pure-birth dual from its bidiagonal factors (``intertwine.build_dual``).
+components' bands (``BirthDeathSpec.band``) by :func:`kron_mixture`, which
+takes the pure-birth dual's bidiagonal bands too (``intertwine.build_dual``).
 Every command reads the CSR kernel; ``AbsorbingChain.dense`` is the one
 place a kernel is made dense, for ``verify`` alone (the Siegmund partner
 and the spectrum check), and it raises past the dense cap. A game build is
@@ -121,7 +121,8 @@ class GameSpec:
             raise SpecError("coeffs and subsets must have equal length")
         if self.scalar_coeffs:
             coeffs = tuple(float(b) for b in coeffs)
-            if abs(sum(coeffs) - 1.0) > DEFAULT_TOL:
+            # a non-finite coefficient makes the sum inf or NaN: both fail
+            if not abs(sum(coeffs) - 1.0) <= DEFAULT_TOL:
                 raise SpecError(f"coefficients sum to {sum(coeffs)!r}, not 1")
         else:
             size = self.size
@@ -136,7 +137,7 @@ class GameSpec:
                     )
                 total += b
                 mats.append(b)
-            if np.max(np.abs(total - np.eye(size))) > DEFAULT_TOL:
+            if not np.max(np.abs(total - np.eye(size))) <= DEFAULT_TOL:
                 raise SpecError("matrix coefficients must sum to the identity")
             coeffs = tuple(mats)
         object.__setattr__(self, "coeffs", coeffs)
@@ -197,6 +198,11 @@ class AbsorbingChain:
         return self.matrix[:-1, :-1]
 
     @cached_property
+    def least_row_sum(self) -> float:
+        """Least row sum of the transient block Q, 1.0 if it is empty (cached)."""
+        return float((self.transient @ np.ones(self.size - 1)).min(initial=1.0))
+
+    @cached_property
     def _to_win(self) -> np.ndarray:
         to_win = self.matrix[:-1, [self.win_index]].toarray()[:, 0]
         to_win.flags.writeable = False
@@ -234,21 +240,15 @@ class AbsorbingChain:
         return linear_index(self.dims, multi)
 
 
-def _band(spec: BirthDeathSpec) -> tuple:
-    """(rows, cols, values) of a component's sink-restricted kernel on {1..N}.
-
-    The nonzero entries of :func:`krongambler.birth_death.bd_restricted`,
-    computed the same way: hold 1 - p - q, up p, down q, and the absorbing
-    win in the last row.
-    """
-    p = np.asarray(spec.p)
-    q = np.asarray(spec.q)
-    top = np.arange(spec.N - 1)
-    rows = np.concatenate([top, top, top[1:], [spec.N - 1]])
-    cols = np.concatenate([top, top + 1, top[:-1], [spec.N - 1]])
-    vals = np.concatenate([1.0 - p - q, p, q[1:], [1.0]])
+def _band_nonzeros(band) -> tuple:
+    """(rows, cols, values, side) of the nonzeros of a (diag, upper, lower) band."""
+    diag, upper, lower = band
+    i = np.arange(len(diag))
+    rows = np.concatenate([i, i[:-1], i[1:]])
+    cols = np.concatenate([i, i[1:], i[:-1]])
+    vals = np.concatenate([diag, upper, lower])
     keep = vals != 0.0
-    return rows[keep], cols[keep], vals[keep], spec.N
+    return rows[keep], cols[keep], vals[keep], len(diag)
 
 
 def _identity(side: int) -> tuple:
@@ -272,7 +272,7 @@ def _kron_triplets(factors) -> tuple:
     return rows, cols, vals
 
 
-def _triplet_count(spec: GameSpec, bands) -> int:
+def _triplet_count(spec: GameSpec) -> int:
     """Number of triplets :func:`build_game` assembles, or a bound on it.
 
     Exact for scalar coefficients; a matrix coefficient's product with a
@@ -286,8 +286,8 @@ def _triplet_count(spec: GameSpec, bands) -> int:
         )
     return sum(
         prod(
-            len(bands[j][0]) if (j + 1) in subset else side
-            for j, side in enumerate(spec.shape)
+            np.count_nonzero(np.concatenate(s.band)) if j in subset else s.N
+            for j, s in enumerate(spec.dims, start=1)
         )
         for subset in spec.subsets
     )
@@ -296,7 +296,7 @@ def _triplet_count(spec: GameSpec, bands) -> int:
 def kron_mixture(bands, subsets, coeffs, error, message) -> sparse.csr_array:
     """CSR kernel of the mixture sum_k coeffs[k] kron_j F_kj, clamped at zero.
 
-    ``bands`` holds one (rows, cols, values, side) per coordinate; F_kj is
+    ``bands`` holds one (diag, upper, lower) band per coordinate; F_kj is
     band j for the coordinates j + 1 in ``subsets[k]`` and the identity
     otherwise, and a matrix coefficient multiplies its term as a CSR
     product. The terms are added entry by entry in mixture order, the order
@@ -305,12 +305,13 @@ def kron_mixture(bands, subsets, coeffs, error, message) -> sparse.csr_array:
     more negative one raises ``error`` with ``message`` formatted with the
     entry ``low`` and its lattice states ``src`` and ``dst``.
     """
-    shape = tuple(band[3] for band in bands)
+    factors = [_band_nonzeros(band) for band in bands]
+    shape = tuple(f[3] for f in factors)
     n = prod(shape)
     terms = []
     for subset, coeff in zip(subsets, coeffs):
         rows, cols, vals = _kron_triplets(
-            bands[j] if (j + 1) in subset else _identity(side)
+            factors[j] if (j + 1) in subset else _identity(side)
             for j, side in enumerate(shape)
         )
         if np.ndim(coeff):
@@ -347,11 +348,11 @@ def build_game(spec: GameSpec) -> AbsorbingChain:
     """Mix the Kronecker terms into the game's CSR kernel and validate it.
 
     :func:`kron_mixture` assembles the kernel from the components'
-    tridiagonal bands. Cancellation in signed mixtures may leave entries in
-    [-DEFAULT_TOL, 0), which are clamped to zero; anything more negative,
-    or a row summing above 1 + DEFAULT_TOL, means the mixture is not a
-    valid chain and raises. The transient lattice states must form one
-    communication class.
+    tridiagonal bands (``BirthDeathSpec.band``). Cancellation in signed
+    mixtures may leave entries in [-DEFAULT_TOL, 0), which are clamped to
+    zero; anything more negative, or a row summing above 1 + DEFAULT_TOL,
+    means the mixture is not a valid chain and raises. The transient
+    lattice states must form one communication class.
 
     Before anything is allocated, a game that would assemble more than
     ``linalg.MAX_TRIPLETS`` triplets raises SizeError, and so does a game of
@@ -367,8 +368,7 @@ def build_game(spec: GameSpec) -> AbsorbingChain:
             f"cap ({MAX_ENTRIES} entries); its sparse LU fill-in grows about "
             f"as n^1.6"
         )
-    bands = [_band(s) for s in spec.dims]
-    count = _triplet_count(spec, bands)
+    count = _triplet_count(spec)
     if count > MAX_TRIPLETS:
         raise SizeError(
             f"a kernel of {n} states would assemble {count} triplets "
@@ -376,7 +376,8 @@ def build_game(spec: GameSpec) -> AbsorbingChain:
         )
     chain = AbsorbingChain(
         matrix=kron_mixture(
-            bands, spec.subsets, spec.coeffs, StochasticityError,
+            [s.band for s in spec.dims], spec.subsets, spec.coeffs,
+            StochasticityError,
             "mixture entry {low:.3e} at states {src} -> {dst}",
         ),
         dims=shape,

@@ -8,8 +8,9 @@ corner then has the same (suitably weighted) law as absorption of the
 pure-birth chain, which is cheap to analyze.
 
 :func:`build_dual` gates the per-dimension link identities, then
-assembles the dual once, as a CSR Kronecker mixture of bidiagonal factors
-by the game's own assembly (:func:`krongambler.game.kron_mixture`). The
+assembles the dual once, as a CSR Kronecker mixture of bidiagonal bands
+by the game's own assembly (:func:`krongambler.game.kron_mixture`, which
+takes bands as the game takes ``BirthDeathSpec.band``). The
 link is kept as its per-dimension factors and no dense link is formed
 anywhere: an entry is a product of factor entries
 (:meth:`SpectralLink.entries`), and the link acts on vectors and matrices
@@ -33,6 +34,7 @@ from scipy.linalg import solve_triangular
 
 from .birth_death import (
     _EIG_TOL,
+    _band_dense,
     BirthDeathSpec,
     ErgodicBDSpec,
     bd_eigenvalues,
@@ -104,14 +106,14 @@ def spectral_polynomials(spec: BirthDeathSpec) -> list:
     return _spectral_recurrence(spec, np.eye(spec.N))
 
 
+def _birth_band(lam: np.ndarray) -> tuple:
+    """(diag, upper, lower) of the pure-birth kernel: hold lam_i, up 1 - lam_i."""
+    return lam, 1.0 - lam[:-1], np.zeros(len(lam) - 1)
+
+
 def pure_birth_1d(eigenvalues) -> np.ndarray:
     """One-dimensional pure-birth kernel: hold lam_i, move up 1 - lam_i."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    n = len(lam)
-    out = np.diag(lam)
-    for i in range(n - 1):
-        out[i, i + 1] = 1.0 - lam[i]
-    return out
+    return _band_dense(_birth_band(np.asarray(eigenvalues, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +148,6 @@ class SpectralLink:
         return lattice_coords(self.dims)
 
 
-def _nonzeros(m: np.ndarray) -> tuple:
-    """(rows, cols, values, side) of the nonzero entries of a square factor."""
-    rows, cols = np.nonzero(m)
-    return rows, cols, m[rows, cols], len(m)
-
-
 def build_dual(game: GameSpec) -> tuple:
     """Construct the link and the pure-birth dual of a scalar-coefficient game.
 
@@ -160,7 +156,7 @@ def build_dual(game: GameSpec) -> tuple:
     otherwise; a step raising exactly the coordinates in B then has
     probability prod_{j in B} (1 - lam_j) * sum_{k: B subset A_k} b_k
     prod_{j in A_k - B} lam_j. It is assembled in CSR form from the
-    bidiagonal factors by :func:`krongambler.game.kron_mixture`, the
+    bidiagonal bands by :func:`krongambler.game.kron_mixture`, the
     assembly of the game's kernel. By the mixed-product rule the
     per-dimension identities L_j P_j = P_hat_j L_j imply the global
     intertwining, so only those, and each link's isolated win corner, are
@@ -175,10 +171,11 @@ def build_dual(game: GameSpec) -> tuple:
         if not bd_is_monotone(s):
             raise MonotonicityError("every component must be monotone")
     links = [spectral_link_1d(s) for s in game.dims]
-    births = [pure_birth_1d(_checked_eigenvalues(s)) for s in game.dims]
+    bands = [_birth_band(_checked_eigenvalues(s)) for s in game.dims]
     rho1 = [bd_win_prob(s)[0] for s in game.dims]
 
-    for j, (s, link, birth, rho) in enumerate(zip(game.dims, links, births, rho1)):
+    for j, (s, link, band, rho) in enumerate(zip(game.dims, links, bands, rho1)):
+        birth = _band_dense(band)
         residual = np.max(np.abs(link @ bd_restricted(s) - birth @ link))
         if residual > _INTERTWINE_TOL:
             raise LinkPrecisionError(
@@ -194,7 +191,7 @@ def build_dual(game: GameSpec) -> tuple:
 
     dual = AbsorbingChain(
         matrix=kron_mixture(
-            [_nonzeros(b) for b in births], game.subsets, game.coeffs, SpecError,
+            bands, game.subsets, game.coeffs, SpecError,
             "pure-birth dual entry {low:.3e} at lattice states {src} -> {dst}; "
             "the mixture violates the dual nonnegativity assumption",
         ),

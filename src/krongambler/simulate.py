@@ -233,7 +233,7 @@ def _check_horizon(chain: AbsorbingChain, max_steps: int) -> None:
     ``max_steps`` steps with probability at most 1 - r^max_steps; below
     ``TIMEOUT_SHARE`` nearly every run would time out.
     """
-    r = float((chain.transient @ np.ones(chain.size - 1)).min(initial=1.0))
+    r = chain.least_row_sum
     bound = 1.0 - r**max_steps
     if bound < TIMEOUT_SHARE:
         raise HorizonError(

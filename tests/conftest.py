@@ -18,9 +18,85 @@ from krongambler import (
     bd_eigenvalues,
     preset_r_of_d,
 )
-from krongambler.birth_death import bd_restricted
 from krongambler.errors import SpecError
 from krongambler.intertwine import classical_ssd_1d, ehrenfest_ergodic
+
+
+def loop_bd_matrix(spec):
+    """(N+1)x(N+1) gambler matrix on {0..N}, filled in state by state.
+
+    The oracle for ``birth_death.bd_matrix`` and, through its block on
+    {1..N}, for ``bd_restricted`` and ``BirthDeathSpec.band``.
+    """
+    n = spec.N
+    m = np.zeros((n + 1, n + 1))
+    m[0, 0] = 1.0
+    m[n, n] = 1.0
+    for i in range(1, n):
+        up, down = spec.p[i - 1], spec.q[i - 1]
+        m[i, i + 1] = up
+        m[i, i - 1] = down
+        m[i, i] = 1.0 - up - down
+    return m
+
+
+def loop_ergodic_matrix(spec):
+    """MxM ergodic walk matrix, filled in state by state.
+
+    The oracle for ``birth_death.ergodic_matrix`` and ``ErgodicBDSpec.band``.
+    """
+    m = spec.M
+    out = np.zeros((m, m))
+    for i in range(1, m + 1):
+        up = spec.p[i - 1] if i < m else 0.0
+        down = spec.q[i - 2] if i >= 2 else 0.0
+        if i < m:
+            out[i - 1, i] = up
+        if i >= 2:
+            out[i - 1, i - 2] = down
+        out[i - 1, i - 1] = 1.0 - up - down
+    return out
+
+
+def loop_pure_birth(lam):
+    """Pure-birth kernel, hold lam_i and up 1 - lam_i, filled in entry by entry.
+
+    The oracle for ``intertwine.pure_birth_1d``.
+    """
+    lam = np.asarray(lam, dtype=float)
+    out = np.diag(lam)
+    for i in range(len(lam) - 1):
+        out[i, i + 1] = 1.0 - lam[i]
+    return out
+
+
+def game_triplets(spec):
+    """Sorted (rows, cols, values, side) of a component's restricted kernel.
+
+    Computed from the rates, not from the band: hold 1 - p - q, up p, down
+    q, and the absorbing win in the last row. The oracle for the nonzeros
+    ``game.kron_mixture`` assembles a game from.
+    """
+    p = np.asarray(spec.p)
+    q = np.asarray(spec.q)
+    top = np.arange(spec.N - 1)
+    rows = np.concatenate([top, top, top[1:], [spec.N - 1]])
+    cols = np.concatenate([top, top + 1, top[:-1], [spec.N - 1]])
+    vals = np.concatenate([1.0 - p - q, p, q[1:], [1.0]])
+    keep = vals != 0.0
+    return sorted_triplets(rows[keep], cols[keep], vals[keep], spec.N)
+
+
+def dense_triplets(m):
+    """Sorted (rows, cols, values, side) of the nonzeros of a square matrix."""
+    rows, cols = np.nonzero(m)
+    return sorted_triplets(rows, cols, m[rows, cols], len(m))
+
+
+def sorted_triplets(rows, cols, vals, side):
+    """Triplets in row-major order, so that two listings compare entrywise."""
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order], side
 
 
 def kron_all(mats):
@@ -223,13 +299,14 @@ def dense_mixture(game, factors=None):
     """A Kronecker mixture over the game's terms, assembled densely, unclipped.
 
     ``factors`` holds one dense factor per coordinate: the components'
-    restricted kernels by default (the game), or their pure-birth kernels
-    (the dual). The reference for the CSR assembly of ``build_game`` and
-    ``build_dual``: the same factors, multiplied by ``kron_all`` and added
-    term by term in mixture order.
+    restricted kernels from :func:`loop_bd_matrix` by default (the game), or
+    their pure-birth kernels (the dual). The reference for the CSR assembly
+    of ``build_game`` and ``build_dual``: factors built apart from the
+    bands, multiplied by ``kron_all`` and added term by term in mixture
+    order.
     """
     if factors is None:
-        factors = [bd_restricted(s) for s in game.dims]
+        factors = [loop_bd_matrix(s)[1:, 1:] for s in game.dims]
     mixed = np.zeros((game.size, game.size))
     for subset, coeff in zip(game.subsets, game.coeffs):
         term = kron_all([

@@ -17,9 +17,27 @@ from krongambler import (
     siegmund_dual_1d,
 )
 from krongambler.birth_death import bd_restricted, ergodic_matrix
-from krongambler.intertwine import classical_ssd_1d, ehrenfest_ergodic
+from krongambler.game import _band_nonzeros
+from krongambler.intertwine import (
+    _birth_band,
+    classical_ssd_1d,
+    ehrenfest_ergodic,
+    pure_birth_1d,
+)
+from krongambler.linalg import DEFAULT_TOL
 
-from conftest import rand_bd, rand_ergodic
+from conftest import (
+    dense_triplets,
+    game_triplets,
+    loop_bd_matrix,
+    loop_ergodic_matrix,
+    loop_pure_birth,
+    rand_bd,
+    rand_ergodic,
+    sorted_triplets,
+)
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 def eigenvalues_nonneg(spec):
@@ -41,6 +59,64 @@ def test_spec_validation():
         BirthDeathSpec(N=3, p=(0.3,), q=(0.1, 0.1))
     # q(1)=0 is allowed
     BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.0, 0.1))
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, at", [("p", 0), ("q", 0), ("q", 1)],
+                         ids=["p1", "q1", "q2"])
+def test_non_finite_rates_are_refused(key, at, value):
+    rates = {"p": [0.3, 0.3], "q": [0.1, 0.1]}
+    rates[key][at] = value
+    with pytest.raises(SpecError):
+        BirthDeathSpec(N=3, **rates)
+    with pytest.raises(SpecError):
+        ErgodicBDSpec(M=3, **rates)
+
+
+def assert_triplets_equal(got, want):
+    assert got[3] == want[3]
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+
+
+def test_band_matrices_equal_the_loop_oracles():
+    rng = np.random.default_rng(18)
+    chains = [
+        BirthDeathSpec(N=1, p=(), q=()),
+        BirthDeathSpec(N=2, p=(0.25,), q=(0.75,)),  # zero hold
+        BirthDeathSpec(N=3, p=(0.25, 0.5), q=(0.0, 0.5)),  # q(1) = 0
+    ] + [
+        rand_bd(rng, int(rng.integers(2, 8)), q1_zero=bool(rng.integers(2)))
+        for _ in range(30)
+    ]
+    walks = [
+        ErgodicBDSpec(M=3, p=(0.5, 0.25), q=(0.75, 0.5)),  # zero hold at 2
+    ] + [rand_ergodic(rng, int(rng.integers(2, 8))) for _ in range(30)]
+    assert chains[1].band[0][0] == 0.0 and walks[0].band[0][1] == 0.0
+    for spec in chains:
+        full = loop_bd_matrix(spec)
+        assert np.array_equal(bd_matrix(spec), full)
+        assert np.array_equal(bd_restricted(spec), full[1:, 1:])
+        assert_triplets_equal(sorted_triplets(*_band_nonzeros(spec.band)),
+                              game_triplets(spec))
+        assert bd_is_monotone(spec) == all(
+            a + b <= 1.0 + DEFAULT_TOL for a, b in zip(spec.p[:-1], spec.q[1:])
+        )
+    for x in walks:
+        assert np.array_equal(ergodic_matrix(x), loop_ergodic_matrix(x))
+        assert bd_is_monotone(x) == all(
+            a + b <= 1.0 + DEFAULT_TOL for a, b in zip(x.p, x.q)
+        )
+    for spec in chains + walks:
+        assert spec.band is spec.band
+        assert not any(a.flags.writeable for a in spec.band)
+    # the dual's factors, one of them with a zero eigenvalue
+    for lam in [np.array([0.0, 0.5, 1.0])] + [bd_eigenvalues(s) for s in chains]:
+        assert np.array_equal(pure_birth_1d(lam), loop_pure_birth(lam))
+        assert_triplets_equal(sorted_triplets(*_band_nonzeros(_birth_band(lam))),
+                              dense_triplets(loop_pure_birth(lam)))
+    with pytest.raises(TypeError):
+        bd_is_monotone(object())
 
 
 def test_matrix_sure_step():

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from krongambler import intertwine
+from krongambler import intertwine, pgf
 from krongambler.cli import main
 from krongambler.game import AbsorbingChain
 from krongambler.siegmund import win_prob_product
@@ -291,6 +291,45 @@ def test_pgf_eval_malformed_exits_two(tmp_path, capsys, points):
     assert code == 2
     assert out == ""
     assert json.loads(err)["field"] == "--eval"
+
+
+def test_pgf_solves_each_distinct_point_once(tmp_path, capsys, monkeypatch):
+    solves = []
+
+    def counting(q, s=1.0):
+        solves.append(s)
+        return real(q, s)
+
+    real = pgf.resolvent
+    monkeypatch.setattr(pgf, "resolvent", counting)
+    path = write_spec(tmp_path, lazy_two_dim_doc())
+    code, out, err = run_cli(capsys, ["pgf", path, "--eval", "0.5,.5,1"])
+    assert code == 0, err
+    assert list(json.loads(out)["values"]) == ["0.5", "1.0"]
+    assert solves == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where, field", [
+    (("dims", 0, "p", 0), "dims[0]"),
+    (("dims", 0, "q", 0), "dims[0]"),
+    (("dims", 1, "q", 1), "dims[1]"),
+    (("mixing", "coeffs", 0), "mixing"),
+], ids=["p1", "q1", "q2", "coeff"])
+def test_non_finite_spec_value_exits_two(tmp_path, capsys, where, field,
+                                         value):
+    doc = lazy_two_dim_doc(mixing={"subsets": [[1], [2]], "coeffs": [0.5, 0.5]})
+    *path, last = where
+    parent = doc
+    for key in path:
+        parent = parent[key]
+    parent[last] = float(value.replace("Infinity", "inf"))
+    spec = write_spec(tmp_path, doc)
+    assert value in pathlib.Path(spec).read_text()
+    code, out, err = run_cli(capsys, ["win-prob", spec])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["field"] == field
 
 
 @pytest.mark.parametrize("target, pmf", [("win", 1.0), ("lose", 0.0)])

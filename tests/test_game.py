@@ -88,6 +88,32 @@ def test_csr_kernel_equals_dense_kron_mixture(d, dual_safe):
             assert_kernel_is_clipped_dense_mixture(game)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_coefficient_is_refused(value):
+    a = BirthDeathSpec(N=2, p=(0.3,), q=(0.1,))
+    with pytest.raises(SpecError, match="sum to"):
+        GameSpec(dims=(a, a), subsets=(frozenset({1}), frozenset({2})),
+                 coeffs=(value, 0.5))
+    lazy = np.eye(4) / 2
+    lazy[0, 1] = value
+    with pytest.raises(SpecError, match="identity"):
+        GameSpec(dims=(a, a), subsets=(frozenset({1, 2}), frozenset()),
+                 coeffs=(lazy, np.eye(4) / 2))
+
+
+def test_least_row_sum_is_cached_and_read_only():
+    rng = np.random.default_rng(43)
+    chain = build_game(rand_game(rng, d=2, r=1))
+    r = chain.least_row_sum
+    assert abs(r - chain.dense()[:-1, :-1].sum(axis=1).min()) <= 1e-15
+    assert chain.least_row_sum is r
+    with pytest.raises(AttributeError):
+        chain.least_row_sum = 1.0
+    single = build_game(preset_r_of_d([BirthDeathSpec(N=1, p=(), q=())], 1))
+    assert single.least_row_sum == 1.0
+
+
 def test_csr_kernel_clips_tiny_negative_mixture_entry():
     a = BirthDeathSpec(N=2, p=(0.1,), q=(0.2,))
     b = BirthDeathSpec(N=2, p=(0.3,), q=(0.4,))

@@ -41,6 +41,7 @@ from conftest import (
     ehrenfest_dual_weights_link_route,
     kron_all,
     link_cliff_doc,
+    loop_pure_birth,
     moveaxis_dual_initial,
     rand_bd,
     rand_ergodic,
@@ -62,8 +63,9 @@ def support_dominates(dims, nu_star, nu_hat, tol=1e-12):
 
 
 def birth_factors(game):
-    """Each component's one-dimensional pure-birth kernel."""
-    return [pure_birth_1d(bd_eigenvalues(s)) for s in game.dims]
+    """Each component's one-dimensional pure-birth kernel, built apart from
+    the bands ``build_dual`` assembles."""
+    return [loop_pure_birth(bd_eigenvalues(s)) for s in game.dims]
 
 
 def signed_mixture(rng):
