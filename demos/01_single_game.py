@@ -10,13 +10,15 @@ import numpy as np
 from krongambler import (
     AbsorbingChain,
     BirthDeathSpec,
+    GameSpec,
     absorb_dist,
     bd_eigenvalues,
     bd_matrix,
     bd_restricted,
     bd_win_prob,
-    bd_win_prob_solve,
+    build_game,
     pgf_two_sided,
+    win_prob_solve,
 )
 
 spec = BirthDeathSpec(N=5, p=(0.3, 0.25, 0.3, 0.25), q=(0.1, 0.15, 0.1, 0.15))
@@ -24,10 +26,12 @@ print("transition matrix on {0..5} (0 = ruin, 5 = win):")
 print(np.array_str(bd_matrix(spec), precision=3, suppress_small=True))
 
 rho = bd_win_prob(spec)
+# the chain as a one-coordinate game: its kernel is the restricted matrix
+game = GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
+solved = win_prob_solve(build_game(game))
 print("\nwin probability from each state (closed form):", np.round(rho, 6))
-print("same, from the fundamental-matrix solve:      ",
-      np.round(bd_win_prob_solve(spec), 6))
-print("max difference:", np.max(np.abs(rho - bd_win_prob_solve(spec))))
+print("same, from the fundamental-matrix solve:      ", np.round(solved, 6))
+print("max difference:", np.max(np.abs(rho - solved)))
 
 lam = bd_eigenvalues(spec)
 print("\nspectrum of the ruin-restricted chain (ascending):", np.round(lam, 6))

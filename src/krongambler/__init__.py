@@ -8,8 +8,6 @@ everything through Siegmund duality and spectral intertwining.
 from .absorption import (
     AbsorptionDist,
     absorb_dist,
-    pgf_interior,
-    pgf_keilson,
     pgf_multidim,
     pgf_two_sided,
 )
@@ -22,7 +20,6 @@ from .birth_death import (
     bd_restricted,
     bd_stationary,
     bd_win_prob,
-    bd_win_prob_solve,
     siegmund_dual_1d,
 )
 from .errors import (

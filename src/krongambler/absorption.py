@@ -1,7 +1,9 @@
 """Absorption-time laws: exact pgf forms and power-iteration distributions.
 
-One-dimensional chains get exact rational pgfs built from eigenvalue factor
-lists. A game of any dimension gets its pgf from its own CSR kernel
+A one-dimensional chain gets one exact pair of rational pgfs, the (win,
+lose) laws from any start, built from eigenvalue factor lists
+(:func:`pgf_two_sided`); a chain that cannot be ruined is its q(1) = 0
+case. A game of any dimension gets its pgf from its own CSR kernel
 (:func:`pgf_multidim`): each evaluation point is one sparse LU solve of the
 resolvent, so no series, horizon or dual enters. The game's law through the
 pure-birth dual, mixed over the (possibly signed) dual start weights
@@ -61,45 +63,19 @@ BLOCK_STEPS = 64
 TINY = np.finfo(float).tiny
 
 
-def pgf_keilson(spec: BirthDeathSpec) -> GeometricProductPgf:
-    """pgf of the time from state 1 to N for a chain that cannot be ruined.
-
-    A product of geometric factors, one per non-unit eigenvalue.
-    """
-    if spec.sink_reachable:
-        raise SpecError("q(1) > 0; use pgf_two_sided for two-sided absorption")
-    return GeometricProductPgf(scale=1.0, num=tuple(bd_eigenvalues(spec)[:-1]))
-
-
-def pgf_interior(spec: BirthDeathSpec, start: int) -> GeometricProductPgf:
-    """pgf of the time from an interior start to N when ruin is unreachable.
-
-    The full-spectrum product divided by the factors of the leading block on
-    the states below the start.
-    """
-    if spec.sink_reachable:
-        raise SpecError("q(1) > 0; use pgf_two_sided for two-sided absorption")
-    if not 1 <= start < spec.N:
-        raise SpecError(f"start must lie in 1..{spec.N - 1}, got {start}")
-    den = tridiag_block_eigs(spec, 1, start - 1)
-    return GeometricProductPgf(
-        scale=1.0,
-        num=tuple(bd_eigenvalues(spec)[:-1]),
-        den=tuple(den),
-    )
-
-
 def pgf_two_sided(spec: BirthDeathSpec, start: int) -> tuple:
-    """(win, lose) pgfs for a chain with both ruin and win reachable.
+    """(win, lose) pgfs of the absorption time from a state 1..N.
 
-    Each is a defective law: the win branch carries mass rho(start), scaled
-    by the ratio of the full factor product to the block below (win) or
-    above (lose) the start.
+    Each is a defective law: the win branch carries mass rho(start), the
+    lose branch 1 - rho(start), each scaled by the ratio of the full factor
+    product to the block below (win) or above (lose) the start. A chain
+    with q(1) = 0 has rho = 1, so the lose law is 0 and the win law is
+    Keilson's product of geometric factors at start 1 (no block below) and
+    Fill's interior-start ratio elsewhere. At start N the factors cancel
+    to the laws 1 and 0.
     """
-    if not spec.sink_reachable:
-        raise SpecError("q(1) = 0; the losing time is undefined")
-    if not 1 <= start <= spec.N - 1:
-        raise SpecError(f"start must be a transient state 1..{spec.N - 1}")
+    if not 1 <= start <= spec.N:
+        raise SpecError(f"start must be a state 1..{spec.N}")
     rho = float(bd_win_prob(spec)[start - 1])
     full = tuple(bd_eigenvalues(spec)[:-1])
     lower = tuple(tridiag_block_eigs(spec, 1, start - 1))

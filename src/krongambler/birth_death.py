@@ -12,6 +12,7 @@ spectra, the monotonicity test and ``game.kron_mixture`` all read bands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,7 +39,8 @@ class BirthDeathSpec:
     q: tuple
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
+        # NaN and +-inf fail the range test before int() sees them
+        if not 1 <= self.N < math.inf or int(self.N) != self.N:
             raise SpecError(f"N must be a positive integer, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
         p = tuple(float(x) for x in self.p)
@@ -84,7 +86,7 @@ class ErgodicBDSpec:
     q: tuple
 
     def __post_init__(self):
-        if int(self.M) != self.M or self.M < 2:
+        if not 2 <= self.M < math.inf or int(self.M) != self.M:
             raise SpecError(f"M must be an integer >= 2, got {self.M}")
         object.__setattr__(self, "M", int(self.M))
         p = tuple(float(x) for x in self.p)
@@ -189,21 +191,6 @@ def bd_win_prob(spec: BirthDeathSpec) -> np.ndarray:
     )
     log_sums = np.logaddexp.accumulate(log_ratios)
     return np.exp(log_sums - log_sums[-1])
-
-
-def bd_win_prob_solve(spec: BirthDeathSpec) -> np.ndarray:
-    """Winning probabilities via the fundamental-matrix linear solve.
-
-    Independent of :func:`bd_win_prob`; kept as a cross-check oracle.
-    """
-    n = spec.N
-    if n == 1:
-        return np.ones(1)
-    full = bd_matrix(spec)
-    q_block = full[1:n, 1:n]
-    rhs = full[1:n, n]
-    h = np.linalg.solve(np.eye(n - 1) - q_block, rhs)
-    return np.append(h, 1.0)
 
 
 def ergodic_matrix(spec: ErgodicBDSpec) -> np.ndarray:

@@ -95,8 +95,10 @@ class GameSpec:
 
     ``subsets`` holds 1-based coordinate sets; ``coeffs`` is either a tuple of
     reals summing to 1 or a tuple of square matrices (side prod(N_j)) summing
-    to the identity. Matrix coefficients are accepted only by the
-    winning-probability pipeline.
+    to the identity. Matrix coefficients are accepted by ``build_game`` and
+    all that runs on the built chain (``win_prob_solve``, ``absorb_dist``,
+    ``pgf_multidim``, ``simulate``); only ``build_dual`` refuses them, so
+    ``simulate_coupled`` and verify's dual checks do not apply.
     """
 
     dims: tuple

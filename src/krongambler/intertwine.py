@@ -308,7 +308,7 @@ def ehrenfest_pgf(n: int, m: int) -> MixturePgf:
         lam = tuple((k - 1.0) / (n - 1.0) for k in range(j, n))
         parts.append(GeometricProductPgf(scale=1.0, num=lam))
         weights.append(float(nu[j - 1]))
-    return MixturePgf(scale=1.0, weights=tuple(weights), parts=tuple(parts))
+    return MixturePgf(weights=tuple(weights), parts=tuple(parts))
 
 
 def ehrenfest_expected_time(n: int, m: int) -> float:

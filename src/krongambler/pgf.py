@@ -102,14 +102,13 @@ class ResolventPgf:
 
 @dataclass(frozen=True)
 class MixturePgf:
-    """scale * sum of weight_i * part_i(s); weights may be negative."""
+    """sum of weight_i * part_i(s); weights may be negative."""
 
-    scale: float
     weights: tuple
     parts: tuple
 
     def _mix(self, values) -> float:
-        return self.scale * float(sum(w * v for w, v in zip(self.weights, values)))
+        return float(sum(w * v for w, v in zip(self.weights, values)))
 
     def evaluate(self, s: float) -> float:
         return self._mix(p.evaluate(s) for p in self.parts)

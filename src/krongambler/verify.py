@@ -70,9 +70,11 @@ SPECTRUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome; an entry that did not run has no residual."""
+
     name: str
     passed: bool
-    residual: float
+    residual: float | None
     detail: str = ""
 
     def as_dict(self) -> dict:
@@ -120,7 +122,7 @@ def run_checks(
     except SizeError:
         raise
     except SpecError as exc:
-        checks.append(CheckResult("build", False, float("nan"), str(exc)))
+        checks.append(CheckResult("build", False, None, str(exc)))
         return checks
     kernel = chain.dense()
 
@@ -161,7 +163,7 @@ def run_checks(
             "dual_link" if isinstance(exc, LinkPrecisionError)
             else "dual_nonnegative"
         )
-        checks.append(CheckResult(name, False, float("nan"), str(exc)))
+        checks.append(CheckResult(name, False, None, str(exc)))
         return checks
     checks.append(CheckResult("dual_nonnegative", True, 0.0))
 
@@ -189,7 +191,7 @@ def run_checks(
         mixed = link.iso_value * absorb_dist(dual, weights, eps=eps).pmf
     except SpecError as exc:
         checks.append(
-            CheckResult("distribution_equality", False, float("nan"), str(exc))
+            CheckResult("distribution_equality", False, None, str(exc))
         )
     else:
         # the dual law, cut or padded with zeros to the game's horizon

@@ -13,8 +13,6 @@ from krongambler import (
     bd_eigenvalues,
     bd_win_prob,
     build_game,
-    pgf_interior,
-    pgf_keilson,
     pgf_multidim,
     pgf_two_sided,
     preset_r_of_d,
@@ -53,23 +51,18 @@ def eq61_closed_form(p, q, u):
 def test_keilson_two_state_geometric():
     alpha = 0.35
     spec = BirthDeathSpec(N=2, p=(alpha,), q=(0.0,))
-    pgf = pgf_keilson(spec)
+    pgf = pgf_two_sided(spec, 1)[0]
     for s in (0.2, 0.5, 0.9, 1.0):
         assert abs(pgf.evaluate(s) - alpha * s / (1 - (1 - alpha) * s)) < 1e-14
     assert abs(pgf.mass() - 1.0) < 1e-14
     assert abs(pgf.mean() - 1.0 / alpha) < 1e-14
 
 
-def test_keilson_requires_unreachable_ruin():
-    with pytest.raises(SpecError):
-        pgf_keilson(golden_spec())
-
-
 def test_keilson_matches_power_iteration():
     rng = np.random.default_rng(40)
     for _ in range(20):
         spec = rand_bd(rng, int(rng.integers(2, 7)), q1_zero=True, budget=0.5)
-        pgf = pgf_keilson(spec)
+        pgf = pgf_two_sided(spec, 1)[0]
         pmf = power_iteration_pmf(bd_restricted(spec), 0, spec.N - 1, 400)
         for s in (0.3, 0.7, 0.95):
             series = float(np.polynomial.polynomial.polyval(s, pmf))
@@ -80,16 +73,8 @@ def test_keilson_mean_is_sum_of_geometric_means():
     rng = np.random.default_rng(41)
     spec = rand_bd(rng, 5, q1_zero=True, budget=0.5)
     lam = bd_eigenvalues(spec)[:-1]
-    assert abs(pgf_keilson(spec).mean() - np.sum(1.0 / (1.0 - lam))) < 1e-12
-
-
-def test_interior_start_one_reduces_to_keilson():
-    spec = BirthDeathSpec(N=4, p=(0.2, 0.3, 0.2), q=(0.0, 0.1, 0.1))
-    a = pgf_interior(spec, 1)
-    b = pgf_keilson(spec)
-    assert a.den == ()
-    for s in (0.3, 0.8):
-        assert abs(a.evaluate(s) - b.evaluate(s)) < 1e-14
+    assert abs(pgf_two_sided(spec, 1)[0].mean()
+               - np.sum(1.0 / (1.0 - lam))) < 1e-12
 
 
 def test_interior_matches_power_iteration():
@@ -98,7 +83,7 @@ def test_interior_matches_power_iteration():
         n = int(rng.integers(3, 7))
         spec = rand_bd(rng, n, q1_zero=True, budget=0.5)
         start = int(rng.integers(2, n))
-        pgf = pgf_interior(spec, start)
+        pgf = pgf_two_sided(spec, start)[0]
         pmf = power_iteration_pmf(bd_restricted(spec), start - 1, n - 1, 600)
         for s in (0.3, 0.7, 0.95):
             series = float(np.polynomial.polynomial.polyval(s, pmf))
@@ -107,20 +92,53 @@ def test_interior_matches_power_iteration():
 
 def test_interior_additivity_splits_the_full_time():
     spec = BirthDeathSpec(N=5, p=(0.25, 0.2, 0.25, 0.2), q=(0.0, 0.1, 0.15, 0.1))
-    full = pgf_keilson(spec)
+    full = pgf_two_sided(spec, 1)[0]
     for split in (2, 3, 4):
-        head = pgf_keilson(
-            BirthDeathSpec(N=split, p=spec.p[: split - 1], q=spec.q[: split - 1])
-        )
-        tail = pgf_interior(spec, split)
+        head = pgf_two_sided(
+            BirthDeathSpec(N=split, p=spec.p[: split - 1], q=spec.q[: split - 1]),
+            1,
+        )[0]
+        tail = pgf_two_sided(spec, split)[0]
         for s in (0.25, 0.6, 0.9):
             assert abs(head.evaluate(s) * tail.evaluate(s) - full.evaluate(s)) < 1e-12
 
 
 def test_interior_rejects_bad_start():
     spec = BirthDeathSpec(N=3, p=(0.2, 0.2), q=(0.0, 0.1))
-    with pytest.raises(SpecError):
-        pgf_interior(spec, 3)
+    for start in (0, spec.N + 1):
+        with pytest.raises(SpecError, match=r"1\.\.3"):
+            pgf_two_sided(spec, start)
+
+
+def test_two_sided_covers_ruin_free_chains_and_the_win_state():
+    # q(1) = 0 makes rho = 1: Keilson's product of geometric factors from
+    # state 1, and no lose law from any start
+    rng = np.random.default_rng(52)
+    for _ in range(10):
+        n = int(rng.integers(2, 8))
+        spec = rand_bd(rng, n, q1_zero=True, budget=0.5)
+        win, _ = pgf_two_sided(spec, 1)
+        assert win == GeometricProductPgf(
+            scale=1.0, num=tuple(bd_eigenvalues(spec)[:-1])
+        )
+        assert win.den == ()
+        pmf = power_iteration_pmf(bd_restricted(spec), 0, n - 1, 400)
+        for s in (0.3, 0.7, 0.95):
+            series = float(np.polynomial.polynomial.polyval(s, pmf))
+            assert abs(win.evaluate(s) - series) < 1e-9
+        for start in range(1, n + 1):
+            _, lose = pgf_two_sided(spec, start)
+            assert lose.mass() == 0.0 and lose.mean() == 0.0
+        # at the win state the factor lists cancel, ruin or not
+        for chain in (spec, rand_bd(rng, n, budget=0.5)):
+            win, lose = pgf_two_sided(chain, n)
+            for s in (-1.0, 0.0, 0.5, 1.0):
+                assert win.evaluate(s) == 1.0 and lose.evaluate(s) == 0.0
+            assert win.mean() == 0.0 and lose.mean() == 0.0
+    win, lose = pgf_two_sided(BirthDeathSpec(N=1, p=(), q=()), 1)
+    assert win == GeometricProductPgf(scale=1.0)
+    assert win.evaluate(0.5) == 1.0 and win.mean() == 0.0
+    assert lose.evaluate(0.5) == 0.0 and lose.mass() == 0.0
 
 
 def test_two_sided_golden_closed_form():
@@ -154,12 +172,6 @@ def test_two_sided_matches_conditioned_power_iteration():
                 lose.evaluate(s)
                 - float(np.polynomial.polynomial.polyval(s, pmf_lose))
             ) < 1e-9
-
-
-def test_two_sided_requires_reachable_ruin():
-    spec = BirthDeathSpec(N=3, p=(0.2, 0.2), q=(0.0, 0.1))
-    with pytest.raises(SpecError):
-        pgf_two_sided(spec, 2)
 
 
 def test_absorb_dist_deterministic_step():
@@ -279,7 +291,7 @@ def test_expected_time_two_routes_agree():
     rng = np.random.default_rng(44)
     for _ in range(10):
         spec = rand_bd(rng, int(rng.integers(2, 6)), q1_zero=True, budget=0.5)
-        pgf = pgf_keilson(spec)
+        pgf = pgf_two_sided(spec, 1)[0]
         dist = absorb_dist(AbsorbingChain(bd_restricted(spec), (spec.N,)),
                            np.eye(spec.N)[0])
         assert abs(pgf.mean() - dist.mean()) < 1e-8
@@ -403,8 +415,7 @@ def test_pgf_multidim_matches_one_dim_closed_forms(q1_zero):
         start = int(rng.integers(1, spec.N))
         game = GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
         pgf = pgf_multidim(game, lattice_point_mass(game.shape, (start,)))
-        closed = (pgf_interior(spec, start) if q1_zero
-                  else pgf_two_sided(spec, start)[0])
+        closed = pgf_two_sided(spec, start)[0]
         for s in ONE_DIM_POINTS:
             assert abs(pgf.evaluate(s) - closed.evaluate(s)) <= 1e-13
         assert abs(pgf.mean() - closed.mean()) <= 1e-12 * closed.mean()
@@ -422,7 +433,7 @@ def test_geometric_product_at_zero_is_the_pmf_at_zero():
     interior = BirthDeathSpec(N=4, p=(0.3,) * 3, q=(0.0, 0.1, 0.1))
     pmf = absorb_dist(AbsorbingChain(bd_restricted(interior), (4,)),
                       np.eye(4)[1]).pmf
-    assert pgf_interior(interior, 2).evaluate(0.0) == pmf[0]
+    assert pgf_two_sided(interior, 2)[0].evaluate(0.0) == pmf[0]
 
 
 @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from krongambler import (
     BirthDeathSpec,
     ErgodicBDSpec,
+    GameSpec,
     MonotonicityError,
     SpecError,
     bd_eigenvalues,
@@ -13,8 +14,9 @@ from krongambler import (
     bd_matrix,
     bd_stationary,
     bd_win_prob,
-    bd_win_prob_solve,
+    build_game,
     siegmund_dual_1d,
+    win_prob_solve,
 )
 from krongambler.birth_death import bd_restricted, ergodic_matrix
 from krongambler.game import _band_nonzeros
@@ -38,6 +40,12 @@ from conftest import (
 )
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def solved_win_prob(spec):
+    """Win probabilities by the sparse LU solve on the one-coordinate game."""
+    game = GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
+    return win_prob_solve(build_game(game))
 
 
 def eigenvalues_nonneg(spec):
@@ -71,6 +79,14 @@ def test_non_finite_rates_are_refused(key, at, value):
         BirthDeathSpec(N=3, **rates)
     with pytest.raises(SpecError):
         ErgodicBDSpec(M=3, **rates)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_non_finite_sizes_are_refused(value):
+    with pytest.raises(SpecError, match="N must be"):
+        BirthDeathSpec(N=value, p=(), q=())
+    with pytest.raises(SpecError, match="M must be"):
+        ErgodicBDSpec(M=value, p=(), q=())
 
 
 def assert_triplets_equal(got, want):
@@ -198,7 +214,7 @@ def test_win_prob_closed_form_matches_solver():
     worst = 0.0
     for _ in range(200):
         spec = rand_bd(rng, int(rng.integers(2, 13)), q1_zero=bool(rng.integers(2)))
-        diff = np.max(np.abs(bd_win_prob(spec) - bd_win_prob_solve(spec)))
+        diff = np.max(np.abs(bd_win_prob(spec) - solved_win_prob(spec)))
         worst = max(worst, diff)
     assert worst < 1e-10
 
@@ -232,7 +248,7 @@ def test_win_prob_log_space_over_wide_ratios(n, seed, ends):
         # the solve's forward error grows like cond * eps; compare it only
         # where that bound is small
         if cond <= 1e8:
-            err = np.max(np.abs(rho - bd_win_prob_solve(spec)))
+            err = np.max(np.abs(rho - solved_win_prob(spec)))
             assert err <= 64 * np.finfo(float).eps * cond
 
 

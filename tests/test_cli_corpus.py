@@ -88,6 +88,16 @@ def test_pgf_at_one_is_the_win_prob_solve(spec):
     assert abs(value - json.loads(win["stdout"])["rho_solve"][start]) <= 1e-15
 
 
+def refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_verify_prints_strict_json(spec):
+    # an entry that did not run has a null residual, never NaN
+    json.loads(run(spec, "verify")["stdout"], parse_constant=refuse_constant)
+
+
 if __name__ == "__main__":
     record = {f"{s} {c}": run(s, c) for s in SPECS for c in COMMANDS}
     EXPECTED.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -10,18 +10,24 @@ from krongambler import (
     BirthDeathSpec,
     CommunicationError,
     GameSpec,
+    SimConfig,
     SizeError,
     SpecError,
     StochasticityError,
+    absorb_dist,
     bd_matrix,
     build_game,
     check_communication,
     linear_index,
     multi_index,
+    pgf_multidim,
     preset_r_of_d,
+    simulate,
+    simulate_coupled,
+    win_prob_solve,
 )
 from krongambler import game as game_module
-from krongambler.game import kron_apply
+from krongambler.game import kron_apply, lattice_point_mass
 from krongambler.birth_death import bd_restricted
 from krongambler.verify import diagonal_eigenvalue_check
 
@@ -521,6 +527,30 @@ def test_matrix_coefficients_state_dependent_laziness():
 
     assert np.max(np.abs(win_prob_solve(chain) - win_prob_solve(base))) < 1e-12
     assert np.max(np.abs(win_prob_product(game) - win_prob_solve(chain))) < 1e-10
+
+
+def test_matrix_coefficients_run_every_pipeline_on_the_built_chain():
+    # a 3x3 game with diagonal state-dependent laziness: absorb_dist, the
+    # pgf and the simulator read the built chain; only the dual refuses it
+    rng = np.random.default_rng(15)
+    dims = (rand_bd(rng, 3, budget=0.45), rand_bd(rng, 3, budget=0.45))
+    lazy = np.diag(rng.uniform(0.3, 1.0, 9))
+    game = GameSpec(
+        dims=dims,
+        subsets=(frozenset({1}), frozenset({2}), frozenset()),
+        coeffs=(0.5 * lazy, 0.5 * lazy, np.eye(9) - lazy),
+    )
+    chain = build_game(game)
+    start = (2, 2)
+    nu = lattice_point_mass(chain.dims, start)
+    rho = float(win_prob_solve(chain)[chain.to_linear(start)])
+    assert abs(absorb_dist(chain, nu).mass() - rho) < 1e-12
+    assert abs(pgf_multidim(game, nu).evaluate(1.0) - rho) < 1e-12
+    report = simulate(chain, start, SimConfig(runs=4000, seed=7))
+    assert report.n_timeout == 0
+    assert abs(report.win_freq - rho) <= 4 * report.win_se
+    with pytest.raises(SpecError, match="scalar coefficients"):
+        simulate_coupled(game, nu, SimConfig(runs=10, seed=7))
 
 
 def test_matrix_coefficients_must_sum_to_identity():
