@@ -11,7 +11,11 @@ import numpy as np
 
 from krongambler import AbsorbingChain, absorb_dist, classical_ssd_1d
 from krongambler.birth_death import bd_restricted
-from krongambler.intertwine import ehrenfest_closed_forms, ehrenfest_ergodic
+from krongambler.intertwine import (
+    ehrenfest_dual_weights,
+    ehrenfest_ergodic,
+    ehrenfest_pgf,
+)
 
 n = 6
 walk = ehrenfest_ergodic(n)
@@ -21,15 +25,16 @@ print("up rates:  ", np.round(dual_spec.p, 4))
 print("down rates:", np.round(dual_spec.q, 4))
 
 for m in (1, 3, n):
-    forms = ehrenfest_closed_forms(n, m)
-    print(f"\nstart {m}: dual weights {np.round(forms.nu, 4)} "
-          f"(sum {forms.nu.sum():.6f})")
-    print(f"  expected time to the top: {forms.expected_time:.6f}")
+    weights = ehrenfest_dual_weights(n, m)
+    pgf = ehrenfest_pgf(n, m)
+    print(f"\nstart {m}: dual weights {np.round(weights, 4)} "
+          f"(sum {weights.sum():.6f})")
+    print(f"  expected time to the top: {pgf.mean():.6f}")
     nu = np.zeros(n)
     nu[m - 1] = 1.0
     dist = absorb_dist(AbsorbingChain(bd_restricted(dual_spec), (n,)), nu)
     print(f"  same, from the absorption law: {dist.mean():.6f}")
-    print(f"  pgf at 0.9 (closed form): {forms.pgf.evaluate(0.9):.6f}")
+    print(f"  pgf at 0.9 (closed form): {pgf.evaluate(0.9):.6f}")
 
 print("\nstart 1 for the 3-state family gives expected time exactly 3:",
-      ehrenfest_closed_forms(3, 1).expected_time)
+      ehrenfest_pgf(3, 1).mean())

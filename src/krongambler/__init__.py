@@ -8,7 +8,6 @@ everything through Siegmund duality and spectral intertwining.
 from .absorption import (
     AbsorptionDist,
     absorb_dist,
-    pgf_multidim,
     pgf_two_sided,
 )
 from .birth_death import (
@@ -47,7 +46,7 @@ from .intertwine import (
     build_dual,
     classical_ssd_1d,
     dual_initial,
-    ehrenfest_closed_forms,
+    ehrenfest_pgf,
     spectral_link_1d,
 )
 from .pgf import GeometricProductPgf, MixturePgf, ResolventPgf

@@ -3,13 +3,14 @@
 A one-dimensional chain gets one exact pair of rational pgfs, the (win,
 lose) laws from any start, built from eigenvalue factor lists
 (:func:`pgf_two_sided`); a chain that cannot be ruined is its q(1) = 0
-case. A game of any dimension gets its pgf from its own CSR kernel
-(:func:`pgf_multidim`): each evaluation point is one sparse LU solve of the
-resolvent, so no series, horizon or dual enters. The game's law through the
-pure-birth dual, mixed over the (possibly signed) dual start weights
-nu_hat, is the independent route: since that mixture is linear it is the
-law of one power iteration of the dual started at nu_hat itself, which
-``verify``'s ``distribution_equality`` compares with the game's own law.
+case. A game of any dimension gets its pgf from its own CSR kernel, as
+:class:`krongambler.pgf.ResolventPgf` of the built chain: each evaluation
+point is one sparse LU solve of the resolvent, so no series, horizon or
+dual enters. The game's law through the pure-birth dual, mixed over the
+(possibly signed) dual start weights nu_hat, is the independent route:
+since that mixture is linear it is the law of one power iteration of the
+dual started at nu_hat itself, which ``verify``'s ``distribution_equality``
+compares with the game's own law.
 
 Power iteration runs on a chain's transient block Q over lattice indices
 0..n-2 (``game.AbsorbingChain.transient``): the chain leaves it through
@@ -45,9 +46,9 @@ from .birth_death import (
     tridiag_block_eigs,
 )
 from .errors import HorizonError, SpecError
-from .game import AbsorbingChain, GameSpec, build_game
+from .game import AbsorbingChain
 from .linalg import resolvent
-from .pgf import GeometricProductPgf, ResolventPgf
+from .pgf import GeometricProductPgf
 from .specfile import check_count, check_eps
 
 MAX_HORIZON = 10**6
@@ -96,7 +97,6 @@ class AbsorptionDist:
 
     pmf: np.ndarray
     tail: float
-    target: str
     eps: float
 
     def mass(self) -> float:
@@ -215,19 +215,4 @@ def absorb_dist(
     if low < -1e-12:
         raise SpecError(f"mixture pmf entry {low:.3e}; inconsistent weights")
     np.clip(pmf, 0.0, None, out=pmf)
-    return AbsorptionDist(pmf=pmf, tail=tail, target=target, eps=eps)
-
-
-def pgf_multidim(game: GameSpec, nu_star) -> ResolventPgf:
-    """pgf of the game's time to the win corner from start law nu_star.
-
-    Builds the game and reads its CSR kernel: each evaluation point is one
-    sparse LU solve of (I - sQ) h = s P[., win] (see
-    :class:`krongambler.pgf.ResolventPgf`), so there is no series, horizon
-    or dual. The pure-birth dual's law, mixed over the start weights nu_hat,
-    is the independent route, checked by ``distribution_equality`` in
-    :func:`krongambler.verify.run_checks`.
-    """
-    chain = build_game(game)
-    nu = np.asarray(nu_star, dtype=float).reshape(chain.size)
-    return ResolventPgf(chain=chain, nu=nu)
+    return AbsorptionDist(pmf=pmf, tail=tail, eps=eps)

@@ -14,13 +14,14 @@ import sys
 
 import numpy as np
 
-from .absorption import absorb_dist, pgf_multidim
+from .absorption import absorb_dist
 from .errors import CouplingError, HorizonError, SpecError
 from .game import build_game, lattice_coords, lattice_point_mass, linear_index
+from .pgf import ResolventPgf
 from .siegmund import win_prob_product, win_prob_solve
 from .specfile import SpecFileError, check_count, check_eps, load_spec
 from .simulate import SimConfig, simulate, simulate_coupled
-from .verify import all_passed, run_checks
+from .verify import run_checks
 
 
 def _fail(message: str, field: str | None = None) -> int:
@@ -94,7 +95,7 @@ def cmd_pgf(args) -> int:
     start = _parse_start(args.start, parsed)
     # a repeated point is printed once, so it is solved once
     points = {repr(s): s for s in _flag_list(args.eval, "--eval", float)}
-    pgf = pgf_multidim(game, lattice_point_mass(game.shape, start))
+    pgf = ResolventPgf(build_game(game), lattice_point_mass(game.shape, start))
     values = {key: pgf.evaluate(s) for key, s in points.items()}
     rho = float(win_prob_product(game)[linear_index(game.shape, start)])
     print(json.dumps({"values": values, "rho_at_1": rho}, indent=2))
@@ -124,7 +125,7 @@ def cmd_verify(args) -> int:
     parsed = load_spec(args.spec)
     checks = run_checks(parsed.game, start=parsed.start, eps=parsed.eps)
     print(json.dumps({"checks": [c.as_dict() for c in checks]}, indent=2))
-    return 0 if all_passed(checks) else 1
+    return 0 if all(c.passed for c in checks) else 1
 
 
 @functools.cache

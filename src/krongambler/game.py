@@ -29,6 +29,7 @@ absorption solve reads the transient block and one exit vector
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, prod
@@ -43,8 +44,15 @@ from .linalg import DEFAULT_TOL, MAX_ENTRIES, MAX_TRIPLETS
 
 
 def linear_index(dims: tuple, multi) -> int:
-    """Lattice index 0..prod(dims)-1 of 1-based coordinates, coordinate d fastest."""
-    multi = tuple(int(c) for c in multi)
+    """Lattice index 0..prod(dims)-1 of 1-based coordinates, coordinate d fastest.
+
+    ``multi`` is a sequence of integers (numpy integers too); anything else,
+    a fraction or a bare index, raises IndexError, as an off-lattice point does.
+    """
+    try:
+        multi = tuple(map(operator.index, multi))
+    except TypeError:
+        raise IndexError(f"{multi!r} is not a tuple of integer coordinates") from None
     if len(multi) != len(dims):
         raise IndexError(f"multi-index {multi} has wrong length for dims {dims}")
     for c, n in zip(multi, dims):
@@ -97,7 +105,7 @@ class GameSpec:
     reals summing to 1 or a tuple of square matrices (side prod(N_j)) summing
     to the identity. Matrix coefficients are accepted by ``build_game`` and
     all that runs on the built chain (``win_prob_solve``, ``absorb_dist``,
-    ``pgf_multidim``, ``simulate``); only ``build_dual`` refuses them, so
+    ``ResolventPgf``, ``simulate``); only ``build_dual`` refuses them, so
     ``simulate_coupled`` and verify's dual checks do not apply.
     """
 
@@ -177,7 +185,14 @@ class AbsorbingChain:
     dims: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", sparse.csr_array(self.matrix))
+        matrix = sparse.csr_array(self.matrix)
+        n = prod(self.dims)
+        if matrix.shape != (n, n):
+            raise SpecError(
+                f"kernel of shape {matrix.shape} does not fit the lattice "
+                f"{tuple(self.dims)} of {n} states"
+            )
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def size(self) -> int:

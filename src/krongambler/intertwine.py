@@ -300,7 +300,8 @@ def ehrenfest_dual_weights(n: int, m: int) -> np.ndarray:
 
 def ehrenfest_pgf(n: int, m: int) -> MixturePgf:
     """pgf of the absorption time from state m, as a signed mixture of
-    geometric-factor products with parameters (k-1)/(n-1)."""
+    geometric-factor products with parameters (k-1)/(n-1); its ``mean()``
+    is the expected absorption time."""
     nu = ehrenfest_dual_weights(n, m)
     parts = []
     weights = []
@@ -309,29 +310,3 @@ def ehrenfest_pgf(n: int, m: int) -> MixturePgf:
         parts.append(GeometricProductPgf(scale=1.0, num=lam))
         weights.append(float(nu[j - 1]))
     return MixturePgf(weights=tuple(weights), parts=tuple(parts))
-
-
-def ehrenfest_expected_time(n: int, m: int) -> float:
-    """Expected absorption time: (n-1) sum_j nu(j) sum_{k=j}^{n-1} 1/(n-k)."""
-    nu = ehrenfest_dual_weights(n, m)
-    total = 0.0
-    for j in range(1, m + 1):
-        total += nu[j - 1] * sum(1.0 / (n - k) for k in range(j, n))
-    return (n - 1) * total
-
-
-@dataclass(frozen=True, eq=False)
-class EhrenfestForms:
-    """Bundle of the closed forms for one (n, m) instance."""
-
-    nu: np.ndarray
-    pgf: MixturePgf
-    expected_time: float
-
-
-def ehrenfest_closed_forms(n: int, m: int) -> EhrenfestForms:
-    return EhrenfestForms(
-        nu=ehrenfest_dual_weights(n, m),
-        pgf=ehrenfest_pgf(n, m),
-        expected_time=ehrenfest_expected_time(n, m),
-    )

@@ -51,8 +51,6 @@ class GeometricProductPgf:
         power = s ** (len(self.num) - len(self.den))
         return self.scale * power * _factor(self.num, s) / _factor(self.den, s)
 
-    __call__ = evaluate
-
     def mass(self) -> float:
         """Value at s=1: the total probability carried by the law."""
         return self.scale
@@ -73,14 +71,18 @@ class GeometricProductPgf:
 class ResolventPgf:
     """pgf of a chain's time to its win corner, one sparse solve per point.
 
-    ``chain`` is an AbsorbingChain (a game) and ``nu`` a start law over its
-    states. The value at s is nu[win] + nu[:-1] . h(s), where h(s) solves
-    (I - sQ) h = s P[:-1, win] on the transient block Q
-    (``linalg.resolvent``). Evaluable for |s| <= 1.
+    ``chain`` is an AbsorbingChain (a game, ``build_game(game)``) and ``nu``
+    a start law over its states, flat or in lattice shape. The value at s is
+    nu[win] + nu[:-1] . h(s), where h(s) solves (I - sQ) h = s P[:-1, win]
+    on the transient block Q (``linalg.resolvent``). Evaluable for |s| <= 1.
     """
 
     chain: AbsorbingChain
     nu: np.ndarray
+
+    def __post_init__(self):
+        nu = np.asarray(self.nu, dtype=float).reshape(self.chain.size)
+        object.__setattr__(self, "nu", nu)
 
     def evaluate(self, s: float) -> float:
         if not abs(s) <= 1.0:  # NaN fails this test too
@@ -88,8 +90,6 @@ class ResolventPgf:
         chain = self.chain
         h = resolvent(chain.transient, s).solve(s * chain.exit("win"))
         return float(self.nu[:-1] @ h + self.nu[-1])
-
-    __call__ = evaluate
 
     def mass(self) -> float:
         return self.evaluate(1.0)
@@ -112,8 +112,6 @@ class MixturePgf:
 
     def evaluate(self, s: float) -> float:
         return self._mix(p.evaluate(s) for p in self.parts)
-
-    __call__ = evaluate
 
     def mass(self) -> float:
         return self._mix(p.mass() for p in self.parts)

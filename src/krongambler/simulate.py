@@ -245,15 +245,14 @@ def _check_horizon(chain: AbsorbingChain, max_steps: int) -> None:
 def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
     """Estimate the winning frequency and absorption-time laws empirically.
 
-    ``start`` is a lattice index or a tuple of 1-based coordinates; runs
-    that start at the win corner count as wins at t = 0. From any other
-    start, raises HorizonError before the first draw when a run would
+    ``start`` holds the 1-based integer coordinates of a lattice state
+    (``game.linear_index``, which raises IndexError for anything else);
+    runs that start at the win corner count as wins at t = 0. From any
+    other start, raises HorizonError before the first draw when a run would
     finish within ``cfg.max_steps`` steps with probability below
     ``TIMEOUT_SHARE`` (``_check_horizon``).
     """
-    s0 = int(start) if np.isscalar(start) else chain.to_linear(start)
-    if not 0 <= s0 < chain.size:
-        raise ValueError(f"start index {s0} is not a state of {chain.dims}")
+    s0 = chain.to_linear(start)
     if s0 != chain.win_index:
         _check_horizon(chain, cfg.max_steps)
     cum, dest = _cum_rows(chain)

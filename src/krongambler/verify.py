@@ -230,7 +230,3 @@ def geometric_convolution_pmf(rates, horizon: int) -> np.ndarray:
         g[1:] = a * (1.0 - a) ** (t - 1)
         pmf = np.convolve(pmf, g)[: horizon + 1]
     return pmf
-
-
-def all_passed(checks) -> bool:
-    return all(c.passed for c in checks)

@@ -13,14 +13,13 @@ from krongambler import (
     bd_eigenvalues,
     bd_win_prob,
     build_game,
-    pgf_multidim,
     pgf_two_sided,
     preset_r_of_d,
 )
 from krongambler.game import lattice_point_mass
 from krongambler.birth_death import bd_restricted
 from krongambler.intertwine import build_dual, dual_initial, pure_birth_1d
-from krongambler.pgf import GeometricProductPgf
+from krongambler.pgf import GeometricProductPgf, ResolventPgf
 from krongambler.specfile import parse_spec
 from krongambler.verify import geometric_convolution_pmf
 
@@ -314,14 +313,14 @@ def test_multidim_pgf_mass_is_product_of_win_probs():
     game = preset_r_of_d([spec, spec], 1)
     nu = np.zeros(9)
     nu[0] = 1.0
-    mix = pgf_multidim(game, nu)
+    mix = ResolventPgf(build_game(game), nu)
     assert abs(mix.evaluate(1.0) - 1.0 / 9.0) < 1e-10
 
 
 def test_multidim_reduces_to_two_sided_win_branch():
     spec = golden_spec()
     game = GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
-    mix = pgf_multidim(game, np.array([0.0, 1.0, 0.0]))
+    mix = ResolventPgf(build_game(game), np.array([0.0, 1.0, 0.0]))
     win, _ = pgf_two_sided(spec, 2)
     for s in (0.1, 0.4, 0.7, 0.9, 1.0):
         assert abs(mix.evaluate(s) - win.evaluate(s)) < 1e-10
@@ -381,7 +380,7 @@ def test_pgf_multidim_answers_ill_conditioned_starts(start):
     # is 3.3e7 and 9.2e11); the game's own kernel is not
     game = parse_spec(signed_weights_doc()).game
     nu = lattice_point_mass(game.shape, start)
-    pgf = pgf_multidim(game, nu)
+    pgf = ResolventPgf(build_game(game), nu)
     rho = np.prod([bd_win_prob(s)[c - 1] for s, c in zip(game.dims, start)])
     assert abs(pgf.mass() - rho) <= 1e-12
     direct = absorb_dist(build_game(game), nu)
@@ -389,7 +388,7 @@ def test_pgf_multidim_answers_ill_conditioned_starts(start):
 
 
 def test_resolvent_pgf_rejects_s_above_one():
-    pgf = pgf_multidim(golden_game(), np.array([0.0, 1.0, 0.0]))
+    pgf = ResolventPgf(build_game(golden_game()), np.array([0.0, 1.0, 0.0]))
     for s in (1.5, -1.5):
         with pytest.raises(ValueError, match=r"\|s\| <= 1"):
             pgf.evaluate(s)
@@ -397,7 +396,7 @@ def test_resolvent_pgf_rejects_s_above_one():
 
 @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
 def test_resolvent_pgf_rejects_non_finite_s(s):
-    pgf = pgf_multidim(golden_game(), np.array([0.0, 1.0, 0.0]))
+    pgf = ResolventPgf(build_game(golden_game()), np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match=r"\|s\| <= 1"):
         pgf.evaluate(s)
 
@@ -414,7 +413,8 @@ def test_pgf_multidim_matches_one_dim_closed_forms(q1_zero):
                        budget=0.6)
         start = int(rng.integers(1, spec.N))
         game = GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
-        pgf = pgf_multidim(game, lattice_point_mass(game.shape, (start,)))
+        pgf = ResolventPgf(build_game(game),
+                           lattice_point_mass(game.shape, (start,)))
         closed = pgf_two_sided(spec, start)[0]
         for s in ONE_DIM_POINTS:
             assert abs(pgf.evaluate(s) - closed.evaluate(s)) <= 1e-13

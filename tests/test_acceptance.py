@@ -29,8 +29,9 @@ from krongambler.absorption import pgf_two_sided
 from krongambler.birth_death import bd_restricted
 from krongambler.intertwine import (
     classical_ssd_1d,
-    ehrenfest_closed_forms,
+    ehrenfest_dual_weights,
     ehrenfest_ergodic,
+    ehrenfest_pgf,
 )
 from krongambler.siegmund import win_prob_pi_route
 from krongambler.verify import diagonal_eigenvalue_check, geometric_convolution_pmf
@@ -208,13 +209,13 @@ def test_criterion_6_two_urn_closed_forms():
             np.eye(n - 1) - q_block, np.ones(n - 1)
         )
         for m in range(1, n + 1):
-            forms = ehrenfest_closed_forms(n, m)
+            nu = ehrenfest_dual_weights(n, m)
             route = ehrenfest_dual_weights_link_route(n, m)
-            worst_nu = max(worst_nu, float(np.max(np.abs(forms.nu - route))))
-            worst_sum = max(worst_sum, abs(float(forms.nu.sum()) - 1.0))
+            worst_nu = max(worst_nu, float(np.max(np.abs(nu - route))))
+            worst_sum = max(worst_sum, abs(float(nu.sum()) - 1.0))
             fund = expected_fund[m - 1] if m < n else 0.0
-            worst_e = max(worst_e, abs(forms.expected_time - fund))
-    exact3 = abs(ehrenfest_closed_forms(3, 1).expected_time - 3.0)
+            worst_e = max(worst_e, abs(ehrenfest_pgf(n, m).mean() - fund))
+    exact3 = abs(ehrenfest_pgf(3, 1).mean() - 3.0)
     passed = (
         worst_nu < 1e-9 and worst_sum < 1e-12 and worst_e < 1e-8
         and exact3 < 1e-10

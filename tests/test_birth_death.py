@@ -65,6 +65,8 @@ def test_spec_validation():
         BirthDeathSpec(N=3, p=(0.8, 0.3), q=(0.3, 0.1))
     with pytest.raises(SpecError):
         BirthDeathSpec(N=3, p=(0.3,), q=(0.1, 0.1))
+    with pytest.raises(SpecError, match="length M-1=3"):
+        ErgodicBDSpec(M=4, p=(0.2, 0.2), q=(0.2, 0.2, 0.2))
     # q(1)=0 is allowed
     BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.0, 0.1))
 

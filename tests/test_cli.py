@@ -16,6 +16,7 @@ from krongambler.siegmund import win_prob_product
 from krongambler.specfile import SpecFileError, load_spec, parse_spec
 
 from conftest import link_cliff_doc, signed_weights_doc
+from test_cli_corpus import refuse_constant
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -81,6 +82,10 @@ def test_parse_round_trip(tmp_path):
         (lambda d: d["mixing"]["subsets"][0].append(7), "mixing.subsets[0]"),
         (lambda d: d.__setitem__("seed", -3), "seed"),
         (lambda d: d.__setitem__("runs", 0), "runs"),
+        (lambda d: d.__setitem__("horizon", -1), "horizon"),
+        # golden_doc has one coordinate, so r = 2 is out of range
+        (lambda d: d.__setitem__("mixing", {"preset": {"type": "r_of_d", "r": 2}}),
+         "mixing.preset.r"),
     ],
 )
 def test_parse_errors_name_fields(mutate, field):
@@ -132,6 +137,19 @@ def test_absorb_dist_csv_shape(tmp_path, capsys):
     assert len(rows) <= 7
     # golden chain from 2: P(T=1, win) = p = 0.3
     assert abs(float(rows[1][1]) - 0.3) < 1e-14
+
+
+def test_spec_file_horizon_truncates_absorb_dist(tmp_path, capsys):
+    path = write_spec(tmp_path, golden_doc(horizon=3))
+    code, out, _ = run_cli(capsys, ["absorb-dist", path])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "t", "0", "1", "2", "3", "# tail"]
+    path = write_spec(tmp_path, golden_doc(horizon=-1))
+    code, out, err = run_cli(capsys, ["absorb-dist", path])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["field"] == "horizon"
 
 
 def test_absorb_dist_matches_closed_form_series(tmp_path, capsys):
@@ -257,6 +275,16 @@ def test_verify_fails_on_dual_nonnegativity_violation(tmp_path, capsys):
     failed = {c["name"]: c for c in body["checks"] if not c["pass"]}
     assert "dual_nonnegative" in failed
     assert "lattice states" in failed["dual_nonnegative"]["detail"]
+
+
+def test_verify_reports_a_failed_build(capsys):
+    # the second coordinate never moves, so the transient states split
+    code, out, _ = run_cli(capsys, ["verify", str(DATA / "split_game.json")])
+    assert code == 1
+    assert json.loads(out, parse_constant=refuse_constant) == {"checks": [{
+        "name": "build", "pass": False, "residual": None,
+        "detail": "transient states split into several classes",
+    }]}
 
 
 def test_malformed_start_flag_exits_two(tmp_path, capsys):

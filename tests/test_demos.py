@@ -1,4 +1,4 @@
-"""Each demo's stdout against its recorded output.
+"""Each demo's stdout against its recorded output, and the README's quick start.
 
 The demos run in-process, so the suite's warning filters apply to them.
 Non-numeric text must match exactly and numbers within
@@ -11,6 +11,7 @@ Non-numeric text must match exactly and numbers within
 import contextlib
 import io
 import pathlib
+import re
 import runpy
 
 import pytest
@@ -20,6 +21,14 @@ from test_cli_corpus import NUMBER, close
 ROOT = pathlib.Path(__file__).parent.parent
 RECORDED = pathlib.Path(__file__).parent / "data" / "demo_output"
 DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
+
+
+def test_readme_quick_start_runs():
+    # the quick start names only functions the package still has
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_every_demo_has_a_recording():

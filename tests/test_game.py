@@ -10,6 +10,7 @@ from krongambler import (
     BirthDeathSpec,
     CommunicationError,
     GameSpec,
+    ResolventPgf,
     SimConfig,
     SizeError,
     SpecError,
@@ -20,7 +21,6 @@ from krongambler import (
     check_communication,
     linear_index,
     multi_index,
-    pgf_multidim,
     preset_r_of_d,
     simulate,
     simulate_coupled,
@@ -106,6 +106,25 @@ def test_non_finite_coefficient_is_refused(value):
     with pytest.raises(SpecError, match="identity"):
         GameSpec(dims=(a, a), subsets=(frozenset({1, 2}), frozenset()),
                  coeffs=(lazy, np.eye(4) / 2))
+
+
+SPEC_2 = BirthDeathSpec(N=2, p=(0.3,), q=(0.1,))
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"dims": ()}, "nonempty tuple of BirthDeathSpec"),
+    ({"dims": ({"N": 2},)}, "nonempty tuple of BirthDeathSpec"),
+    ({"subsets": (), "coeffs": ()}, "at least one move subset"),
+    ({"subsets": (frozenset({3}),)}, r"subset \[3\] not within 1..2"),
+    ({"coeffs": (0.5, 0.5)}, "equal length"),
+    ({"coeffs": (np.eye(2),)}, r"shape \(2, 2\), expected \(4, 4\)"),
+], ids=["no-dims", "raw-dims", "no-subsets", "subset-range", "coeff-count",
+        "matrix-shape"])
+def test_game_spec_refuses_malformed_fields(fields, match):
+    good = {"dims": (SPEC_2, SPEC_2), "subsets": (frozenset({1, 2}),),
+            "coeffs": (1.0,)}
+    with pytest.raises(SpecError, match=match):
+        GameSpec(**{**good, **fields})
 
 
 def test_least_row_sum_is_cached_and_read_only():
@@ -429,6 +448,15 @@ def test_chain_converts_dense_matrix_to_csr():
     assert np.array_equal(chain.ruin, [0.25, 0.0, 0.0])
 
 
+def test_chain_refuses_a_kernel_that_does_not_fit_its_dims():
+    # a 4-state kernel read as 3 states would give win probabilities above 1
+    spec = BirthDeathSpec(N=4, p=(0.3,) * 3, q=(0.2,) * 3)
+    with pytest.raises(SpecError, match=r"\(4, 4\).*\(3,\) of 3 states"):
+        AbsorbingChain(bd_restricted(spec), (3,))
+    with pytest.raises(SpecError, match=r"\(3, 4\)"):
+        AbsorbingChain(np.zeros((3, 4)), (3,))
+
+
 def test_chain_reads_transient_block_and_exits_once():
     m = np.array([[0.25, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
     chain = AbsorbingChain(matrix=m, dims=(3,))
@@ -509,6 +537,16 @@ def test_index_round_trip():
         multi_index(dims, 6)
 
 
+def test_fractional_or_bare_coordinates_are_refused():
+    # a fraction is refused, not truncated: (1.5, 2) is not (1, 2)
+    for bad in ((1.5, 2), (2.0, 1), (1,), 4, "12"):
+        with pytest.raises(IndexError):
+            linear_index((3, 3), bad)
+    with pytest.raises(IndexError):
+        lattice_point_mass((3, 3), (2.9, 1))
+    assert linear_index((3, 3), (np.int64(2), np.int32(3))) == 5
+
+
 def test_matrix_coefficients_state_dependent_laziness():
     rng = np.random.default_rng(14)
     spec = rand_bd(rng, 4, budget=0.5)
@@ -545,7 +583,7 @@ def test_matrix_coefficients_run_every_pipeline_on_the_built_chain():
     nu = lattice_point_mass(chain.dims, start)
     rho = float(win_prob_solve(chain)[chain.to_linear(start)])
     assert abs(absorb_dist(chain, nu).mass() - rho) < 1e-12
-    assert abs(pgf_multidim(game, nu).evaluate(1.0) - rho) < 1e-12
+    assert abs(ResolventPgf(chain, nu).evaluate(1.0) - rho) < 1e-12
     report = simulate(chain, start, SimConfig(runs=4000, seed=7))
     assert report.n_timeout == 0
     assert abs(report.win_freq - rho) <= 4 * report.win_se

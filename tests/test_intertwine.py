@@ -26,8 +26,9 @@ from krongambler.birth_death import bd_restricted, ergodic_matrix
 from krongambler.errors import LinkPrecisionError
 from krongambler.intertwine import (
     ehrenfest_binomial_link,
-    ehrenfest_closed_forms,
+    ehrenfest_dual_weights,
     ehrenfest_ergodic,
+    ehrenfest_pgf,
     pure_birth_1d,
     spectral_polynomials,
 )
@@ -119,6 +120,12 @@ def test_link_rejects_negative_spectrum():
     spec = BirthDeathSpec(N=3, p=(0.6873, 0.5498), q=(0.2926, 0.0926))
     with pytest.raises(MonotonicityError):
         spectral_link_1d(spec)
+
+
+def test_dual_refuses_a_non_monotone_component():
+    spec = BirthDeathSpec(N=3, p=(0.7, 0.1), q=(0.1, 0.5))
+    with pytest.raises(MonotonicityError, match="every component must be"):
+        build_dual(one_dim_game(spec))
 
 
 def test_link_rejects_degenerate_spectrum():
@@ -357,6 +364,8 @@ def test_dual_initial_golden_values():
     expected = np.array([-np.sqrt(q / p), 1 + q / p + np.sqrt(q / p), 0.0])
     assert np.max(np.abs(out.values - expected)) < 1e-12
     assert not out.is_distribution
+    with pytest.raises(ValueError, match="4 entries, expected 3"):
+        dual_initial(link, np.full(4, 0.25))
 
 
 def test_dual_initial_matches_dense_solve():
@@ -393,13 +402,6 @@ def test_dual_initial_round_trip_through_link():
         nu = rng.dirichlet(np.ones(game.size))
         out = dual_initial(link, nu)
         assert np.max(np.abs(out.values @ kron_all(link.per_dim) - nu)) < 1e-10
-
-
-def test_two_urn_pgf_mean_equals_expectation_formula():
-    for n in (3, 5, 8):
-        for m in (1, 2, n - 1):
-            forms = ehrenfest_closed_forms(n, m)
-            assert abs(forms.pgf.mean() - forms.expected_time) < 1e-10
 
 
 def test_classical_dual_uniform_stationary():
@@ -458,19 +460,26 @@ def test_two_urn_classical_link_closed_form():
 
 
 def test_two_urn_dual_weights_and_expectations():
-    forms = ehrenfest_closed_forms(3, 1)
-    assert np.allclose(forms.nu, [1.0, 0.0, 0.0], atol=1e-14)
-    assert abs(forms.expected_time - 3.0) < 1e-12
+    assert np.allclose(ehrenfest_dual_weights(3, 1), [1.0, 0.0, 0.0],
+                       atol=1e-14)
+    assert abs(ehrenfest_pgf(3, 1).mean() - 3.0) < 1e-12
 
-    forms = ehrenfest_closed_forms(3, 2)
-    assert np.allclose(forms.nu, [-1 / 3, 4 / 3, 0.0], atol=1e-12)
+    assert np.allclose(ehrenfest_dual_weights(3, 2), [-1 / 3, 4 / 3, 0.0],
+                       atol=1e-12)
     for n in range(3, 9):
         for m in range(1, n + 1):
-            nu = ehrenfest_closed_forms(n, m).nu
+            nu = ehrenfest_dual_weights(n, m)
             assert abs(nu.sum() - 1.0) < 1e-12
+            # the dual has no ruin: the signed mixture carries mass 1
+            assert abs(ehrenfest_pgf(n, m).mass() - 1.0) < 1e-12
             assert np.max(
                 np.abs(nu - ehrenfest_dual_weights_link_route(n, m))
             ) < 1e-9
+    with pytest.raises(SpecError, match="at least 3 states"):
+        ehrenfest_ergodic(2)
+    for m in (0, 4):
+        with pytest.raises(SpecError, match=r"start must lie in 1..3"):
+            ehrenfest_dual_weights(3, m)
 
 
 def test_two_urn_binomial_link_inverse_is_exact():

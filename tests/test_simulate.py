@@ -96,14 +96,16 @@ def test_start_at_the_win_corner_is_a_win_at_time_zero():
     assert (report.n_win, report.n_lose, report.n_timeout) == (10, 0, 0)
 
 
-def test_scalar_start_is_lattice_index():
+def test_start_must_be_integer_coordinates():
+    # a start is 1-based integer coordinates; a bare index, a fraction or
+    # an off-lattice point is refused before any draw
     spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.1, 0.1))
     chain = build_game(one_dim_game(spec))
     cfg = SimConfig(runs=500, seed=11)
-    by_index = simulate(chain, chain.to_linear((2,)), cfg)
-    assert by_index.as_dict() == simulate(chain, (2,), cfg).as_dict()
-    for bad in (-1, chain.size):
-        with pytest.raises(ValueError):
+    by_numpy = simulate(chain, (np.int64(2),), cfg)
+    assert by_numpy.as_dict() == simulate(chain, (2,), cfg).as_dict()
+    for bad in (1, chain.to_linear((2,)), (2.7,), (0,), (4,)):
+        with pytest.raises(IndexError):
             simulate(chain, bad, cfg)
 
 

@@ -14,7 +14,7 @@ from krongambler import (
 from krongambler.intertwine import SpectralLink
 from krongambler.siegmund import reconstruct_primal, stationary_of
 from krongambler.specfile import load_spec
-from krongambler.verify import all_passed, diagonal_eigenvalue_check, run_checks
+from krongambler.verify import diagonal_eigenvalue_check, run_checks
 
 from conftest import rand_bd
 
@@ -23,7 +23,7 @@ def test_full_suite_on_valid_game():
     rng = np.random.default_rng(60)
     dims = [rand_bd(rng, 3, budget=0.2), rand_bd(rng, 3, budget=0.2)]
     checks = run_checks(preset_r_of_d(dims, 1))
-    assert all_passed(checks)
+    assert all(c.passed for c in checks)
     names = [c.name for c in checks]
     assert "intertwining" in names
     assert "diagonal_eigenvalues" in names
@@ -39,7 +39,7 @@ def test_matrix_coefficient_games_skip_dual_checks():
         coeffs=(lazy, np.eye(4) - lazy),
     )
     checks = run_checks(game)
-    assert all_passed(checks)
+    assert all(c.passed for c in checks)
     names = [c.name for c in checks]
     assert "win_prob_product_vs_solve" in names
     assert "intertwining" not in names
@@ -50,7 +50,7 @@ def test_dual_nonnegativity_failure_is_reported_not_raised():
     checks = run_checks(preset_r_of_d([spec, spec], 1))
     by_name = {c.name: c for c in checks}
     assert not by_name["dual_nonnegative"].passed
-    assert not all_passed(checks)
+    assert not all(c.passed for c in checks)
     # the winning-probability pipeline is unaffected
     assert by_name["win_prob_product_vs_solve"].passed
 
@@ -61,7 +61,7 @@ def test_keilson_check_uses_bottom_start_regardless_of_game_start():
     checks = run_checks(game, start=(3,))
     by_name = {c.name: c for c in checks}
     assert by_name["keilson_factorization"].passed
-    assert all_passed(checks)
+    assert all(c.passed for c in checks)
 
 
 def test_dual_law_error_is_a_failed_entry(monkeypatch):
@@ -181,7 +181,7 @@ def test_run_checks_makes_the_game_dense_once(monkeypatch):
     monkeypatch.setattr(sparse.csr_array, "toarray", toarray)
     spec = pathlib.Path(__file__).parent / "data" / "cli_corpus" / "d3_r2.json"
     checks = run_checks(load_spec(str(spec)).game)
-    assert all_passed(checks)
+    assert all(c.passed for c in checks)
     assert len(chains) == 1
     # the intertwining and eigenvalue checks and the Siegmund partner share
     # the game's one dense kernel
