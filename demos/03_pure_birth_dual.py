@@ -46,11 +46,12 @@ print("game spectrum vs sorted dual diagonal, max diff:",
 start = np.zeros(game.size)
 start[chain.to_linear((2, 2))] = 1.0
 weights = dual_initial(link, start)
-print("\nstart (2,2) dual weights:", np.round(weights.values, 4),
-      "| proper distribution:", weights.is_distribution)
+print("\nstart (2,2) dual weights:", np.round(weights, 4),
+      "| proper distribution:",
+      bool(weights.min() >= 0.0 and np.isclose(weights.sum(), 1.0)))
 
 # the mixture is linear in the weights: one run of the dual from them
-mixed = link.iso_value * absorb_dist(dual, weights.values).pmf
+mixed = link.iso_value * absorb_dist(dual, weights).pmf
 direct = absorb_dist(chain, start)
 horizon = len(direct.pmf)
 mixture = np.pad(mixed, (0, horizon))[:horizon]

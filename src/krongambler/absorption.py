@@ -46,7 +46,7 @@ from .birth_death import (
     tridiag_block_eigs,
 )
 from .errors import HorizonError, SpecError
-from .game import AbsorbingChain
+from .game import AbsorbingChain, linear_index, start_vector
 from .linalg import resolvent
 from .pgf import GeometricProductPgf
 from .specfile import check_count, check_eps
@@ -75,8 +75,10 @@ def pgf_two_sided(spec: BirthDeathSpec, start: int) -> tuple:
     Fill's interior-start ratio elsewhere. At start N the factors cancel
     to the laws 1 and 0.
     """
-    if not 1 <= start <= spec.N:
-        raise SpecError(f"start must be a state 1..{spec.N}")
+    try:
+        linear_index((spec.N,), (start,))
+    except IndexError:
+        raise SpecError(f"start must be a state 1..{spec.N}, got {start!r}") from None
     rho = float(bd_win_prob(spec)[start - 1])
     full = tuple(bd_eigenvalues(spec)[:-1])
     lower = tuple(tridiag_block_eigs(spec, 1, start - 1))
@@ -180,8 +182,10 @@ def absorb_dist(
     """Law of the absorption time at ``target`` by power iteration.
 
     ``chain`` is an AbsorbingChain (a game or its pure-birth dual) and
-    ``nu`` a start vector over its states; it may be signed (mixtures of
-    dual weights), in which case a clearly negative pmf entry raises.
+    ``nu`` a start vector over its states (``game.start_vector``). The law
+    is linear in ``nu``, so its pmf scales with nu's mass and a signed
+    ``nu`` (the dual's start weights) gives the mixture of the laws; a
+    clearly negative pmf entry raises.
     ``target`` is ``"win"`` (the win corner; pmf[0] is nu's mass there) or
     ``"ruin"`` (the row deficits); anything else raises ValueError.
     Iteration stops once the transient mass drops below eps or the horizon
@@ -198,7 +202,7 @@ def absorb_dist(
     if horizon is not None:
         horizon = check_count(horizon, "horizon", 0)
     exit = chain.exit(target)
-    start = np.asarray(nu, dtype=float).reshape(chain.size)
+    start = start_vector(chain.dims, nu)
     x0 = start[:-1]
     if horizon is None and x0.min(initial=0.0) >= 0.0:
         r = chain.least_row_sum

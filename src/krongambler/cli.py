@@ -44,8 +44,9 @@ def _parse_start(arg: str | None, parsed):
         return parsed.start
     coords = _flag_list(arg, "--start", int)
     shape = parsed.game.shape
-    if len(coords) != len(shape) or not all(
-            1 <= c <= n for c, n in zip(coords, shape)):
+    try:
+        linear_index(shape, coords)
+    except IndexError:
         raise SpecFileError("--start", f"{arg!r} is off the lattice {shape}")
     return coords
 
@@ -175,7 +176,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SpecError as exc:
         return _fail(str(exc), getattr(exc, "field", None))
-    except (ValueError, CouplingError, HorizonError, FileNotFoundError) as exc:
+    except (ValueError, CouplingError, HorizonError, OSError) as exc:
         return _fail(str(exc))
 
 

@@ -19,11 +19,12 @@ States are lattice points indexed 0..n-1 in row-major order (coordinate d
 varies fastest), so the win corner (N_1, ..., N_d) is the last index and
 the others are transient. Only this module knows the layout:
 :func:`linear_index`, :func:`multi_index` and :func:`lattice_coords` map
-indices to coordinates, and :func:`kron_apply` applies a Kronecker product
-one lattice axis at a time. Ruin is not a state index: a chain leaves its
-transient states through ruin (the row deficit) or the win corner, so every
-absorption solve reads the transient block and one exit vector
-(``AbsorbingChain.transient`` and ``AbsorbingChain.exit``).
+indices to coordinates, :func:`kron_apply` applies a Kronecker product
+one lattice axis at a time, and :func:`start_vector` and :func:`start_law`
+are the one reading of a start given over the lattice. Ruin is not a state
+index: a chain leaves its transient states through ruin (the row deficit)
+or the win corner, so every absorption solve reads the transient block and
+one exit vector (``AbsorbingChain.transient`` and ``AbsorbingChain.exit``).
 """
 
 from __future__ import annotations
@@ -69,11 +70,49 @@ def lattice_point_mass(dims: tuple, multi) -> np.ndarray:
 
 
 def multi_index(dims: tuple, linear: int) -> tuple:
-    """Inverse of :func:`linear_index`: 1-based coordinates of a lattice index."""
+    """Inverse of :func:`linear_index`: 1-based coordinates of an integer index."""
+    try:
+        linear = operator.index(linear)
+    except TypeError:
+        raise IndexError(f"{linear!r} is not an integer lattice index") from None
     size = prod(dims)
     if not 0 <= linear < size:
         raise IndexError(f"linear index {linear} out of range 0..{size - 1}")
     return tuple(int(c) + 1 for c in np.unravel_index(linear, dims))
+
+
+def start_vector(dims: tuple, nu) -> np.ndarray:
+    """Flat float copy of a start vector over the lattice states.
+
+    ``nu`` is flat or in lattice shape, and its entries may be signed (the
+    pure-birth dual's start weights are). Raises SpecError when it does not
+    hold prod(dims) entries or holds a NaN or infinite one.
+    """
+    vec = np.array(nu, dtype=float).ravel()
+    size = prod(dims)
+    if vec.size != size:
+        raise SpecError(f"start vector has {vec.size} entries, expected {size}")
+    finite = np.isfinite(vec)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise SpecError(f"start vector entry {vec[at]} at index {at} is not finite")
+    return vec
+
+
+def start_law(dims: tuple, nu) -> np.ndarray:
+    """:func:`start_vector` of a start law: a distribution over the lattice.
+
+    Also raises SpecError, naming the value, for a negative entry and for a
+    mass that is not 1 within DEFAULT_TOL.
+    """
+    law = start_vector(dims, nu)
+    low = law.min()
+    if low < 0.0:
+        raise SpecError(f"start law has a negative entry {low}")
+    mass = law.sum()
+    if not abs(mass - 1.0) <= DEFAULT_TOL:
+        raise SpecError(f"start law has mass {mass}, not 1")
+    return law
 
 
 def lattice_coords(dims: tuple) -> np.ndarray:

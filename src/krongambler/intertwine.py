@@ -49,13 +49,19 @@ from .errors import (
     MonotonicityError,
     SpecError,
 )
-from .game import AbsorbingChain, GameSpec, kron_apply, kron_mixture, lattice_coords
+from .game import (
+    AbsorbingChain,
+    GameSpec,
+    kron_apply,
+    kron_mixture,
+    lattice_coords,
+    linear_index,
+    start_law,
+)
 from .pgf import GeometricProductPgf, MixturePgf
 
 _DEGENERATE_TOL = 1e-12
 _INTERTWINE_TOL = 1e-10
-#: Start weights down to -_WEIGHT_TOL count as nonnegative.
-_WEIGHT_TOL = 1e-12
 
 
 def _checked_eigenvalues(spec: BirthDeathSpec) -> np.ndarray:
@@ -203,32 +209,20 @@ def build_dual(game: GameSpec) -> tuple:
     return link, dual
 
 
-@dataclass(frozen=True, eq=False)
-class DualInitial:
-    """Start weights of the pure-birth dual; signed unless the start is minimal."""
-
-    values: np.ndarray
-    is_distribution: bool
-
-
-def dual_initial(link: SpectralLink, nu_star) -> DualInitial:
+def dual_initial(link: SpectralLink, nu_star) -> np.ndarray:
     """Solve nu_hat (kron of links) = nu_star with per-dimension triangular solves.
 
-    ``nu_star`` is a distribution over lattice states, flat or in lattice
-    shape. The result can carry negative weights; ``is_distribution`` is set
-    when it is entrywise nonnegative and sums to 1.
+    ``nu_star`` is a start law over the lattice states, flat or in lattice
+    shape (``game.start_law``, which raises SpecError for anything else).
+    Returns the flat array nu_hat. It can carry negative weights, and it
+    sums to rho(nu_star) / ``link.iso_value``, the win probability from
+    nu_star over that of the bottom corner: to 1 from the bottom corner or
+    when no component can be ruined.
     """
-    shape = link.dims
-    size = prod(shape)
-    nu = np.asarray(nu_star, dtype=float)
-    if nu.size != size:
-        raise ValueError(f"start vector has {nu.size} entries, expected {size}")
-    values = kron_apply(nu.reshape(size), shape, [
+    return kron_apply(start_law(link.dims, nu_star), link.dims, [
         partial(solve_triangular, lam, trans="T", lower=True)
         for lam in link.per_dim
     ])
-    ok = values.min() >= -_WEIGHT_TOL and abs(values.sum() - 1.0) <= 1e-9
-    return DualInitial(values=values, is_distribution=bool(ok))
 
 
 def classical_ssd_1d(x: ErgodicBDSpec) -> tuple:
@@ -278,8 +272,10 @@ def ehrenfest_binomial_link(n: int) -> np.ndarray:
 
 def ehrenfest_dual_weights(n: int, m: int) -> np.ndarray:
     """Closed-form start weights of the pure-birth dual for start state m."""
-    if not 1 <= m <= n:
-        raise SpecError(f"start must lie in 1..{n}, got {m}")
+    try:
+        linear_index((n,), (m,))
+    except IndexError:
+        raise SpecError(f"start must lie in 1..{n}, got {m!r}") from None
     nu = np.zeros(n)
     if m == n:
         # already absorbed; the ratio form degenerates to 0/0 here but the

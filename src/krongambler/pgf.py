@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import AbsorbingChain
+from .game import AbsorbingChain, start_law
 from .linalg import resolvent
 
 _SINGULARITY_TOL = 1e-14
@@ -72,7 +72,7 @@ class ResolventPgf:
     """pgf of a chain's time to its win corner, one sparse solve per point.
 
     ``chain`` is an AbsorbingChain (a game, ``build_game(game)``) and ``nu``
-    a start law over its states, flat or in lattice shape. The value at s is
+    a start law over its states (``game.start_law``). The value at s is
     nu[win] + nu[:-1] . h(s), where h(s) solves (I - sQ) h = s P[:-1, win]
     on the transient block Q (``linalg.resolvent``). Evaluable for |s| <= 1.
     """
@@ -81,8 +81,7 @@ class ResolventPgf:
     nu: np.ndarray
 
     def __post_init__(self):
-        nu = np.asarray(self.nu, dtype=float).reshape(self.chain.size)
-        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "nu", start_law(self.chain.dims, self.nu))
 
     def evaluate(self, s: float) -> float:
         if not abs(s) <= 1.0:  # NaN fails this test too

@@ -26,17 +26,21 @@ and a coupled one about 1.6 us, most of it in the dual's step.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from .errors import CouplingError, HorizonError
-from .game import AbsorbingChain, GameSpec, build_game
+from .game import AbsorbingChain, GameSpec, build_game, start_law
 from .intertwine import build_dual, dual_initial
 
 #: State of a run that ended in ruin; lattice states are 0..n-1.
 RUIN = -1
+
+#: Dual start weights down to -_WEIGHT_TOL count as nonnegative.
+_WEIGHT_TOL = 1e-12
 
 #: Share of the runs: more timeouts than this set ``horizon_warning``, and
 #: runs that finish within the step cap with a lower probability than this
@@ -46,13 +50,22 @@ TIMEOUT_SHARE = 0.001
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Runs, seed and step cap of a simulation."""
+    """Runs, seed and step cap of a simulation, each an integer (not a bool)."""
 
     runs: int
     seed: int
     max_steps: int = 1_000_000
 
     def __post_init__(self):
+        for name in ("runs", "seed", "max_steps"):
+            value = getattr(self, name)
+            try:
+                count = operator.index(value)
+            except TypeError:
+                count = None
+            if count is None or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, count)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.seed < 0:
@@ -292,27 +305,36 @@ def simulate_coupled(
     transient state, the step-cap test of ``simulate`` runs before the dual
     is built.
 
-    Requires the dual start weights to form a distribution (always true when
-    the game starts at the minimal corner). With ``record_paths`` the return
-    value is ``(report, paths)`` where each path lists (game_state,
-    dual_state) pairs per step, both as lattice indices.
+    ``nu_star`` is a start law (``game.start_law``). Its dual start weights
+    (``dual_initial``) must form a distribution, as from the bottom corner;
+    else CouplingError says they are signed, or names their sum. With
+    ``record_paths`` the return value is ``(report, paths)`` where each
+    path lists (game_state, dual_state) pairs per step, both as lattice
+    indices.
     """
+    nu_star = start_law(game.shape, nu_star)
     chain = build_game(game)
-    if np.ravel(nu_star)[:-1].any():
+    if nu_star[:-1].any():
         _check_horizon(chain, cfg.max_steps)
     link, dual = build_dual(game)
-    init = dual_initial(link, nu_star)
-    if not init.is_distribution:
+    nu_hat = dual_initial(link, nu_star)
+    if nu_hat.min() < -_WEIGHT_TOL:
         raise CouplingError(
             "dual start weights are signed; coupled simulation unavailable"
         )
-    nu_hat = np.clip(init.values, 0.0, None)
+    mass = nu_hat.sum()
+    if not abs(mass - 1.0) <= 1e-9:
+        raise CouplingError(
+            f"dual start weights sum to {mass}, not 1; coupled simulation "
+            "unavailable"
+        )
+    nu_hat = np.clip(nu_hat, 0.0, None)
     nu_hat = nu_hat / nu_hat.sum()
     charged = np.flatnonzero(nu_hat)
     dual_values, dual_dest = _row_table(dual.matrix)
     win = chain.win_index
     cum, dest = _cum_rows(chain)
-    cum_nu = np.cumsum(np.asarray(nu_star, dtype=float).reshape(chain.size))
+    cum_nu = np.cumsum(nu_star)
     cum_nu[-1] = max(cum_nu[-1], 1.0)
 
     rng = cfg.rng()

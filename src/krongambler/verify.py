@@ -185,7 +185,7 @@ def run_checks(
     checks.append(diagonal_eigenvalue_check(kernel, dual.matrix.diagonal()))
 
     nu_star = lattice_point_mass(dims, start)
-    weights = dual_initial(link, nu_star).values
+    weights = dual_initial(link, nu_star)
     direct = absorb_dist(chain, nu_star, eps=eps)
     try:
         mixed = link.iso_value * absorb_dist(dual, weights, eps=eps).pmf

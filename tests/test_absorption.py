@@ -104,7 +104,7 @@ def test_interior_additivity_splits_the_full_time():
 
 def test_interior_rejects_bad_start():
     spec = BirthDeathSpec(N=3, p=(0.2, 0.2), q=(0.0, 0.1))
-    for start in (0, spec.N + 1):
+    for start in (0, spec.N + 1, 1.5, 2.0):
         with pytest.raises(SpecError, match=r"1\.\.3"):
             pgf_two_sided(spec, start)
 
@@ -350,7 +350,7 @@ def test_multidim_signed_mixture_matches_win_conditioned_law():
         link, dual = build_dual(game)
         start = np.zeros(game.size)
         start[int(rng.integers(0, game.size - 1))] = 1.0
-        weights = dual_initial(link, start).values
+        weights = dual_initial(link, start)
         dual_pmf = link.iso_value * absorb_dist(dual, weights).pmf
         direct = absorb_dist(chain, start)
         horizon = len(direct.pmf)
@@ -366,7 +366,7 @@ def test_signed_weights_mixture_keeps_mass_and_mean():
     chain = build_game(game)
     link, dual = build_dual(game)
     nu = lattice_point_mass(game.shape, (8, 8))
-    mixed = absorb_dist(dual, dual_initial(link, nu).values)
+    mixed = absorb_dist(dual, dual_initial(link, nu))
     rho = bd_win_prob(game.dims[0])[7] * bd_win_prob(game.dims[1])[7]
     assert abs(link.iso_value * mixed.pmf.sum() - rho) <= 1e-9
     direct = absorb_dist(chain, nu)

@@ -68,8 +68,8 @@ def test_criterion_1_golden_one_dim_pgf():
         expected_weights = np.array(
             [-np.sqrt(q / p), 1 + q / p + np.sqrt(q / p), 0.0]
         )
-        assert np.max(np.abs(weights.values - expected_weights)) < 1e-12
-        mixed = link.iso_value * absorb_dist(dual, weights.values).pmf
+        assert np.max(np.abs(weights - expected_weights)) < 1e-12
+        mixed = link.iso_value * absorb_dist(dual, weights).pmf
         ratio_win, _ = pgf_two_sided(spec, 2)
         assert ratio_win.den == (1.0 - (p + q),)
         root = np.sqrt(p * q)
@@ -139,7 +139,7 @@ def test_criterion_3_distribution_equality():
         nu[0] = 1.0
         direct = absorb_dist(chain, nu, eps=1e-12)
         mixture = mixture_pmf_against(direct.pmf, link, dual,
-                                      dual_initial(link, nu).values)
+                                      dual_initial(link, nu))
         worst_two_sided = max(
             worst_two_sided, float(np.max(np.abs(mixture - direct.pmf)))
         )

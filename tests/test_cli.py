@@ -104,6 +104,14 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "field" in json.loads(err)
 
 
+def test_unreadable_spec_path_exits_two(tmp_path, capsys):
+    # a directory or a missing file is invalid input, not a failed check
+    for path in (DATA, tmp_path / "missing.json"):
+        code, out, err = run_cli(capsys, ["win-prob", str(path)])
+        assert (code, out) == (2, "")
+        assert str(path) in json.loads(err)["error"]
+
+
 # -- subcommands ------------------------------------------------------------
 
 

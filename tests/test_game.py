@@ -9,6 +9,7 @@ from krongambler import (
     AbsorbingChain,
     BirthDeathSpec,
     CommunicationError,
+    CouplingError,
     GameSpec,
     ResolventPgf,
     SimConfig,
@@ -27,7 +28,12 @@ from krongambler import (
     win_prob_solve,
 )
 from krongambler import game as game_module
-from krongambler.game import kron_apply, lattice_point_mass
+from krongambler.game import (
+    kron_apply,
+    lattice_point_mass,
+    start_law,
+    start_vector,
+)
 from krongambler.birth_death import bd_restricted
 from krongambler.verify import diagonal_eigenvalue_check
 
@@ -545,6 +551,92 @@ def test_fractional_or_bare_coordinates_are_refused():
     with pytest.raises(IndexError):
         lattice_point_mass((3, 3), (2.9, 1))
     assert linear_index((3, 3), (np.int64(2), np.int32(3))) == 5
+    # a fractional lattice index is refused before np.unravel_index sees it
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(IndexError):
+            multi_index((3,), bad)
+    assert multi_index((3, 3), np.int64(5)) == (2, 3)
+
+
+# -- start vectors and start laws ---------------------------------------------
+
+
+def test_start_vector_is_a_flat_copy_of_a_flat_or_lattice_start():
+    signed = np.arange(6.0).reshape(2, 3) - 2.0
+    for nu in (signed, signed.ravel(), signed.tolist()):
+        vec = start_vector((2, 3), nu)
+        assert vec.shape == (6,)
+        assert np.array_equal(vec, signed.ravel())
+    vec[0] = 99.0
+    assert signed[0, 0] == -2.0
+    law = start_law((2, 3), np.full((2, 3), 1 / 6))
+    assert np.array_equal(law, np.full(6, 1 / 6))
+
+
+@pytest.mark.parametrize("nu, message", [
+    (np.full(4, 0.25), "4 entries, expected 3"),
+    ([0.0, np.nan, 1.0], "entry nan at index 1 is not finite"),
+    ([0.0, 1.0, np.inf], "entry inf at index 2 is not finite"),
+])
+def test_start_vector_refuses_wrong_size_and_non_finite_entries(nu, message):
+    for read in (start_vector, start_law):
+        with pytest.raises(SpecError, match=message):
+            read((3,), nu)
+
+
+@pytest.mark.parametrize("nu, message", [
+    ([0.0, 2.0, 0.0], "mass 2.0, not 1"),
+    ([0.0, 0.0, 0.0], "mass 0.0, not 1"),
+    ([-0.5, 1.0, 0.5], "negative entry -0.5"),
+])
+def test_start_law_refuses_a_signed_start_or_a_mass_other_than_one(nu, message):
+    with pytest.raises(SpecError, match=message):
+        start_law((3,), nu)
+    assert np.array_equal(start_vector((3,), nu), nu)
+
+
+def three_state_game():
+    # ruin is reachable: rho(1) = 9/13
+    spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.1, 0.1))
+    return GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
+
+
+@pytest.mark.parametrize("nu, message", [
+    ([0.0, 2.0, 0.0], "mass 2.0"),
+    ([0.0, 0.0, 0.0], "mass 0.0"),
+    ([0.0, np.nan, 1.0], "entry nan"),
+    ([0.25] * 4, "4 entries"),
+])
+def test_pgf_and_coupled_simulation_refuse_anything_but_a_start_law(nu, message):
+    game = three_state_game()
+    with pytest.raises(SpecError, match=message):
+        ResolventPgf(build_game(game), nu)
+    with pytest.raises(SpecError, match=message):
+        simulate_coupled(game, nu, SimConfig(runs=10, seed=0))
+
+
+def test_absorb_dist_refuses_a_bad_start_before_any_step():
+    chain = build_game(three_state_game())
+    t0 = time.perf_counter()
+    with pytest.raises(SpecError, match="entry nan"):
+        absorb_dist(chain, [np.nan, 0.0, 0.0])
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(SpecError, match="4 entries, expected 3"):
+        absorb_dist(chain, [0.25] * 4)
+    # the law is linear in its start: twice the start, twice the pmf
+    once = absorb_dist(chain, [0.0, 1.0, 0.0], horizon=20)
+    twice = absorb_dist(chain, [0.0, 2.0, 0.0], horizon=20)
+    assert np.array_equal(twice.pmf, 2.0 * once.pmf)
+    assert twice.mass() == 2.0 * once.mass()
+
+
+def test_coupled_simulation_names_the_sum_of_nonnegative_weights():
+    # from the win corner the dual weights are (0, 0, 1/rho(1)): nonnegative,
+    # but of mass 13/9, so the error names the sum and does not say "signed"
+    game = three_state_game()
+    with pytest.raises(CouplingError, match=r"sum to 1\.444") as err:
+        simulate_coupled(game, [0.0, 0.0, 1.0], SimConfig(runs=10, seed=0))
+    assert "signed" not in str(err.value)
 
 
 def test_matrix_coefficients_state_dependent_laziness():

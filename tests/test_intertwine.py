@@ -352,9 +352,8 @@ def test_dual_initial_point_mass_at_bottom():
     link, _ = build_dual(game)
     nu = np.zeros(game.size)
     nu[0] = 1.0
-    out = dual_initial(link, nu)
-    assert out.is_distribution
-    assert np.allclose(out.values, nu, atol=1e-12)
+    # the bottom corner's weights are the point mass itself
+    assert np.allclose(dual_initial(link, nu), nu, atol=1e-12)
 
 
 def test_dual_initial_golden_values():
@@ -362,8 +361,7 @@ def test_dual_initial_golden_values():
     link, _ = build_dual(one_dim_game(golden_spec(p, q)))
     out = dual_initial(link, np.array([0.0, 1.0, 0.0]))
     expected = np.array([-np.sqrt(q / p), 1 + q / p + np.sqrt(q / p), 0.0])
-    assert np.max(np.abs(out.values - expected)) < 1e-12
-    assert not out.is_distribution
+    assert np.max(np.abs(out - expected)) < 1e-12
     with pytest.raises(ValueError, match="4 entries, expected 3"):
         dual_initial(link, np.full(4, 0.25))
 
@@ -376,8 +374,8 @@ def test_dual_initial_matches_dense_solve():
         nu = rng.dirichlet(np.ones(game.size))
         out = dual_initial(link, nu)
         dense = np.linalg.solve(kron_all(link.per_dim).T, nu)
-        assert np.max(np.abs(out.values - dense)) < 1e-10
-        assert support_dominates(game.shape, nu, out.values)
+        assert np.max(np.abs(out - dense)) < 1e-10
+        assert support_dominates(game.shape, nu, out)
 
 
 def test_dual_initial_equals_the_moveaxis_solves_bit_for_bit():
@@ -389,8 +387,8 @@ def test_dual_initial_equals_the_moveaxis_solves_bit_for_bit():
             for nu in (rng.dirichlet(np.ones(game.size)),
                        np.eye(game.size)[int(rng.integers(game.size))]):
                 want = moveaxis_dual_initial(link, nu)
-                assert np.array_equal(dual_initial(link, nu).values, want)
-                flat = dual_initial(link, nu.reshape(game.shape)).values
+                assert np.array_equal(dual_initial(link, nu), want)
+                flat = dual_initial(link, nu.reshape(game.shape))
                 assert np.array_equal(flat, want)
 
 
@@ -401,7 +399,7 @@ def test_dual_initial_round_trip_through_link():
         link, _ = build_dual(game)
         nu = rng.dirichlet(np.ones(game.size))
         out = dual_initial(link, nu)
-        assert np.max(np.abs(out.values @ kron_all(link.per_dim) - nu)) < 1e-10
+        assert np.max(np.abs(out @ kron_all(link.per_dim) - nu)) < 1e-10
 
 
 def test_classical_dual_uniform_stationary():
@@ -477,7 +475,7 @@ def test_two_urn_dual_weights_and_expectations():
             ) < 1e-9
     with pytest.raises(SpecError, match="at least 3 states"):
         ehrenfest_ergodic(2)
-    for m in (0, 4):
+    for m in (0, 4, 1.5, 2.0):
         with pytest.raises(SpecError, match=r"start must lie in 1..3"):
             ehrenfest_dual_weights(3, m)
 

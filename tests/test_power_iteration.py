@@ -81,7 +81,7 @@ def test_dual_batch_matches_reference(shape):
     game = random_game(rng, shape)
     link, dual = build_dual(game)
     nu = lattice_point_mass(game.shape, (2,) * len(shape))
-    weights = dual_initial(link, nu).values
+    weights = dual_initial(link, nu)
     assert weights.min() < 0.0
     assert_matches_reference(dual, weights)
 

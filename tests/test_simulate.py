@@ -277,10 +277,21 @@ def test_two_runs_add_up_and_repeat():
 @pytest.mark.parametrize("kwargs, message", [
     ({"runs": 0, "seed": 0}, "runs must be >= 1"),
     ({"runs": 10, "seed": -3}, "seed must be >= 0"),
+    ({"runs": 2.5, "seed": 0}, "runs must be an integer, got 2.5"),
+    ({"runs": 10, "seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"runs": True, "seed": 0}, "runs must be an integer, got True"),
+    ({"runs": 10, "seed": 0, "max_steps": 1e6},
+     "max_steps must be an integer, got 1000000.0"),
 ])
 def test_config_rejects_out_of_range_values(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SimConfig(**kwargs)
+
+
+def test_config_reads_numpy_integers_as_ints():
+    cfg = SimConfig(runs=np.int64(5), seed=np.uint8(3), max_steps=np.int32(9))
+    assert (cfg.runs, cfg.seed, cfg.max_steps) == (5, 3, 9)
+    assert all(type(v) is int for v in (cfg.runs, cfg.seed, cfg.max_steps))
 
 
 # -- the category-major draw against the row-major formula --------------------

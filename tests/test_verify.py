@@ -71,8 +71,7 @@ def test_dual_law_error_is_a_failed_entry(monkeypatch):
 
     def negated(link, nu_star):
         # weights whose dual law is clearly negative: absorb_dist raises
-        init = true_initial(link, nu_star)
-        return type(init)(values=-init.values, is_distribution=False)
+        return -true_initial(link, nu_star)
 
     monkeypatch.setattr(verify, "dual_initial", negated)
     by_name = {c.name: c for c in run_checks(game)}
