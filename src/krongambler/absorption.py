@@ -113,18 +113,19 @@ class AbsorptionDist:
         return float(np.dot(np.arange(len(self.pmf)), self.pmf))
 
 
-def _power_iteration(q, exit, start: np.ndarray,
+def _power_iteration(q, exit, h, start: np.ndarray,
                      horizon: int | None, eps: float) -> tuple:
     """Absorption pmf through ``exit`` from one transient start, maybe signed.
 
     ``q`` is a chain's transient block in CSR form, iterated as such from
     SPARSE_MIN_STATES states and densely below, and ``exit`` its one-step
-    exit probabilities to the target. Iteration stops at the first step
+    exit probabilities to the target, and ``h`` = (I - Q)^-1 exit the
+    target mass from each transient state. Iteration stops at the first step
     t < horizon at which the iterate's l1 mass is below eps, or after
     ``horizon`` steps; without a horizon, failing to converge within
     MAX_HORIZON steps raises. Returns the pmf, with pmf[0] = 0 and
-    pmf[t] = x_{t-1} . exit, and the tail (I - Q)^-1 exit . x_last, the
-    target mass behind the last step.
+    pmf[t] = x_{t-1} . exit, and the tail h . x_last, the target mass
+    behind the last step.
 
     Steps are written in blocks into one buffer of iterates (see the module
     docstring); everything kept past a block is copied out of it.
@@ -169,7 +170,7 @@ def _power_iteration(q, exit, start: np.ndarray,
             raise HorizonError(
                 f"transient mass {np.abs(last) @ ones:.3e} after {cap} steps"
             )
-    return np.concatenate(pmf), float(resolvent(q).solve(exit) @ last)
+    return np.concatenate(pmf), float(h @ last)
 
 
 def absorb_dist(
@@ -194,7 +195,9 @@ def absorb_dist(
     of a nonnegative start, r the chain's ``least_row_sum``, is still at
     least eps. ``eps`` and ``horizon`` follow the spec file's rules
     (:func:`krongambler.specfile.check_eps`, ``check_count``) and are
-    checked before any step. The check that the dual mixture reproduces this
+    checked before any step. So is the tail's sparse LU (``linalg.resolvent``),
+    made first: it raises SizeError for a chain of three or more coordinates
+    past the dense cap. The check that the dual mixture reproduces this
     law for a game is ``distribution_equality`` in
     :func:`krongambler.verify.run_checks`.
     """
@@ -212,7 +215,8 @@ def absorb_dist(
                 f"transient mass stays >= {floor:.3e} for {MAX_HORIZON} "
                 f"steps (least row sum of Q {r!r}); pass a horizon"
             )
-    pmf, tail = _power_iteration(chain.transient, exit, x0, horizon, eps)
+    h = resolvent(chain).solve(exit)
+    pmf, tail = _power_iteration(chain.transient, exit, h, x0, horizon, eps)
     if target == "win":
         pmf[0] = start[-1]
     low = float(pmf.min(initial=0.0))

@@ -11,9 +11,8 @@ components' bands (``BirthDeathSpec.band``) by :func:`kron_mixture`, which
 takes the pure-birth dual's bidiagonal bands too (``intertwine.build_dual``).
 Every command reads the CSR kernel; ``AbsorbingChain.dense`` is the one
 place a kernel is made dense, for ``verify`` alone (the Siegmund partner
-and the spectrum check), and it raises past the dense cap. A game build is
-capped before it allocates: at ``linalg.MAX_TRIPLETS`` triplets, and at
-the dense cap for games of three or more coordinates.
+and the spectrum check), and it raises past the dense cap. The assembly
+refuses, before it allocates, past ``linalg.MAX_TRIPLETS`` triplets.
 
 States are lattice points indexed 0..n-1 in row-major order (coordinate d
 varies fastest), so the win corner (N_1, ..., N_d) is the last index and
@@ -136,6 +135,16 @@ def kron_apply(x, dims: tuple, ops) -> np.ndarray:
     return y.reshape(x.shape)
 
 
+def as_integer(value, name: str) -> int:
+    """``operator.index(value)``; a bool or a non-integer raises SpecError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise SpecError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """d birth-death components, move subsets, and mixture coefficients.
@@ -158,7 +167,8 @@ class GameSpec:
             raise SpecError("dims must be a nonempty tuple of BirthDeathSpec")
         object.__setattr__(self, "dims", dims)
         d = len(dims)
-        subsets = tuple(frozenset(int(j) for j in a) for a in self.subsets)
+        subsets = tuple(frozenset(as_integer(j, "subset member") for j in a)
+                        for a in self.subsets)
         if not subsets:
             raise SpecError("at least one move subset is required")
         for a in subsets:
@@ -328,27 +338,6 @@ def _kron_triplets(factors) -> tuple:
     return rows, cols, vals
 
 
-def _triplet_count(spec: GameSpec) -> int:
-    """Number of triplets :func:`build_game` assembles, or a bound on it.
-
-    Exact for scalar coefficients; a matrix coefficient's product with a
-    term holds at most 3 entries per moving coordinate for each of the
-    coefficient's nonzeros.
-    """
-    if not spec.scalar_coeffs:
-        return sum(
-            np.count_nonzero(coeff) * 3 ** len(subset)
-            for subset, coeff in zip(spec.subsets, spec.coeffs)
-        )
-    return sum(
-        prod(
-            np.count_nonzero(np.concatenate(s.band)) if j in subset else s.N
-            for j, s in enumerate(spec.dims, start=1)
-        )
-        for subset in spec.subsets
-    )
-
-
 def kron_mixture(bands, subsets, coeffs, error, message) -> sparse.csr_array:
     """CSR kernel of the mixture sum_k coeffs[k] kron_j F_kj, clamped at zero.
 
@@ -359,11 +348,25 @@ def kron_mixture(bands, subsets, coeffs, error, message) -> sparse.csr_array:
     in which a dense mixture adds them, so every entry equals the dense
     one. Entries in [-DEFAULT_TOL, 0) are clamped to zero and dropped; a
     more negative one raises ``error`` with ``message`` formatted with the
-    entry ``low`` and its lattice states ``src`` and ``dst``.
+    entry ``low`` and its lattice states ``src`` and ``dst``. Past
+    ``linalg.MAX_TRIPLETS`` triplets (counted exactly for scalar
+    coefficients, as 3^len(subsets[k]) per nonzero of a matrix coefficient)
+    it raises SizeError before it allocates.
     """
     factors = [_band_nonzeros(band) for band in bands]
     shape = tuple(f[3] for f in factors)
     n = prod(shape)
+    count = sum(
+        np.count_nonzero(coeff) * 3 ** len(subset) if np.ndim(coeff)
+        else prod(len(rows) if (j + 1) in subset else side
+                  for j, (rows, _, _, side) in enumerate(factors))
+        for subset, coeff in zip(subsets, coeffs)
+    )
+    if count > MAX_TRIPLETS:
+        raise SizeError(
+            f"a kernel of {n} states would assemble {count} triplets "
+            f"(cap {MAX_TRIPLETS})"
+        )
     terms = []
     for subset, coeff in zip(subsets, coeffs):
         rows, cols, vals = _kron_triplets(
@@ -409,36 +412,16 @@ def build_game(spec: GameSpec) -> AbsorbingChain:
     zero; anything more negative, or a row summing above 1 + DEFAULT_TOL,
     means the mixture is not a valid chain and raises. The transient
     lattice states must form one communication class.
-
-    Before anything is allocated, a game that would assemble more than
-    ``linalg.MAX_TRIPLETS`` triplets raises SizeError, and so does a game of
-    three or more coordinates past the dense cap: ``verify`` on it needs a
-    dense kernel, and ``win-prob`` and the absorption tails a sparse LU
-    whose fill-in grows about as n^1.6 on such lattices.
     """
-    shape = spec.shape
-    n = spec.size
-    if spec.d >= 3 and n * n > MAX_ENTRIES:
-        raise SizeError(
-            f"a game of {spec.d} coordinates and {n} states is past the dense "
-            f"cap ({MAX_ENTRIES} entries); its sparse LU fill-in grows about "
-            f"as n^1.6"
-        )
-    count = _triplet_count(spec)
-    if count > MAX_TRIPLETS:
-        raise SizeError(
-            f"a kernel of {n} states would assemble {count} triplets "
-            f"(cap {MAX_TRIPLETS})"
-        )
     chain = AbsorbingChain(
         matrix=kron_mixture(
             [s.band for s in spec.dims], spec.subsets, spec.coeffs,
             StochasticityError,
             "mixture entry {low:.3e} at states {src} -> {dst}",
         ),
-        dims=shape,
+        dims=spec.shape,
     )
-    excess = float((chain.matrix @ np.ones(n)).max()) - 1.0
+    excess = float((chain.matrix @ np.ones(chain.size)).max()) - 1.0
     if excess > DEFAULT_TOL:
         raise StochasticityError(
             f"row sum exceeds 1 by {excess:.3e}; not substochastic"
@@ -488,6 +471,7 @@ def preset_r_of_d(dims, r: int) -> GameSpec:
     """
     dims = tuple(dims)
     d = len(dims)
+    r = as_integer(r, "r")
     if not 1 <= r <= d:
         raise SpecError(f"r must lie in 1..{d}, got {r}")
     subsets = [frozenset(a) for a in itertools.combinations(range(1, d + 1), r)]

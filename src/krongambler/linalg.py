@@ -8,7 +8,8 @@ bidiagonal factors, and every command reads them in that form. Only
 chain's transient block Q, b one of its exit vectors (the win column or the
 ruin deficit, ``game.AbsorbingChain.exit``): :func:`resolvent` is the one
 sparse LU behind ``win-prob``'s ``rho_solve``, the power iteration's tail
-and the pgf and mean of a game (:class:`krongambler.pgf.ResolventPgf`).
+and the pgf and mean of a game (:class:`krongambler.pgf.ResolventPgf`),
+and it alone refuses a chain whose LU would be too large.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
+
+from .errors import SizeError
 
 #: Slack for stochasticity checks; constructions are exact in exact
 #: arithmetic, so the tolerance only has to cover floating-point rounding.
@@ -32,12 +35,26 @@ MAX_ENTRIES = 10**7
 MAX_TRIPLETS = MAX_ENTRIES // 10
 
 
-def resolvent(q, s: float = 1.0):
-    """Sparse LU factors (``splu``) of I - sQ for a square CSR block Q.
+def resolvent(chain, s: float = 1.0):
+    """Sparse LU factors (``splu``) of I - sQ on a chain's transient block Q.
+
+    ``chain`` is a game or its dual (``game.AbsorbingChain``). On lattices
+    of three or more coordinates the LU's fill-in grows about as n^1.6, so
+    such a chain past the dense cap (about 3,162 states) raises SizeError
+    here, before it factors; what needs no LU, such as ``simulate``, is
+    not refused.
 
     The matrix is assembled straight into CSC, the format ``splu`` takes
     without a warning; ``.solve(b)`` then gives (I - sQ)^-1 b.
     """
+    n, d = chain.size, len(chain.dims)
+    if d >= 3 and n * n > MAX_ENTRIES:
+        raise SizeError(
+            f"a game of {d} coordinates and {n} states is past the dense "
+            f"cap ({MAX_ENTRIES} entries); its sparse LU fill-in grows about "
+            f"as n^1.6"
+        )
+    q = chain.transient
     m = q.shape[0]
     rows = np.repeat(np.arange(m), np.diff(q.indptr))
     diag = np.arange(m)

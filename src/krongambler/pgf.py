@@ -87,7 +87,7 @@ class ResolventPgf:
         if not abs(s) <= 1.0:  # NaN fails this test too
             raise ValueError("resolvent pgf is only evaluable for |s| <= 1")
         chain = self.chain
-        h = resolvent(chain.transient, s).solve(s * chain.exit("win"))
+        h = resolvent(chain, s).solve(s * chain.exit("win"))
         return float(self.nu[:-1] @ h + self.nu[-1])
 
     def mass(self) -> float:
@@ -95,7 +95,7 @@ class ResolventPgf:
 
     def mean(self) -> float:
         """nu . (I - Q)^-1 h(1): the derivative at s=1, by one more solve."""
-        lu = resolvent(self.chain.transient)
+        lu = resolvent(self.chain)
         return float(self.nu[:-1] @ lu.solve(lu.solve(self.chain.exit("win"))))
 
 

@@ -76,7 +76,7 @@ def win_prob_solve(chain: AbsorbingChain) -> np.ndarray:
 
     One sparse LU of the CSR kernel's transient block; no dense copy.
     """
-    h = resolvent(chain.transient).solve(chain.exit("win"))
+    h = resolvent(chain).solve(chain.exit("win"))
     return np.append(h, 1.0)
 
 

@@ -26,14 +26,13 @@ and a coupled one about 1.6 us, most of it in the dual's step.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from .errors import CouplingError, HorizonError
-from .game import AbsorbingChain, GameSpec, build_game, start_law
+from .game import AbsorbingChain, GameSpec, as_integer, build_game, start_law
 from .intertwine import build_dual, dual_initial
 
 #: State of a run that ended in ruin; lattice states are 0..n-1.
@@ -58,14 +57,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("runs", "seed", "max_steps"):
-            value = getattr(self, name)
-            try:
-                count = operator.index(value)
-            except TypeError:
-                count = None
-            if count is None or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.seed < 0:

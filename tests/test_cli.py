@@ -553,14 +553,16 @@ def test_pgf_builds_no_dual(capsys, monkeypatch):
     assert out
 
 
-@pytest.mark.parametrize("n, argv", [
-    (57, ["simulate"]),
-    (57, ["absorb-dist", "--target", "lose"]),
+@pytest.mark.parametrize("d, n, argv", [
+    (2, 57, ["simulate"]),
+    (2, 57, ["absorb-dist", "--target", "lose"]),
     # 300 x 300 = 90,000 states
-    (300, ["simulate"]),
-], ids=["simulate", "absorb-dist-lose", "simulate-N300"])
-def test_sparse_commands_run_past_the_dense_cap(tmp_path, capsys, n, argv):
-    doc = lattice_doc(2, n)
+    (2, 300, ["simulate"]),
+    # 15^3 = 3,375 states: the sparse LU refuses this game, simulate needs none
+    (3, 15, ["simulate"]),
+], ids=["simulate", "absorb-dist-lose", "simulate-N300", "simulate-d3-N15"])
+def test_sparse_commands_run_past_the_dense_cap(tmp_path, capsys, d, n, argv):
+    doc = lattice_doc(d, n)
     code, out, err = run_cli(capsys, [argv[0], write_spec(tmp_path, doc), *argv[1:]])
     assert code == 0, err
     if argv[0] == "simulate":
@@ -594,15 +596,24 @@ def test_commands_make_no_dense_kernel(capsys, monkeypatch, argv):
     assert out
 
 
-@pytest.mark.parametrize("command", ["win-prob", "absorb-dist", "pgf",
-                                     "simulate", "verify"])
-@pytest.mark.parametrize("d, n, message", [
+ALL_COMMANDS = ["win-prob", "absorb-dist", "pgf", "simulate", "verify"]
+OVERSIZED = [
     # 400 x 400: 1,117,600 triplets, above linalg.MAX_TRIPLETS = 10^6
-    (2, 400, "1117600 triplets"),
-    # 15^3 = 3,375 states: just past the dense cap
-    (3, 15, "3375 states is past the dense cap"),
-    # 50^3 = 125,000 states: sparse LU fill-in past 3 GB
-    (3, 50, "125000 states is past the dense cap"),
+    (2, 400, "1117600 triplets", ALL_COMMANDS),
+    # 15^3 = 3,375 states: just past the dense cap, which the sparse LU keeps
+    # for games of three or more coordinates
+    (3, 15, "3375 states is past the dense cap", ["win-prob", "absorb-dist",
+                                                   "pgf"]),
+    (3, 15, "a dense kernel of 3375 states", ["verify"]),
+    # 50^3 = 125,000 states: three one-coordinate terms of 147 x 50^2
+    # triplets and the balancing identity term of 125,000
+    (3, 50, "1227500 triplets", ALL_COMMANDS),
+]
+
+
+@pytest.mark.parametrize("d, n, message, command", [
+    (d, n, message, command)
+    for d, n, message, commands in OVERSIZED for command in commands
 ])
 def test_oversized_games_exit_two(tmp_path, capsys, command, d, n, message):
     path = write_spec(tmp_path, lattice_doc(d, n))

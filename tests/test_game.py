@@ -18,6 +18,7 @@ from krongambler import (
     StochasticityError,
     absorb_dist,
     bd_matrix,
+    build_dual,
     build_game,
     check_communication,
     linear_index,
@@ -27,6 +28,7 @@ from krongambler import (
     simulate_coupled,
     win_prob_solve,
 )
+from krongambler import absorption, linalg
 from krongambler import game as game_module
 from krongambler.game import (
     kron_apply,
@@ -41,6 +43,7 @@ from conftest import (
     dense_communication,
     dense_mixture,
     direct_game_matrix,
+    dual_safe_budget,
     game_safe_budget,
     kron_all,
     rand_bd,
@@ -124,13 +127,23 @@ SPEC_2 = BirthDeathSpec(N=2, p=(0.3,), q=(0.1,))
     ({"subsets": (frozenset({3}),)}, r"subset \[3\] not within 1..2"),
     ({"coeffs": (0.5, 0.5)}, "equal length"),
     ({"coeffs": (np.eye(2),)}, r"shape \(2, 2\), expected \(4, 4\)"),
+    # once read as {1} and {2}, and True as coordinate 1
+    ({"subsets": ((1.5,), (2.9,)), "coeffs": (0.5, 0.5)},
+     "subset member must be an integer, got 1.5"),
+    ({"subsets": ((True, 2),)}, "subset member must be an integer, got True"),
 ], ids=["no-dims", "raw-dims", "no-subsets", "subset-range", "coeff-count",
-        "matrix-shape"])
+        "matrix-shape", "subset-fraction", "subset-bool"])
 def test_game_spec_refuses_malformed_fields(fields, match):
     good = {"dims": (SPEC_2, SPEC_2), "subsets": (frozenset({1, 2}),),
             "coeffs": (1.0,)}
     with pytest.raises(SpecError, match=match):
         GameSpec(**{**good, **fields})
+
+
+def test_game_spec_reads_numpy_integer_members():
+    game = GameSpec(dims=(SPEC_2, SPEC_2), subsets=((np.int64(1), np.int8(2)),),
+                    coeffs=(1.0,))
+    assert game.subsets == (frozenset({1, 2}),)
 
 
 def test_least_row_sum_is_cached_and_read_only():
@@ -221,6 +234,10 @@ def test_preset_rejects_r_out_of_range():
         preset_r_of_d(dims, 0)
     with pytest.raises(SpecError):
         preset_r_of_d(dims, 2)
+    for r in (1.5, True):
+        with pytest.raises(SpecError, match=f"r must be an integer, got {r}"):
+            preset_r_of_d(dims, r)
+    assert preset_r_of_d(dims, np.int64(1)).subsets == (frozenset({1}),)
 
 
 def test_nonnegative_coefficients_never_fail_stochasticity():
@@ -515,13 +532,44 @@ def test_triplet_cap_bounds_matrix_coefficient_products(monkeypatch):
         build_game(game)
 
 
-def test_three_coordinate_games_stop_at_the_dense_cap():
+def test_triplet_cap_bounds_the_dual_assembly(monkeypatch):
+    # 5 x 5, r = 1: each one-coordinate term holds 9 bidiagonal band entries
+    # times 5 identity entries, the balancing identity term 25
+    rng = np.random.default_rng(45)
+    budget = dual_safe_budget(2, 1)
+    game = preset_r_of_d([rand_bd(rng, 5, budget=budget) for _ in range(2)], 1)
+    monkeypatch.setattr(game_module, "MAX_TRIPLETS", 115)
+    build_dual(game)
+    monkeypatch.setattr(game_module, "MAX_TRIPLETS", 114)
+    with pytest.raises(SizeError, match="25 states would assemble 115 triplets"):
+        build_dual(game)
+
+
+def test_three_coordinate_games_stop_at_the_dense_cap(monkeypatch):
+    # the game builds; every caller of the sparse LU refuses it before the
+    # factorization and before any power-iteration step
     rng = np.random.default_rng(46)
-    inside = [rand_bd(rng, 14, budget=0.3) for _ in range(3)]
-    assert build_game(preset_r_of_d(inside, 1)).size == 2744
-    past = [rand_bd(rng, 15, budget=0.3) for _ in range(3)]
-    with pytest.raises(SizeError, match="3 coordinates and 3375 states"):
-        build_game(preset_r_of_d(past, 1))
+    inside = build_game(preset_r_of_d(
+        [rand_bd(rng, 14, budget=0.3) for _ in range(3)], 1))
+    assert inside.size == 2744
+    assert win_prob_solve(inside)[0] > 0.0
+    past = build_game(preset_r_of_d(
+        [rand_bd(rng, 15, budget=0.3) for _ in range(3)], 1))
+    assert past.size == 3375
+
+    def entered(*args):
+        raise AssertionError("the LU or the power iteration was entered")
+
+    monkeypatch.setattr(linalg, "splu", entered)
+    monkeypatch.setattr(absorption, "_power_iteration", entered)
+    nu = lattice_point_mass(past.dims, (2, 2, 2))
+    for call in (partial(win_prob_solve, past),
+                 partial(absorb_dist, past, nu),
+                 partial(absorb_dist, past, nu, target="ruin", horizon=10),
+                 partial(ResolventPgf(past, nu).evaluate, 0.5),
+                 ResolventPgf(past, nu).mean):
+        with pytest.raises(SizeError, match="3 coordinates and 3375 states"):
+            call()
 
 
 def test_communication_single_dimension():

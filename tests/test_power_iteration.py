@@ -19,6 +19,7 @@ from krongambler import (
 from krongambler.absorption import _power_iteration
 from krongambler.game import lattice_point_mass
 from krongambler.intertwine import build_dual, dual_initial
+from krongambler.linalg import resolvent
 from krongambler.specfile import load_spec
 
 from conftest import dual_safe_budget, rand_bd, reference_power_iteration
@@ -29,8 +30,10 @@ TOL = 1e-12
 
 def assert_matches_reference(chain, start, horizon=None, eps=1e-12):
     """The engine's win law against the oracle's; returns (pmf, absorbed)."""
+    exit = chain.exit("win")
     got_pmf, got_tail = _power_iteration(
-        chain.transient, chain.exit("win"), start[:-1], horizon, eps
+        chain.transient, exit, resolvent(chain).solve(exit), start[:-1],
+        horizon, eps,
     )
     got_pmf[0] = start[-1]
     want_pmf, want_absorbed = reference_power_iteration(
@@ -143,9 +146,10 @@ def test_non_convergence_raises_like_reference(monkeypatch):
         reference_power_iteration(
             chain.dense(), start[None], chain.win_index, None, 1e-12
         )
+    exit = chain.exit("win")
     with pytest.raises(HorizonError) as got:
-        _power_iteration(chain.transient, chain.exit("win"), start[:-1],
-                         None, 1e-12)
+        _power_iteration(chain.transient, exit, resolvent(chain).solve(exit),
+                         start[:-1], None, 1e-12)
     assert str(got.value) == str(want.value)
     assert f"after {cap} steps" in str(got.value)
 

@@ -25,6 +25,7 @@ from krongambler import (
 )
 from krongambler.birth_death import bd_win_prob
 from krongambler.cli import main
+from krongambler.game import lattice_point_mass
 from krongambler.intertwine import build_dual
 from krongambler.simulate import (
     _conditional_draw,
@@ -34,7 +35,13 @@ from krongambler.simulate import (
 )
 from krongambler.specfile import load_spec
 
-from conftest import rand_game, row_major_conditional_draw, row_major_draw
+from conftest import (
+    dual_safe_budget,
+    rand_bd,
+    rand_game,
+    row_major_conditional_draw,
+    row_major_draw,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -244,6 +251,26 @@ def test_plain_and_coupled_agree_on_win_frequency():
     exact = bd_win_prob(spec)[0]
     assert abs(plain.win_freq - exact) < 4 * plain.win_se
     assert abs(coupled.win_freq - exact) < 4 * coupled.win_se
+
+
+def test_three_coordinate_games_simulate_past_the_dense_cap():
+    # 15^3 = 3,375 states, past the dense cap at which the sparse LU stops
+    # games of three or more coordinates; neither simulation needs the LU
+    rng = np.random.default_rng(61)
+    budget = dual_safe_budget(3, 1)
+    game = preset_r_of_d([rand_bd(rng, 15, budget=budget) for _ in range(3)], 1)
+    chain = build_game(game)
+    assert chain.size == 3375
+    cfg = SimConfig(runs=2000, seed=61)
+    report = simulate(chain, (8, 8, 8), cfg)
+    rho = win_prob_product(game)[chain.to_linear((8, 8, 8))]
+    assert report.n_timeout == 0
+    assert abs(report.win_freq - rho) <= 4 * report.win_se
+    # the links of 15-state components pass the precision gate
+    coupled = simulate_coupled(game, lattice_point_mass(game.shape, (1, 1, 1)),
+                               cfg)
+    assert coupled.n_win + coupled.n_lose == cfg.runs
+    assert coupled.coupling_violations == 0
 
 
 def test_coupled_start_at_the_win_corner_counts_at_time_zero():
