@@ -23,14 +23,15 @@ One engine, ``_power_iteration``, iterates one start vector for
 the transient iterate x; the transient mass sum|x| and the pmf entries
 x_{t-1} . exit are read once per block of BLOCK_STEPS steps, and the exact
 stop step is then located inside the block. A kernel row of a game or a
-dual has at most 3^d nonzeros, so blocks with SPARSE_MIN_STATES transient
-states or more are multiplied as a CSR copy of the transpose of Q; smaller
-ones are multiplied as a dense array, made from Q by the engine. The cutoff
-is the measured crossover (one thread of a 2-vCPU Xeon, OpenBLAS): dense
-still wins by 1-2 us per step at 196 states, CSR wins from 216 states, and
-a step takes about 7 us in CSR against 56 us dense at 512 states and 28 us
-against 3.1 ms at 2,744 states. The target mass behind the horizon is read
-off the last iterate by one sparse LU solve (``linalg.resolvent``).
+dual has at most 3^d nonzeros, so every step, at every size, is one call
+of scipy's C kernel ``csr_matvec`` on a CSR copy of the transpose of Q:
+the kernel that ``q_t @ x`` reaches behind its Python dispatch. Called
+directly, a step (the block's reads included) takes about 0.9 us at 19
+transient states, 1.8 us at 195, 3.7 us at 511 and 15 us at 2,499; a dense
+block takes 2.7 and 7.2 us at the first two sizes, and ``q_t @ x`` 7.5 and
+19 us at the last two (one thread of a 2-vCPU Xeon, OpenBLAS). The target
+mass behind the horizon is read off the last iterate by one sparse LU
+solve (``linalg.resolvent``).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
 from .birth_death import (
     BirthDeathSpec,
@@ -52,10 +54,6 @@ from .pgf import GeometricProductPgf
 from .specfile import check_count, check_eps
 
 MAX_HORIZON = 10**6
-
-#: Transient blocks of at least this many states iterate on a CSR copy of
-#: their transpose, smaller ones on a dense block (see the module docstring).
-SPARSE_MIN_STATES = 200
 
 #: Steps per block of the power iteration.
 BLOCK_STEPS = 64
@@ -117,8 +115,7 @@ def _power_iteration(q, exit, h, start: np.ndarray,
                      horizon: int | None, eps: float) -> tuple:
     """Absorption pmf through ``exit`` from one transient start, maybe signed.
 
-    ``q`` is a chain's transient block in CSR form, iterated as such from
-    SPARSE_MIN_STATES states and densely below, and ``exit`` its one-step
+    ``q`` is a chain's transient block in CSR form, ``exit`` its one-step
     exit probabilities to the target, and ``h`` = (I - Q)^-1 exit the
     target mass from each transient state. Iteration stops at the first step
     t < horizon at which the iterate's l1 mass is below eps, or after
@@ -128,31 +125,27 @@ def _power_iteration(q, exit, h, start: np.ndarray,
     behind the last step.
 
     Steps are written in blocks into one buffer of iterates (see the module
-    docstring); everything kept past a block is copied out of it.
+    docstring); everything kept past a block is copied out of it. A step
+    ``csr_matvec(..., x, y)`` adds Q^T x into y, so each block zeroes its
+    output rows first; each step then rounds exactly as ``q.T.tocsr() @ x``
+    does. The buffer's row views are taken once per call, which saves about
+    0.2 us per step against indexing the buffer at every step.
     """
     m = q.shape[0]
-    if m >= SPARSE_MIN_STATES:
-        q_t = q.T.tocsr()
-
-        def step(x, out):
-            out[...] = q_t @ x
-    else:
-        dense = q.toarray()
-
-        def step(x, out):
-            np.matmul(x, dense, out=out)
-
+    q_t = q.T.tocsr()
     cap = MAX_HORIZON if horizon is None else int(horizon)
     ones = np.ones(m)
     buf = np.empty((BLOCK_STEPS + 1, m))
+    rows = list(buf)
     buf[0] = start
     pmf = [np.zeros(1)]
     t = 0
     last = None
     while last is None and t < cap:
         steps = min(BLOCK_STEPS, cap - t)
-        for i in range(steps):
-            step(buf[i], buf[i + 1])
+        buf[1:steps + 1] = 0.0
+        for x, y in zip(rows, rows[1:steps + 1]):
+            csr_matvec(m, m, q_t.indptr, q_t.indices, q_t.data, x, y)
         below = np.flatnonzero(np.abs(buf[:steps]) @ ones < eps)
         if below.size:
             steps = int(below[0])

@@ -16,7 +16,14 @@ import numpy as np
 
 from .absorption import absorb_dist
 from .errors import CouplingError, HorizonError, SpecError
-from .game import build_game, lattice_coords, lattice_point_mass, linear_index
+from .game import (
+    build_game,
+    check_triplets,
+    lattice_coords,
+    lattice_point_mass,
+    linear_index,
+)
+from .linalg import check_lu_size
 from .pgf import ResolventPgf
 from .siegmund import win_prob_product, win_prob_solve
 from .specfile import SpecFileError, check_count, check_eps, load_spec
@@ -51,10 +58,18 @@ def _parse_start(arg: str | None, parsed):
     return coords
 
 
+def _build_for_lu(game):
+    """``build_game`` for a command that factors the game's sparse LU; a game
+    past the triplet cap or, after it, the LU's size cap is refused unbuilt."""
+    check_triplets([s.band for s in game.dims], game.subsets, game.coeffs)
+    check_lu_size(game.shape)
+    return build_game(game)
+
+
 def cmd_win_prob(args) -> int:
     parsed = load_spec(args.spec)
     game = parsed.game
-    chain = build_game(game)
+    chain = _build_for_lu(game)
     rho_prod = win_prob_product(game)
     rho_solve = win_prob_solve(chain)
     coords = (lattice_coords(game.shape) + 1).T.tolist()
@@ -72,7 +87,7 @@ def cmd_absorb_dist(args) -> int:
     parsed = load_spec(args.spec)
     game = parsed.game
     start = _parse_start(args.start, parsed)
-    chain = build_game(game)
+    chain = _build_for_lu(game)
     target = "win" if args.target == "win" else "ruin"
     nu = lattice_point_mass(game.shape, start)
     horizon = (parsed.horizon if args.horizon is None
@@ -96,7 +111,7 @@ def cmd_pgf(args) -> int:
     start = _parse_start(args.start, parsed)
     # a repeated point is printed once, so it is solved once
     points = {repr(s): s for s in _flag_list(args.eval, "--eval", float)}
-    pgf = ResolventPgf(build_game(game), lattice_point_mass(game.shape, start))
+    pgf = ResolventPgf(_build_for_lu(game), lattice_point_mass(game.shape, start))
     values = {key: pgf.evaluate(s) for key, s in points.items()}
     rho = float(win_prob_product(game)[linear_index(game.shape, start)])
     print(json.dumps({"values": values, "rho_at_1": rho}, indent=2))

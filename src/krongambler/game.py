@@ -145,6 +145,14 @@ def as_integer(value, name: str) -> int:
     raise SpecError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_tuple(value, name: str) -> tuple:
+    """``tuple(value)``; a value that is not iterable raises SpecError."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise SpecError(f"{name} must be a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """d birth-death components, move subsets, and mixture coefficients.
@@ -162,20 +170,22 @@ class GameSpec:
     coeffs: tuple
 
     def __post_init__(self):
-        dims = tuple(self.dims)
+        dims = _as_tuple(self.dims, "dims")
         if not dims or not all(isinstance(s, BirthDeathSpec) for s in dims):
             raise SpecError("dims must be a nonempty tuple of BirthDeathSpec")
         object.__setattr__(self, "dims", dims)
         d = len(dims)
-        subsets = tuple(frozenset(as_integer(j, "subset member") for j in a)
-                        for a in self.subsets)
+        subsets = tuple(
+            frozenset(as_integer(j, "subset member") for j in _as_tuple(a, "subset"))
+            for a in _as_tuple(self.subsets, "subsets")
+        )
         if not subsets:
             raise SpecError("at least one move subset is required")
         for a in subsets:
             if not a <= set(range(1, d + 1)):
                 raise SpecError(f"subset {sorted(a)} not within 1..{d}")
         object.__setattr__(self, "subsets", subsets)
-        coeffs = tuple(self.coeffs)
+        coeffs = _as_tuple(self.coeffs, "coeffs")
         if len(coeffs) != len(subsets):
             raise SpecError("coeffs and subsets must have equal length")
         if self.scalar_coeffs:
@@ -338,6 +348,29 @@ def _kron_triplets(factors) -> tuple:
     return rows, cols, vals
 
 
+def check_triplets(bands, subsets, coeffs) -> list:
+    """The bands' nonzeros for :func:`kron_mixture`, once its triplets fit.
+
+    Past ``linalg.MAX_TRIPLETS`` triplets (counted exactly for scalar
+    coefficients, as 3^len(subsets[k]) per nonzero of a matrix coefficient)
+    this raises SizeError, before anything is allocated.
+    """
+    factors = [_band_nonzeros(band) for band in bands]
+    count = sum(
+        np.count_nonzero(coeff) * 3 ** len(subset) if np.ndim(coeff)
+        else prod(len(rows) if (j + 1) in subset else side
+                  for j, (rows, _, _, side) in enumerate(factors))
+        for subset, coeff in zip(subsets, coeffs)
+    )
+    if count > MAX_TRIPLETS:
+        n = prod(f[3] for f in factors)
+        raise SizeError(
+            f"a kernel of {n} states would assemble {count} triplets "
+            f"(cap {MAX_TRIPLETS})"
+        )
+    return factors
+
+
 def kron_mixture(bands, subsets, coeffs, error, message) -> sparse.csr_array:
     """CSR kernel of the mixture sum_k coeffs[k] kron_j F_kj, clamped at zero.
 
@@ -348,25 +381,12 @@ def kron_mixture(bands, subsets, coeffs, error, message) -> sparse.csr_array:
     in which a dense mixture adds them, so every entry equals the dense
     one. Entries in [-DEFAULT_TOL, 0) are clamped to zero and dropped; a
     more negative one raises ``error`` with ``message`` formatted with the
-    entry ``low`` and its lattice states ``src`` and ``dst``. Past
-    ``linalg.MAX_TRIPLETS`` triplets (counted exactly for scalar
-    coefficients, as 3^len(subsets[k]) per nonzero of a matrix coefficient)
-    it raises SizeError before it allocates.
+    entry ``low`` and its lattice states ``src`` and ``dst``. Past the
+    triplet cap it raises SizeError before it allocates (:func:`check_triplets`).
     """
-    factors = [_band_nonzeros(band) for band in bands]
+    factors = check_triplets(bands, subsets, coeffs)
     shape = tuple(f[3] for f in factors)
     n = prod(shape)
-    count = sum(
-        np.count_nonzero(coeff) * 3 ** len(subset) if np.ndim(coeff)
-        else prod(len(rows) if (j + 1) in subset else side
-                  for j, (rows, _, _, side) in enumerate(factors))
-        for subset, coeff in zip(subsets, coeffs)
-    )
-    if count > MAX_TRIPLETS:
-        raise SizeError(
-            f"a kernel of {n} states would assemble {count} triplets "
-            f"(cap {MAX_TRIPLETS})"
-        )
     terms = []
     for subset, coeff in zip(subsets, coeffs):
         rows, cols, vals = _kron_triplets(
@@ -469,7 +489,7 @@ def preset_r_of_d(dims, r: int) -> GameSpec:
     lexicographically. For r = d the balancing term vanishes and the game is
     the plain product of independent components.
     """
-    dims = tuple(dims)
+    dims = _as_tuple(dims, "dims")
     d = len(dims)
     r = as_integer(r, "r")
     if not 1 <= r <= d:

@@ -9,10 +9,13 @@ chain's transient block Q, b one of its exit vectors (the win column or the
 ruin deficit, ``game.AbsorbingChain.exit``): :func:`resolvent` is the one
 sparse LU behind ``win-prob``'s ``rho_solve``, the power iteration's tail
 and the pgf and mean of a game (:class:`krongambler.pgf.ResolventPgf`),
-and it alone refuses a chain whose LU would be too large.
+and it refuses a chain whose LU would be too large (:func:`check_lu_size`,
+which the commands that factor also ask before they build the game).
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 from scipy import sparse
@@ -35,25 +38,31 @@ MAX_ENTRIES = 10**7
 MAX_TRIPLETS = MAX_ENTRIES // 10
 
 
-def resolvent(chain, s: float = 1.0):
-    """Sparse LU factors (``splu``) of I - sQ on a chain's transient block Q.
+def check_lu_size(shape) -> None:
+    """Refuse, with SizeError, a lattice whose sparse LU would be too large.
 
-    ``chain`` is a game or its dual (``game.AbsorbingChain``). On lattices
-    of three or more coordinates the LU's fill-in grows about as n^1.6, so
-    such a chain past the dense cap (about 3,162 states) raises SizeError
-    here, before it factors; what needs no LU, such as ``simulate``, is
-    not refused.
-
-    The matrix is assembled straight into CSC, the format ``splu`` takes
-    without a warning; ``.solve(b)`` then gives (I - sQ)^-1 b.
+    On lattices of three or more coordinates the LU's fill-in grows about
+    as n^1.6, so such a lattice past the dense cap (about 3,162 states) is
+    refused; what needs no LU, such as ``simulate``, is not.
     """
-    n, d = chain.size, len(chain.dims)
+    n, d = prod(shape), len(shape)
     if d >= 3 and n * n > MAX_ENTRIES:
         raise SizeError(
             f"a game of {d} coordinates and {n} states is past the dense "
             f"cap ({MAX_ENTRIES} entries); its sparse LU fill-in grows about "
             f"as n^1.6"
         )
+
+
+def resolvent(chain, s: float = 1.0):
+    """Sparse LU factors (``splu``) of I - sQ on a chain's transient block Q.
+
+    ``chain`` is a game or its dual (``game.AbsorbingChain``); a lattice
+    :func:`check_lu_size` refuses raises SizeError here, before it factors.
+    The matrix is assembled straight into CSC, the format ``splu`` takes
+    without a warning; ``.solve(b)`` then gives (I - sQ)^-1 b.
+    """
+    check_lu_size(chain.dims)
     q = chain.transient
     m = q.shape[0]
     rows = np.repeat(np.arange(m), np.diff(q.indptr))

@@ -9,9 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from krongambler import intertwine, pgf
+from krongambler import cli, intertwine, pgf
 from krongambler.cli import main
-from krongambler.game import AbsorbingChain
+from krongambler.absorption import absorb_dist
+from krongambler.game import AbsorbingChain, build_game, lattice_point_mass
 from krongambler.siegmund import win_prob_product
 from krongambler.specfile import SpecFileError, load_spec, parse_spec
 
@@ -158,6 +159,42 @@ def test_spec_file_horizon_truncates_absorb_dist(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["absorb-dist", path])
     assert (code, out) == (2, "")
     assert json.loads(err)["field"] == "horizon"
+
+
+def running_sum_csv(dist, eps):
+    """absorb-dist's CSV as a running sum writes it, one row at a time."""
+    lines = ["t,pmf,cdf"]
+    cdf = 0.0
+    for t, mass in enumerate(dist.pmf.tolist()):
+        cdf += mass
+        lines.append(f"{t},{mass!r},{cdf!r}")
+    if dist.tail > eps:
+        lines.append(f"# tail,{float(dist.tail)!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("horizon", [None, 100], ids=["converged", "tail"])
+def test_absorb_dist_csv_is_the_running_sum_text(tmp_path, capsys, horizon):
+    # a slow 1-D chain: 5,159 rows without a horizon
+    doc = {"version": 1, "dims": [{"N": 6, "p": [0.02] * 5, "q": [0.02] * 5}],
+           "mixing": {"preset": {"type": "r_of_d", "r": 1}}, "start": [2]}
+    path = write_spec(tmp_path, doc)
+    flags = [] if horizon is None else ["--horizon", str(horizon)]
+    code, out, _ = run_cli(capsys, ["absorb-dist", path, *flags])
+    assert code == 0
+    parsed = load_spec(path)
+    chain = build_game(parsed.game)
+    dist = absorb_dist(chain, lattice_point_mass(chain.dims, (2,)),
+                       horizon=horizon, eps=parsed.eps)
+    # line by line: a failing comparison of the whole text takes minutes
+    got, want = out.split("\n"), running_sum_csv(dist, parsed.eps).split("\n")
+    assert len(got) == len(want)
+    for line_got, line_want in zip(got, want):
+        assert line_got == line_want
+    if horizon is None:
+        assert len(dist.pmf) > 5000
+    else:
+        assert out.splitlines()[-1].startswith("# tail,")
 
 
 def test_absorb_dist_matches_closed_form_series(tmp_path, capsys):
@@ -621,6 +658,23 @@ def test_oversized_games_exit_two(tmp_path, capsys, command, d, n, message):
     assert code == 2
     assert out == ""
     assert message in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", ["win-prob", "absorb-dist", "pgf"])
+def test_lu_commands_refuse_before_the_build(tmp_path, capsys, monkeypatch,
+                                             command):
+    # 45^3 = 91,125 states: within the triplet cap, so the game would build
+    # (in about a second, at 128 MB) before the sparse LU refused it
+    def build(game):
+        raise AssertionError("the game was built")
+
+    monkeypatch.setattr(cli, "build_game", build)
+    path = write_spec(tmp_path, lattice_doc(3, 45))
+    code, out, err = run_cli(capsys, [command, path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"].startswith(
+        "a game of 3 coordinates and 91125 states is past the dense cap")
 
 
 LINK_CLIFF = re.compile(r"intertwining residual \d\.\d{3}e-0\d in dimension 1 \(N=26\)")

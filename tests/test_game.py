@@ -1,3 +1,4 @@
+import re
 import time
 from functools import partial
 
@@ -131,8 +132,12 @@ SPEC_2 = BirthDeathSpec(N=2, p=(0.3,), q=(0.1,))
     ({"subsets": ((1.5,), (2.9,)), "coeffs": (0.5, 0.5)},
      "subset member must be an integer, got 1.5"),
     ({"subsets": ((True, 2),)}, "subset member must be an integer, got True"),
+    # once a bare TypeError ("'int' object is not iterable")
+    ({"subsets": (1,)}, "subset must be a sequence, got 1"),
+    ({"subsets": None}, "subsets must be a sequence, got None"),
 ], ids=["no-dims", "raw-dims", "no-subsets", "subset-range", "coeff-count",
-        "matrix-shape", "subset-fraction", "subset-bool"])
+        "matrix-shape", "subset-fraction", "subset-bool", "subset-scalar",
+        "subsets-none"])
 def test_game_spec_refuses_malformed_fields(fields, match):
     good = {"dims": (SPEC_2, SPEC_2), "subsets": (frozenset({1, 2}),),
             "coeffs": (1.0,)}
@@ -238,6 +243,13 @@ def test_preset_rejects_r_out_of_range():
         with pytest.raises(SpecError, match=f"r must be an integer, got {r}"):
             preset_r_of_d(dims, r)
     assert preset_r_of_d(dims, np.int64(1)).subsets == (frozenset({1}),)
+
+
+def test_preset_refuses_a_bare_component():
+    # one BirthDeathSpec where a sequence of them belongs
+    with pytest.raises(SpecError, match=re.escape(
+            f"dims must be a sequence, got {SPEC_2!r}")):
+        preset_r_of_d(SPEC_2, 1)
 
 
 def test_nonnegative_coefficients_never_fail_stochasticity():

@@ -63,7 +63,7 @@ def transient_masses(p, start, steps):
     return np.array(out)
 
 
-# Two shapes on each side of the dense/CSR storage cutoff.
+# A 3-D and a 2-D lattice at each of two sizes, from 64 to 225 states.
 SHAPES = [(4, 4, 4), (9, 9), (6, 6, 6), (15, 15)]
 
 
@@ -89,10 +89,28 @@ def test_dual_batch_matches_reference(shape):
     assert_matches_reference(dual, weights)
 
 
-def test_storage_cutoff_splits_the_shapes():
-    sizes = sorted(int(np.prod(s)) for s in SHAPES)
-    cut = absorption.SPARSE_MIN_STATES
-    assert sizes[1] < cut <= sizes[2]
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_engine_steps_round_as_the_csr_product(index_dtype):
+    # The engine calls scipy's private kernel csr_matvec itself. Its iterate
+    # after one step, and after a block boundary, must equal the public
+    # product q.T.tocsr() @ x bit for bit, for either index width.
+    rng = np.random.default_rng(15)
+    chain = build_game(random_game(rng, (3, 4)))
+    q = chain.transient.copy()
+    q.indptr = q.indptr.astype(index_dtype)
+    q.indices = q.indices.astype(index_dtype)
+    q_t = q.T.tocsr()
+    assert q_t.indices.dtype == index_dtype
+    start = rng.normal(size=q.shape[0])
+    for horizon in (1, absorption.BLOCK_STEPS + 1):
+        want = start
+        for _ in range(horizon):
+            want = q_t @ want
+        # a unit vector as h makes the returned tail one entry of the
+        # last iterate, exactly
+        got = [_power_iteration(q, chain.exit("win"), unit, start, horizon, 0.0)[1]
+               for unit in np.eye(q.shape[0])]
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 4), (15, 15)])
