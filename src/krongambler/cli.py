@@ -39,6 +39,26 @@ def _fail(message: str, field: str | None = None) -> int:
     return 2
 
 
+def _dumps(out: dict) -> str:
+    """``json.dumps(out, indent=2)``, byte for byte, with the C encoder.
+
+    ``out`` is a dict of JSON scalars and flat numeric containers: lists,
+    and dicts of string keys that hold no ", ", whose items are numbers
+    (NaN and the infinities included), bools or None. Only ``json.dumps``
+    without an indent runs the C encoder, so each value is encoded that
+    way, and a container's ", " item separators become its indented line
+    breaks.
+    """
+    items = []
+    for key, value in out.items():
+        text = json.dumps(value)
+        if isinstance(value, (list, dict)) and value:
+            text = (text[0] + "\n    " + text[1:-1].replace(", ", ",\n    ")
+                    + "\n  " + text[-1])
+        items.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}" if items else "{}"
+
+
 def _flag_list(arg: str, flag: str, kind) -> tuple:
     try:
         return tuple(kind(c) for c in arg.split(","))
@@ -79,7 +99,7 @@ def cmd_win_prob(args) -> int:
         "rho_solve": dict(zip(keys, rho_solve.tolist())),
         "method_agreement": float(np.max(np.abs(rho_prod - rho_solve))),
     }
-    print(json.dumps(out, indent=2))
+    print(_dumps(out))
     return 0
 
 
@@ -114,7 +134,7 @@ def cmd_pgf(args) -> int:
     pgf = ResolventPgf(_build_for_lu(game), lattice_point_mass(game.shape, start))
     values = {key: pgf.evaluate(s) for key, s in points.items()}
     rho = float(win_prob_product(game)[linear_index(game.shape, start)])
-    print(json.dumps({"values": values, "rho_at_1": rho}, indent=2))
+    print(_dumps({"values": values, "rho_at_1": rho}))
     return 0
 
 
@@ -133,7 +153,7 @@ def cmd_simulate(args) -> int:
     else:
         chain = build_game(game)
         report = simulate(chain, start, cfg)
-    print(json.dumps(report.as_dict(), indent=2))
+    print(_dumps(report.as_dict()))
     return 0
 
 

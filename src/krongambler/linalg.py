@@ -11,6 +11,30 @@ sparse LU behind ``win-prob``'s ``rho_solve``, the power iteration's tail
 and the pgf and mean of a game (:class:`krongambler.pgf.ResolventPgf`),
 and it refuses a chain whose LU would be too large (:func:`check_lu_size`,
 which the commands that factor also ask before they build the game).
+
+The LU runs in SuperLU's symmetric mode: the columns are ordered by minimum
+degree on the pattern of A^T + A, and each pivot is the diagonal entry.
+Both fit the systems solved here. A lattice kernel's pattern is nearly
+symmetric (a coordinate that moves up from a state below its top can move
+back down from the next), so this ordering leaves less fill than
+``splu``'s default, COLAMD, an approximate minimum degree on A^T A. And Q is
+nonnegative and substochastic, so for |s| <= 1 the matrix I - sQ is
+diagonally dominant by rows: elimination without row exchanges is stable,
+its growth factor at most 2 (Wilkinson 1961; SuperLU Users' Guide, Li
+2005). Default against symmetric mode, on one thread of a 2-vCPU Xeon (rates
+``perfbench.workloads.rand_rates`` at ``game_safe_budget``, seed 0; LU time
+best of 3; peak RSS of a process that builds the game and factors it; err is
+the LU's win probability against ``siegmund.win_prob_product``):
+
+    ============= ========== ================ ========== ==================
+    game          LU (ms)    L + U            RSS (MB)   err
+    ============= ========== ================ ========== ==================
+    d=2 r=1 N=300 780 -> 577 8.95M -> 5.01M   314 -> 208 4.0e-11 -> 3.5e-11
+    d=2 r=2 N=300 860 -> 637 12.8M -> 11.5M   404 -> 366 5.9e-12 -> 9.8e-13
+    d=3 r=1 N=14  36 -> 17   642k -> 266k     80 -> 71   8.9e-15 -> 4.1e-15
+    d=3 r=2 N=11  16 -> 15   278k -> 246k     72 -> 71   5.9e-15 -> 4.3e-15
+    d=4 r=2 N=7   121 -> 99  1.011M -> 1.018M 96 -> 92   1.3e-14 -> 8.7e-15
+    ============= ========== ================ ========== ==================
 """
 
 from __future__ import annotations
@@ -32,9 +56,10 @@ MAX_ENTRIES = 10**7
 
 #: Cap on the (row, col, value) triplets a sparse game build assembles. A
 #: triplet costs about 130 bytes at the build's peak against 8 for a dense
-#: entry, and the sparse LU of a 2-D game adds about 100 entries of fill
-#: per state (7 triplets), so at this cap a ``win-prob`` request peaks near
-#: 360 MB, close to the 315 MB of a dense build at MAX_ENTRIES.
+#: entry, and the sparse LU of a 2-D game adds about 60 entries of fill per
+#: state (7 triplets; 8.4M on the d = 2, r = 1, N = 378 game at this cap),
+#: so at this cap a ``win-prob`` request peaks near 270 MB, below the 315 MB
+#: of a dense build at MAX_ENTRIES.
 MAX_TRIPLETS = MAX_ENTRIES // 10
 
 
@@ -57,11 +82,18 @@ def check_lu_size(shape) -> None:
 def resolvent(chain, s: float = 1.0):
     """Sparse LU factors (``splu``) of I - sQ on a chain's transient block Q.
 
-    ``chain`` is a game or its dual (``game.AbsorbingChain``); a lattice
-    :func:`check_lu_size` refuses raises SizeError here, before it factors.
-    The matrix is assembled straight into CSC, the format ``splu`` takes
-    without a warning; ``.solve(b)`` then gives (I - sQ)^-1 b.
+    ``chain`` is a game or its dual (``game.AbsorbingChain``), whose Q is
+    nonnegative and substochastic, and |s| <= 1: then I - sQ is diagonally
+    dominant by rows, which makes the factorization's diagonal pivots
+    stable (see the module docstring). An s outside [-1, 1], NaN included,
+    raises ValueError, and a lattice :func:`check_lu_size` refuses raises
+    SizeError, both before it factors. The matrix is assembled straight into
+    CSC, the format ``splu`` takes without a warning, and factored in
+    SuperLU's symmetric mode: columns ordered by minimum degree on
+    A^T + A, diagonal pivots. ``.solve(b)`` then gives (I - sQ)^-1 b.
     """
+    if not abs(s) <= 1.0:  # NaN fails this test too
+        raise ValueError("resolvent pgf is only evaluable for |s| <= 1")
     check_lu_size(chain.dims)
     q = chain.transient
     m = q.shape[0]
@@ -72,4 +104,5 @@ def resolvent(chain, s: float = 1.0):
          (np.concatenate([diag, rows]), np.concatenate([diag, q.indices]))),
         shape=(m, m),
     )
-    return splu(system)
+    return splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})

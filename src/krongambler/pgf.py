@@ -74,7 +74,8 @@ class ResolventPgf:
     ``chain`` is an AbsorbingChain (a game, ``build_game(game)``) and ``nu``
     a start law over its states (``game.start_law``). The value at s is
     nu[win] + nu[:-1] . h(s), where h(s) solves (I - sQ) h = s P[:-1, win]
-    on the transient block Q (``linalg.resolvent``). Evaluable for |s| <= 1.
+    on the transient block Q (``linalg.resolvent``). Evaluable for |s| <= 1;
+    any other s, NaN included, raises ValueError.
     """
 
     chain: AbsorbingChain
@@ -84,8 +85,6 @@ class ResolventPgf:
         object.__setattr__(self, "nu", start_law(self.chain.dims, self.nu))
 
     def evaluate(self, s: float) -> float:
-        if not abs(s) <= 1.0:  # NaN fails this test too
-            raise ValueError("resolvent pgf is only evaluable for |s| <= 1")
         chain = self.chain
         h = resolvent(chain, s).solve(s * chain.exit("win"))
         return float(self.nu[:-1] @ h + self.nu[-1])

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import pathlib
@@ -17,7 +18,7 @@ from krongambler.siegmund import win_prob_product
 from krongambler.specfile import SpecFileError, load_spec, parse_spec
 
 from conftest import link_cliff_doc, signed_weights_doc
-from test_cli_corpus import refuse_constant
+from test_cli_corpus import COMMANDS, SPECS, refuse_constant
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -528,6 +529,47 @@ def test_win_prob_runs_past_the_dense_cap(tmp_path, capsys):
     assert list(body["rho"]) == list(body["rho_solve"])
     assert list(body["rho"])[:2] == ["1,1", "1,2"]
     assert body["method_agreement"] <= 1e-9
+
+
+def run_both_writers(capsys, monkeypatch, argv):
+    """A command's (exit code, stdout, stderr) through ``cli._dumps``, then
+    through ``json.dumps(..., indent=2)`` in its place."""
+    fast = run_cli(capsys, argv)
+    monkeypatch.setattr(cli, "_dumps", functools.partial(json.dumps, indent=2))
+    return fast, run_cli(capsys, argv)
+
+
+@pytest.mark.parametrize("command", ["win-prob", "pgf", "simulate",
+                                     "simulate-coupled"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_flat_reports_print_as_indented_json(capsys, monkeypatch, spec,
+                                             command):
+    name, *flags = COMMANDS[command]
+    fast, reference = run_both_writers(
+        capsys, monkeypatch, [name, str(CORPUS / f"{spec}.json"), *flags])
+    assert fast == reference
+
+
+def test_win_prob_prints_a_long_chain_as_indented_json(tmp_path, capsys,
+                                                       monkeypatch):
+    path = write_spec(tmp_path, lattice_doc(1, 1500))
+    fast, reference = run_both_writers(capsys, monkeypatch, ["win-prob", path])
+    assert fast[0] == 0
+    assert len(json.loads(fast[1])["rho"]) == 1500
+    assert fast == reference
+
+
+@pytest.mark.parametrize("out", [
+    {"values": [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                10**30, 1],
+     "keys": {"1,1": -0.0, "1,2": float("nan"), "0.5": 5e-324},
+     "empty list": [], "empty dict": {}, "flag": False, "none": None,
+     "scalar": float("-inf")},
+    {"one": [2.5]},
+    {},
+], ids=["edge-values", "one-item", "empty"])
+def test_dumps_is_indented_json(out):
+    assert cli._dumps(out) == json.dumps(out, indent=2)
 
 
 @pytest.mark.parametrize("command", ["verify"])

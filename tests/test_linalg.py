@@ -1,13 +1,19 @@
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from krongambler import AbsorbingChain
+from krongambler import AbsorbingChain, build_game, linalg
 from krongambler.birth_death import bd_matrix, bd_restricted
-from krongambler.game import _kron_triplets
-from krongambler.intertwine import SpectralLink
+from krongambler.game import GameSpec, _kron_triplets, preset_r_of_d
+from krongambler.intertwine import SpectralLink, build_dual
+from krongambler.linalg import resolvent
 
-from conftest import rand_bd
+from conftest import game_safe_budget, rand_bd, rand_game
 
 
 def small_matrix(rows, cols):
@@ -122,3 +128,66 @@ def test_left_eigenvector_of_kron_product():
             vec = np.kron(vec, v)
         residual = vec @ big - np.prod(values) * vec
         assert np.max(np.abs(residual)) < 1e-10
+
+
+@functools.cache
+def resolvent_chain(name):
+    """The chains the resolvent tests factor, by name: random games of one
+    to four coordinates, a game with matrix coefficients (state-dependent
+    laziness) and a pure-birth dual."""
+    rng = np.random.default_rng(62)
+    if name.startswith("d="):
+        d = int(name[2:])
+        n_max = {1: 40, 2: 12, 3: 6, 4: 4}[d]
+        return build_game(rand_game(rng, d=d, n_max=n_max, dual_safe=False))
+    if name == "matrix-coeffs":
+        dims = (rand_bd(rng, 5, budget=0.45), rand_bd(rng, 4, budget=0.45))
+        lazy = np.diag(rng.uniform(0.3, 1.0, 20))
+        return build_game(GameSpec(
+            dims=dims,
+            subsets=(frozenset({1}), frozenset({2}), frozenset()),
+            coeffs=(0.5 * lazy, 0.5 * lazy, np.eye(20) - lazy),
+        ))
+    return build_dual(rand_game(rng, d=2, r=2, n_max=5))[1]
+
+
+CHAINS = ["d=1", "d=2", "d=3", "d=4", "matrix-coeffs", "dual"]
+
+
+@pytest.mark.parametrize("s", [-1.0, -0.3, 0.5, 1.0])
+@pytest.mark.parametrize("name", CHAINS)
+def test_resolvent_solves_the_dense_system(name, s):
+    chain = resolvent_chain(name)
+    q = chain.transient.toarray()
+    b = np.random.default_rng(63).uniform(-1.0, 1.0, len(q))
+    lu = resolvent(chain, s)
+    expected = np.linalg.solve(np.eye(len(q)) - s * q, b)
+    error = np.max(np.abs(lu.solve(b) - expected))
+    assert error <= 1e-12 * np.max(np.abs(expected))
+    # symmetric mode pivots on the diagonal: one permutation for rows and
+    # columns (the default's row pivoting leaves the diagonal at s = 1)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+
+
+def test_resolvent_fills_less_than_the_default_lu():
+    rng = np.random.default_rng(64)
+    dims = [rand_bd(rng, 60, budget=game_safe_budget(2, 1)) for _ in range(2)]
+    chain = build_game(preset_r_of_d(dims, 1))
+    system = sparse.csc_array(sparse.eye_array(chain.size - 1) - chain.transient)
+    fill = [lu.L.nnz + lu.U.nnz for lu in (
+        resolvent(chain),
+        splu(system),
+        # the default ordering (COLAMD) in symmetric mode
+        splu(system, diag_pivot_thresh=0.0, options={"SymmetricMode": True}),
+    )]
+    assert fill[0] < min(fill[1:])
+
+
+@pytest.mark.parametrize("s", [1.5, np.nan])
+def test_resolvent_refuses_s_outside_the_unit_interval(monkeypatch, s):
+    def entered(*args, **kwargs):
+        raise AssertionError("the LU was entered")
+
+    monkeypatch.setattr(linalg, "splu", entered)
+    with pytest.raises(ValueError, match=r"\|s\| <= 1"):
+        resolvent(resolvent_chain("d=1"), s)
