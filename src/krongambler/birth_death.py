@@ -108,8 +108,8 @@ class ErgodicBDSpec:
 
     @cached_property
     def band(self) -> tuple:
-        """Read-only band of :func:`ergodic_matrix`: upper[i] = p'(i+1) at
-        (i, i+1), lower[i] = q'(i+2) at (i+1, i), hold 1 - p' - q'."""
+        """Read-only band of the MxM transition matrix: upper[i] = p'(i+1)
+        at (i, i+1), lower[i] = q'(i+2) at (i+1, i), hold 1 - p' - q'."""
         p, q = np.array(self.p), np.array(self.q)
         return _read_only(1.0 - np.append(p, 0.0) - np.append(0.0, q), p, q)
 
@@ -191,11 +191,6 @@ def bd_win_prob(spec: BirthDeathSpec) -> np.ndarray:
     )
     log_sums = np.logaddexp.accumulate(log_ratios)
     return np.exp(log_sums - log_sums[-1])
-
-
-def ergodic_matrix(spec: ErgodicBDSpec) -> np.ndarray:
-    """MxM transition matrix of the ergodic walk."""
-    return _band_dense(spec.band)
 
 
 def bd_stationary(spec: ErgodicBDSpec) -> np.ndarray:

@@ -19,9 +19,9 @@ from .errors import CouplingError, HorizonError, SpecError
 from .game import (
     build_game,
     check_triplets,
-    lattice_coords,
     lattice_point_mass,
     linear_index,
+    state_labels,
 )
 from .linalg import check_lu_size
 from .pgf import ResolventPgf
@@ -81,7 +81,7 @@ def _parse_start(arg: str | None, parsed):
 def _build_for_lu(game):
     """``build_game`` for a command that factors the game's sparse LU; a game
     past the triplet cap or, after it, the LU's size cap is refused unbuilt."""
-    check_triplets([s.band for s in game.dims], game.subsets, game.coeffs)
+    check_triplets([s.band for s in game.dims], game.subsets)
     check_lu_size(game.shape)
     return build_game(game)
 
@@ -92,8 +92,7 @@ def cmd_win_prob(args) -> int:
     chain = _build_for_lu(game)
     rho_prod = win_prob_product(game)
     rho_solve = win_prob_solve(chain)
-    coords = (lattice_coords(game.shape) + 1).T.tolist()
-    keys = [",".join(map(str, c)) for c in coords]
+    keys = state_labels(game.shape)
     out = {
         "rho": dict(zip(keys, rho_prod.tolist())),
         "rho_solve": dict(zip(keys, rho_solve.tolist())),

@@ -17,10 +17,11 @@ refuses, before it allocates, past ``linalg.MAX_TRIPLETS`` triplets.
 States are lattice points indexed 0..n-1 in row-major order (coordinate d
 varies fastest), so the win corner (N_1, ..., N_d) is the last index and
 the others are transient. Only this module knows the layout:
-:func:`linear_index`, :func:`multi_index` and :func:`lattice_coords` map
-indices to coordinates, :func:`kron_apply` applies a Kronecker product
-one lattice axis at a time, and :func:`start_vector` and :func:`start_law`
-are the one reading of a start given over the lattice. Ruin is not a state
+:func:`linear_index`, :func:`multi_index`, :func:`lattice_coords` and
+:func:`state_labels` map indices to coordinates, :func:`kron_apply`
+applies a Kronecker product one lattice axis at a time, and
+:func:`start_vector` and :func:`start_law` are the one reading of a start
+given over the lattice. Ruin is not a state
 index: a chain leaves its transient states through ruin (the row deficit)
 or the win corner, so every absorption solve reads the transient block and
 one exit vector (``AbsorbingChain.transient`` and ``AbsorbingChain.exit``).
@@ -119,6 +120,12 @@ def lattice_coords(dims: tuple) -> np.ndarray:
     return np.indices(dims).reshape(len(dims), -1)
 
 
+def state_labels(dims: tuple) -> list:
+    """The 1-based coordinates of every lattice index as "i_1,...,i_d", in order."""
+    axes = [[str(c) for c in range(1, side + 1)] for side in dims]
+    return list(map(",".join, itertools.product(*axes)))
+
+
 def kron_apply(x, dims: tuple, ops) -> np.ndarray:
     """x @ (A_1 kron ... kron A_d) over x's last index, read as a lattice index.
 
@@ -158,11 +165,13 @@ class GameSpec:
     """d birth-death components, move subsets, and mixture coefficients.
 
     ``subsets`` holds 1-based coordinate sets; ``coeffs`` is either a tuple of
-    reals summing to 1 or a tuple of square matrices (side prod(N_j)) summing
-    to the identity. Matrix coefficients are accepted by ``build_game`` and
-    all that runs on the built chain (``win_prob_solve``, ``absorb_dist``,
-    ``ResolventPgf``, ``simulate``); only ``build_dual`` refuses them, so
-    ``simulate_coupled`` and verify's dual checks do not apply.
+    reals summing to 1 or a tuple of state weights: vectors w_k over the
+    prod(N_j) lattice states, kept as read-only float copies, that sum to 1
+    at every state. Term k's row x is then scaled by w_k(x). State weights
+    are accepted by ``build_game`` and all that runs on the built chain
+    (``win_prob_solve``, ``absorb_dist``, ``ResolventPgf``, ``simulate``);
+    only ``build_dual`` refuses them, so ``simulate_coupled`` and verify's
+    dual checks do not apply.
     """
 
     dims: tuple
@@ -194,21 +203,22 @@ class GameSpec:
             if not abs(sum(coeffs) - 1.0) <= DEFAULT_TOL:
                 raise SpecError(f"coefficients sum to {sum(coeffs)!r}, not 1")
         else:
-            size = self.size
-            total = np.zeros((size, size))
-            mats = []
-            for b in coeffs:
-                b = np.asarray(b, dtype=float)
-                if b.shape != (size, size):
-                    raise SpecError(
-                        f"matrix coefficient has shape {b.shape}, expected "
-                        f"({size}, {size})"
-                    )
-                total += b
-                mats.append(b)
-            if not np.max(np.abs(total - np.eye(size))) <= DEFAULT_TOL:
-                raise SpecError("matrix coefficients must sum to the identity")
-            coeffs = tuple(mats)
+            weights = tuple(np.array(w, dtype=float) for w in coeffs)
+            for w in weights:
+                if w.shape != (self.size,):
+                    raise SpecError(f"state weight has shape {w.shape}, "
+                                    f"expected ({self.size},)")
+                w.flags.writeable = False
+            with np.errstate(invalid="ignore"):  # inf + -inf sums to NaN
+                total = sum(weights)
+            # a non-finite weight makes its state's sum inf or NaN: both fail
+            off = ~(np.abs(total - 1.0) <= DEFAULT_TOL)
+            if off.any():
+                at = int(off.argmax())
+                raise SpecError(f"state weights must sum to 1, but sum to "
+                                f"{float(total[at])!r} at state "
+                                f"{multi_index(self.shape, at)}")
+            coeffs = weights
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -348,19 +358,19 @@ def _kron_triplets(factors) -> tuple:
     return rows, cols, vals
 
 
-def check_triplets(bands, subsets, coeffs) -> list:
+def check_triplets(bands, subsets) -> list:
     """The bands' nonzeros for :func:`kron_mixture`, once its triplets fit.
 
-    Past ``linalg.MAX_TRIPLETS`` triplets (counted exactly for scalar
-    coefficients, as 3^len(subsets[k]) per nonzero of a matrix coefficient)
-    this raises SizeError, before anything is allocated.
+    Term k holds, exactly, the product over coordinates of the band's
+    nonzero count for j + 1 in ``subsets[k]`` and the side otherwise. Past
+    ``linalg.MAX_TRIPLETS`` triplets in all terms this raises SizeError,
+    before anything is allocated.
     """
     factors = [_band_nonzeros(band) for band in bands]
     count = sum(
-        np.count_nonzero(coeff) * 3 ** len(subset) if np.ndim(coeff)
-        else prod(len(rows) if (j + 1) in subset else side
-                  for j, (rows, _, _, side) in enumerate(factors))
-        for subset, coeff in zip(subsets, coeffs)
+        prod(len(rows) if (j + 1) in subset else side
+             for j, (rows, _, _, side) in enumerate(factors))
+        for subset in subsets
     )
     if count > MAX_TRIPLETS:
         n = prod(f[3] for f in factors)
@@ -376,15 +386,16 @@ def kron_mixture(bands, subsets, coeffs, error, message) -> sparse.csr_array:
 
     ``bands`` holds one (diag, upper, lower) band per coordinate; F_kj is
     band j for the coordinates j + 1 in ``subsets[k]`` and the identity
-    otherwise, and a matrix coefficient multiplies its term as a CSR
-    product. The terms are added entry by entry in mixture order, the order
-    in which a dense mixture adds them, so every entry equals the dense
-    one. Entries in [-DEFAULT_TOL, 0) are clamped to zero and dropped; a
-    more negative one raises ``error`` with ``message`` formatted with the
-    entry ``low`` and its lattice states ``src`` and ``dst``. Past the
-    triplet cap it raises SizeError before it allocates (:func:`check_triplets`).
+    otherwise. A coefficient is a real or a vector of state weights, which
+    scales each row x of its term by coeffs[k][x]. The terms are added
+    entry by entry in mixture order, the order in which a dense mixture
+    adds them, so every entry equals the dense one. Entries in
+    [-DEFAULT_TOL, 0) are clamped to zero and dropped; a more negative one
+    raises ``error`` with ``message`` formatted with the entry ``low`` and
+    its lattice states ``src`` and ``dst``. Past the triplet cap it raises
+    SizeError before it allocates (:func:`check_triplets`).
     """
-    factors = check_triplets(bands, subsets, coeffs)
+    factors = check_triplets(bands, subsets)
     shape = tuple(f[3] for f in factors)
     n = prod(shape)
     terms = []
@@ -393,11 +404,8 @@ def kron_mixture(bands, subsets, coeffs, error, message) -> sparse.csr_array:
             factors[j] if (j + 1) in subset else _identity(side)
             for j, side in enumerate(shape)
         )
-        if np.ndim(coeff):
-            term = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
-            mixed = (sparse.csr_array(coeff) @ term).tocoo()
-            rows, cols, vals, coeff = mixed.row, mixed.col, mixed.data, 1.0
-        terms.append((rows * n + cols, coeff * vals))
+        weight = coeff[rows] if np.ndim(coeff) else coeff
+        terms.append((rows * n + cols, weight * vals))
     # A term holds each entry at most once, so every entry takes its terms'
     # contributions one at a time, in mixture order.
     keys, slot = np.unique(

@@ -117,11 +117,6 @@ def _birth_band(lam: np.ndarray) -> tuple:
     return lam, 1.0 - lam[:-1], np.zeros(len(lam) - 1)
 
 
-def pure_birth_1d(eigenvalues) -> np.ndarray:
-    """One-dimensional pure-birth kernel: hold lam_i, move up 1 - lam_i."""
-    return _band_dense(_birth_band(np.asarray(eigenvalues, dtype=float)))
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralLink:
     """Kronecker link between a built game and its pure-birth dual.
@@ -259,15 +254,6 @@ def ehrenfest_ergodic(n: int) -> ErgodicBDSpec:
     p = tuple((n - i) / denom for i in range(1, n))
     q = tuple((i - 1) / denom for i in range(2, n + 1))
     return ErgodicBDSpec(M=n, p=p, q=q)
-
-
-def ehrenfest_binomial_link(n: int) -> np.ndarray:
-    """Link with rows binom(i-1, j-1) / 2^(i-1)."""
-    out = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            out[i - 1, j - 1] = comb(i - 1, j - 1) / 2.0 ** (i - 1)
-    return out
 
 
 def ehrenfest_dual_weights(n: int, m: int) -> np.ndarray:

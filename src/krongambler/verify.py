@@ -33,14 +33,15 @@ Build-time invariants (substochastic kernel, one communication class, a
 nonnegative dual, per-dimension links, the link's isolated win corner) are
 enforced by ``build_game`` and ``build_dual``, which raise; they show up
 here only as a failed ``build``, ``dual_nonnegative`` or ``dual_link``
-entry, the last for a link past double-precision reach
-(``LinkPrecisionError``). ``verify`` is the one command that makes the
-kernel and the dual dense (the link is applied one factor per lattice
-axis), so a game too large to check raises SizeError instead, from the
-build or from the dense kernel. Checks that
-do not apply to a spec (matrix coefficients, a game without a dual, games
-of more than one dimension for the factorization) are skipped rather than
-failed.
+entry: ``dual_nonnegative`` for a negative dual entry, ``dual_link`` for
+a component outside the spectral link's reach (``MonotonicityError``,
+``DegenerateSpectrumError``, or ``LinkPrecisionError`` past double
+precision). ``verify`` is the one command that makes the kernel and the
+dual dense (the link is applied one factor per lattice axis), so a game
+too large to check raises SizeError instead, from the build or from the
+dense kernel. Checks that do not apply to a spec (state weights, a game
+without a dual, games of more than one dimension for the factorization)
+are skipped rather than failed.
 """
 
 from __future__ import annotations
@@ -52,7 +53,13 @@ import numpy as np
 
 from .absorption import absorb_dist
 from .birth_death import bd_eigenvalues, bd_win_prob
-from .errors import LinkPrecisionError, SizeError, SpecError
+from .errors import (
+    DegenerateSpectrumError,
+    LinkPrecisionError,
+    MonotonicityError,
+    SizeError,
+    SpecError,
+)
 from .game import GameSpec, build_game, kron_apply, lattice_point_mass
 from .intertwine import build_dual, dual_initial, spectral_polynomials
 from .siegmund import (
@@ -159,10 +166,8 @@ def run_checks(
     try:
         link, dual = build_dual(game)
     except SpecError as exc:
-        name = (
-            "dual_link" if isinstance(exc, LinkPrecisionError)
-            else "dual_nonnegative"
-        )
+        link_fault = (MonotonicityError, DegenerateSpectrumError, LinkPrecisionError)
+        name = "dual_link" if isinstance(exc, link_fault) else "dual_nonnegative"
         checks.append(CheckResult(name, False, None, str(exc)))
         return checks
     checks.append(CheckResult("dual_nonnegative", True, 0.0))

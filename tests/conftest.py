@@ -43,7 +43,7 @@ def loop_bd_matrix(spec):
 def loop_ergodic_matrix(spec):
     """MxM ergodic walk matrix, filled in state by state.
 
-    The oracle for ``birth_death.ergodic_matrix`` and ``ErgodicBDSpec.band``.
+    The oracle for ``ErgodicBDSpec.band`` and for the walk's transition matrix.
     """
     m = spec.M
     out = np.zeros((m, m))
@@ -61,7 +61,7 @@ def loop_ergodic_matrix(spec):
 def loop_pure_birth(lam):
     """Pure-birth kernel, hold lam_i and up 1 - lam_i, filled in entry by entry.
 
-    The oracle for ``intertwine.pure_birth_1d``.
+    The oracle for the pure-birth dual's bidiagonal band and factors.
     """
     lam = np.asarray(lam, dtype=float)
     out = np.diag(lam)
@@ -123,8 +123,17 @@ def product_order(dims):
     return c, mobius
 
 
+def ehrenfest_binomial_link(n: int) -> np.ndarray:
+    """Two-urn link with rows binom(i-1, j-1) / 2^(i-1)."""
+    out = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            out[i - 1, j - 1] = comb(i - 1, j - 1) / 2.0 ** (i - 1)
+    return out
+
+
 def ehrenfest_binomial_link_inv(n: int) -> np.ndarray:
-    """Exact inverse of ``intertwine.ehrenfest_binomial_link``.
+    """Exact inverse of :func:`ehrenfest_binomial_link`.
 
     Entries (-1)^(j-i) 2^(j-1) binom(i-1, j-1): row i holds the
     coefficients of (2x - 1)^(i-1).
@@ -303,7 +312,7 @@ def dense_mixture(game, factors=None):
     their pure-birth kernels (the dual). The reference for the CSR assembly
     of ``build_game`` and ``build_dual``: factors built apart from the
     bands, multiplied by ``kron_all`` and added term by term in mixture
-    order.
+    order; a state-weight coefficient scales each row of its term.
     """
     if factors is None:
         factors = [loop_bd_matrix(s)[1:, 1:] for s in game.dims]
@@ -313,7 +322,7 @@ def dense_mixture(game, factors=None):
             f if (j + 1) in subset else np.eye(len(f))
             for j, f in enumerate(factors)
         ])
-        mixed += coeff * term if game.scalar_coeffs else coeff @ term
+        mixed += coeff * term if game.scalar_coeffs else coeff[:, None] * term
     return mixed
 
 

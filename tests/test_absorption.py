@@ -18,12 +18,18 @@ from krongambler import (
 )
 from krongambler.game import lattice_point_mass
 from krongambler.birth_death import bd_restricted
-from krongambler.intertwine import build_dual, dual_initial, pure_birth_1d
+from krongambler.intertwine import build_dual, dual_initial
 from krongambler.pgf import GeometricProductPgf, ResolventPgf
 from krongambler.specfile import parse_spec
 from krongambler.verify import geometric_convolution_pmf
 
-from conftest import power_iteration_pmf, rand_bd, rand_game, signed_weights_doc
+from conftest import (
+    loop_pure_birth,
+    power_iteration_pmf,
+    rand_bd,
+    rand_game,
+    signed_weights_doc,
+)
 
 
 def golden_spec(p=0.3, q=0.1):
@@ -174,7 +180,7 @@ def test_two_sided_matches_conditioned_power_iteration():
 
 
 def test_absorb_dist_deterministic_step():
-    dual = AbsorbingChain(pure_birth_1d(np.array([0.0, 1.0])), (2,))
+    dual = AbsorbingChain(loop_pure_birth([0.0, 1.0]), (2,))
     dist = absorb_dist(dual, np.array([1.0, 0.0]))
     assert np.allclose(dist.pmf, [0.0, 1.0], atol=1e-15)
     assert dist.tail == 0.0

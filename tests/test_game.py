@@ -27,6 +27,7 @@ from krongambler import (
     preset_r_of_d,
     simulate,
     simulate_coupled,
+    win_prob_product,
     win_prob_solve,
 )
 from krongambler import absorption, linalg
@@ -36,6 +37,7 @@ from krongambler.game import (
     lattice_point_mass,
     start_law,
     start_vector,
+    state_labels,
 )
 from krongambler.birth_death import bd_restricted
 from krongambler.verify import diagonal_eigenvalue_check
@@ -111,11 +113,13 @@ def test_non_finite_coefficient_is_refused(value):
     with pytest.raises(SpecError, match="sum to"):
         GameSpec(dims=(a, a), subsets=(frozenset({1}), frozenset({2})),
                  coeffs=(value, 0.5))
-    lazy = np.eye(4) / 2
-    lazy[0, 1] = value
-    with pytest.raises(SpecError, match="identity"):
+    # the opposite value in the other vector: inf and -inf sum to NaN
+    lazy = np.full(4, 0.5)
+    lazy[1] = value
+    with pytest.raises(SpecError, match=re.escape(
+            "state weights must sum to 1, but sum to nan at state (1, 2)")):
         GameSpec(dims=(a, a), subsets=(frozenset({1, 2}), frozenset()),
-                 coeffs=(lazy, np.eye(4) / 2))
+                 coeffs=(lazy, 1.0 - lazy))
 
 
 SPEC_2 = BirthDeathSpec(N=2, p=(0.3,), q=(0.1,))
@@ -127,7 +131,7 @@ SPEC_2 = BirthDeathSpec(N=2, p=(0.3,), q=(0.1,))
     ({"subsets": (), "coeffs": ()}, "at least one move subset"),
     ({"subsets": (frozenset({3}),)}, r"subset \[3\] not within 1..2"),
     ({"coeffs": (0.5, 0.5)}, "equal length"),
-    ({"coeffs": (np.eye(2),)}, r"shape \(2, 2\), expected \(4, 4\)"),
+    ({"coeffs": (np.eye(2),)}, r"shape \(2, 2\), expected \(4,\)"),
     # once read as {1} and {2}, and True as coordinate 1
     ({"subsets": ((1.5,), (2.9,)), "coeffs": (0.5, 0.5)},
      "subset member must be an integer, got 1.5"),
@@ -177,11 +181,11 @@ def test_csr_kernel_clips_tiny_negative_mixture_entry():
 def test_csr_kernel_equals_dense_matrix_coefficient_mixture():
     rng = np.random.default_rng(41)
     dims = (rand_bd(rng, 3, budget=0.4), rand_bd(rng, 4, budget=0.4))
-    lazy = np.diag(rng.uniform(0.3, 1.0, 12))
+    lazy = rng.uniform(0.3, 1.0, 12)
     game = GameSpec(
         dims=dims,
         subsets=(frozenset({1, 2}), frozenset()),
-        coeffs=(lazy, np.eye(12) - lazy),
+        coeffs=(lazy, 1.0 - lazy),
     )
     assert_kernel_is_clipped_dense_mixture(game)
 
@@ -294,18 +298,18 @@ def test_mixture_eigenvalues_are_products_over_subsets():
 
 
 def test_overfull_kernel_row_is_rejected():
-    # row 1 of the coefficient subtracts half of the kernel's row 0, which
-    # leaks 0.2 into ruin; the balancing identity term adds that half back
-    # without the leak, so no entry is negative and row 1 sums to 1.1
-    spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.2, 0.2))
-    coeff = np.eye(3)
-    coeff[1, 0] = -0.5
+    # the move term carries weight -delta, so each move of a transient row
+    # becomes -0.3 delta = -1e-12, which the assembly clamps to zero, and
+    # its hold -0.4 delta + 1 + delta = 1 + 0.6 delta: the row sums exceed
+    # 1 by 2e-12 with no entry left negative
+    spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.3, 0.3))
+    delta = 1e-12 / 0.3
     game = GameSpec(
         dims=(spec,),
         subsets=(frozenset({1}), frozenset()),
-        coeffs=(coeff, np.eye(3) - coeff),
+        coeffs=(-delta, 1.0 + delta),
     )
-    with pytest.raises(StochasticityError, match="row sum exceeds 1 by 1.000e-01"):
+    with pytest.raises(StochasticityError, match="row sum exceeds 1 by 2.000e-12"):
         build_game(game)
 
 
@@ -527,20 +531,20 @@ def test_triplet_cap_counts_every_triplet(monkeypatch):
 
 
 def test_triplet_cap_bounds_matrix_coefficient_products(monkeypatch):
-    # each diagonal coefficient has 12 nonzeros; a row of the {1, 2} term
-    # holds at most 9 entries and a row of the empty term 1
+    # state weights leave a term's triplets as they are: the {1, 2} term
+    # holds 6 x 9 band nonzeros, the empty term 12 identity entries
     rng = np.random.default_rng(41)
     dims = (rand_bd(rng, 3, budget=0.4), rand_bd(rng, 4, budget=0.4))
-    lazy = np.diag(rng.uniform(0.3, 1.0, 12))
+    lazy = rng.uniform(0.3, 1.0, 12)
     game = GameSpec(
         dims=dims,
         subsets=(frozenset({1, 2}), frozenset()),
-        coeffs=(lazy, np.eye(12) - lazy),
+        coeffs=(lazy, 1.0 - lazy),
     )
-    monkeypatch.setattr(game_module, "MAX_TRIPLETS", 120)
+    monkeypatch.setattr(game_module, "MAX_TRIPLETS", 66)
     build_game(game)
-    monkeypatch.setattr(game_module, "MAX_TRIPLETS", 119)
-    with pytest.raises(SizeError, match="120 triplets"):
+    monkeypatch.setattr(game_module, "MAX_TRIPLETS", 65)
+    with pytest.raises(SizeError, match="12 states would assemble 66 triplets"):
         build_game(game)
 
 
@@ -601,6 +605,11 @@ def test_index_round_trip():
         linear_index(dims, (3, 1))
     with pytest.raises(IndexError):
         multi_index(dims, 6)
+    for shape in (dims, (12,), (3, 11, 2)):
+        assert state_labels(shape) == [
+            ",".join(map(str, multi_index(shape, lin)))
+            for lin in range(int(np.prod(shape)))
+        ]
 
 
 def test_fractional_or_bare_coordinates_are_refused():
@@ -704,11 +713,11 @@ def test_matrix_coefficients_state_dependent_laziness():
     spec = rand_bd(rng, 4, budget=0.5)
     base = build_game(GameSpec(dims=(spec,), subsets=(frozenset({1}),),
                                coeffs=(1.0,)))
-    lazy = np.diag(rng.uniform(0.3, 1.0, 4))
+    lazy = rng.uniform(0.3, 1.0, 4)
     game = GameSpec(
         dims=(spec,),
         subsets=(frozenset({1}), frozenset()),
-        coeffs=(lazy, np.eye(4) - lazy),
+        coeffs=(lazy, 1.0 - lazy),
     )
     assert not game.scalar_coeffs
     chain = build_game(game)
@@ -719,16 +728,31 @@ def test_matrix_coefficients_state_dependent_laziness():
     assert np.max(np.abs(win_prob_product(game) - win_prob_solve(chain))) < 1e-10
 
 
+def test_state_weights_build_a_game_of_40000_states():
+    # n x n coefficient matrices would hold 1.6e9 entries each; the weight
+    # vectors scale the terms' triplets and allocate nothing n x n
+    n = 200
+    spec = BirthDeathSpec(N=n, p=(0.3,) * (n - 1), q=(0.25,) * (n - 1))
+    lazy = np.random.default_rng(17).uniform(0.3, 1.0, n * n)
+    game = GameSpec(
+        dims=(spec, spec),
+        subsets=(frozenset({1}), frozenset({2}), frozenset()),
+        coeffs=(0.5 * lazy, 0.5 * lazy, 1.0 - lazy),
+    )
+    chain = build_game(game)
+    assert np.max(np.abs(win_prob_solve(chain) - win_prob_product(game))) < 1e-10
+
+
 def test_matrix_coefficients_run_every_pipeline_on_the_built_chain():
-    # a 3x3 game with diagonal state-dependent laziness: absorb_dist, the
+    # a 3x3 game with state-dependent laziness: absorb_dist, the
     # pgf and the simulator read the built chain; only the dual refuses it
     rng = np.random.default_rng(15)
     dims = (rand_bd(rng, 3, budget=0.45), rand_bd(rng, 3, budget=0.45))
-    lazy = np.diag(rng.uniform(0.3, 1.0, 9))
+    lazy = rng.uniform(0.3, 1.0, 9)
     game = GameSpec(
         dims=dims,
         subsets=(frozenset({1}), frozenset({2}), frozenset()),
-        coeffs=(0.5 * lazy, 0.5 * lazy, np.eye(9) - lazy),
+        coeffs=(0.5 * lazy, 0.5 * lazy, 1.0 - lazy),
     )
     chain = build_game(game)
     start = (2, 2)
@@ -749,7 +773,7 @@ def test_matrix_coefficients_must_sum_to_identity():
         GameSpec(
             dims=(spec,),
             subsets=(frozenset({1}), frozenset()),
-            coeffs=(np.eye(2), 0.5 * np.eye(2)),
+            coeffs=(np.ones(2), np.full(2, 0.5)),
         )
 
 

@@ -22,14 +22,12 @@ from krongambler import (
     preset_r_of_d,
     spectral_link_1d,
 )
-from krongambler.birth_death import bd_restricted, ergodic_matrix
+from krongambler.birth_death import bd_restricted
 from krongambler.errors import LinkPrecisionError
 from krongambler.intertwine import (
-    ehrenfest_binomial_link,
     ehrenfest_dual_weights,
     ehrenfest_ergodic,
     ehrenfest_pgf,
-    pure_birth_1d,
     spectral_polynomials,
 )
 from krongambler.specfile import load_spec, parse_spec
@@ -38,10 +36,12 @@ from krongambler.verify import diagonal_eigenvalue_check
 from conftest import (
     dense_mixture,
     direct_dual_kernel,
+    ehrenfest_binomial_link,
     ehrenfest_binomial_link_inv,
     ehrenfest_dual_weights_link_route,
     kron_all,
     link_cliff_doc,
+    loop_ergodic_matrix,
     loop_pure_birth,
     moveaxis_dual_initial,
     rand_bd,
@@ -148,7 +148,7 @@ def test_dual_one_dimensional_form():
     spec = golden_spec()
     link, dual = build_dual(one_dim_game(spec))
     lam = bd_eigenvalues(spec)
-    assert np.allclose(dual.dense(), pure_birth_1d(lam), atol=1e-12)
+    assert np.allclose(dual.dense(), loop_pure_birth(lam), atol=1e-12)
     assert abs(link.iso_value - bd_win_prob(spec)[0]) < 1e-14
 
 
@@ -180,7 +180,7 @@ def test_dual_independent_game_is_kronecker_of_duals():
     game = preset_r_of_d([a, b], 2)
     _, dual = build_dual(game)
     expected = np.kron(
-        pure_birth_1d(bd_eigenvalues(a)), pure_birth_1d(bd_eigenvalues(b))
+        loop_pure_birth(bd_eigenvalues(a)), loop_pure_birth(bd_eigenvalues(b))
     )
     assert np.max(np.abs(dual.dense() - expected)) < 1e-12
 
@@ -190,7 +190,7 @@ def test_dual_requires_scalar_coefficients():
     game = GameSpec(
         dims=(spec,),
         subsets=(frozenset({1}), frozenset()),
-        coeffs=(0.5 * np.eye(3), 0.5 * np.eye(3)),
+        coeffs=(np.full(3, 0.5), np.full(3, 0.5)),
     )
     with pytest.raises(SpecError):
         build_dual(game)
@@ -431,7 +431,7 @@ def test_classical_dual_intertwines():
             continue
         spec, link = classical_ssd_1d(x)
         resid = np.max(
-            np.abs(link @ ergodic_matrix(x) - bd_restricted(spec) @ link)
+            np.abs(link @ loop_ergodic_matrix(x) - bd_restricted(spec) @ link)
         )
         assert resid < 1e-10
 

@@ -10,7 +10,7 @@ from krongambler import (
     win_prob_product,
     win_prob_solve,
 )
-from krongambler.birth_death import bd_restricted, ergodic_matrix
+from krongambler.birth_death import bd_restricted
 from krongambler.siegmund import (
     mobius_cols,
     order_cols,
@@ -20,7 +20,13 @@ from krongambler.siegmund import (
     win_prob_pi_route,
 )
 
-from conftest import product_order, rand_bd, rand_ergodic, rand_game
+from conftest import (
+    loop_ergodic_matrix,
+    product_order,
+    rand_bd,
+    rand_ergodic,
+    rand_game,
+)
 
 
 def siegmund_dual(p_x, dims):
@@ -93,7 +99,7 @@ def test_dual_matches_one_dimensional_renaming():
 
         if not bd_is_monotone(x):
             continue
-        dual = siegmund_dual(ergodic_matrix(x), (x.M,))
+        dual = siegmund_dual(loop_ergodic_matrix(x), (x.M,))
         expected = bd_restricted(siegmund_dual_1d(x))
         assert np.max(np.abs(dual - expected)) < 1e-12
 
@@ -102,9 +108,9 @@ def test_dual_of_product_chain_is_product_of_duals():
     rng = np.random.default_rng(21)
     xa = rand_ergodic(rng, 3, budget=0.5)
     xb = rand_ergodic(rng, 4, budget=0.5)
-    big = np.kron(ergodic_matrix(xa), ergodic_matrix(xb))
+    big = np.kron(loop_ergodic_matrix(xa), loop_ergodic_matrix(xb))
     dual = siegmund_dual(big, (3, 4))
-    parts = [siegmund_dual(ergodic_matrix(x), (x.M,)) for x in (xa, xb)]
+    parts = [siegmund_dual(loop_ergodic_matrix(x), (x.M,)) for x in (xa, xb)]
     assert np.max(np.abs(dual - np.kron(parts[0], parts[1]))) < 1e-12
 
 

@@ -1,6 +1,7 @@
 import pathlib
 
 import numpy as np
+import pytest
 from scipy import sparse
 
 from krongambler import (
@@ -32,11 +33,11 @@ def test_full_suite_on_valid_game():
 def test_matrix_coefficient_games_skip_dual_checks():
     rng = np.random.default_rng(61)
     spec = rand_bd(rng, 4, budget=0.5)
-    lazy = np.diag(rng.uniform(0.4, 1.0, 4))
+    lazy = rng.uniform(0.4, 1.0, 4)
     game = GameSpec(
         dims=(spec,),
         subsets=(frozenset({1}), frozenset()),
-        coeffs=(lazy, np.eye(4) - lazy),
+        coeffs=(lazy, 1.0 - lazy),
     )
     checks = run_checks(game)
     assert all(c.passed for c in checks)
@@ -53,6 +54,18 @@ def test_dual_nonnegativity_failure_is_reported_not_raised():
     assert not all(c.passed for c in checks)
     # the winning-probability pipeline is unaffected
     assert by_name["win_prob_product_vs_solve"].passed
+
+
+@pytest.mark.parametrize("p, q, detail", [
+    ((0.9, 0.05), (0.05, 0.9), "every component must be monotone"),
+    ((1e-13, 1e-13), (0.0, 1e-13), "a non-top eigenvalue is within 1e-12 of 1"),
+], ids=["non-monotone", "degenerate-spectrum"])
+def test_link_preconditions_are_reported_as_dual_link(p, q, detail):
+    # the spectral link's preconditions fail before any dual entry exists
+    spec = BirthDeathSpec(N=3, p=p, q=q)
+    checks = run_checks(preset_r_of_d([spec], 1))
+    assert "dual_nonnegative" not in [c.name for c in checks]
+    assert checks[-1] == verify.CheckResult("dual_link", False, None, detail)
 
 
 def test_keilson_check_uses_bottom_start_regardless_of_game_start():
