@@ -13,6 +13,7 @@ from krongambler import (
     BirthDeathSpec,
     build_game,
     check_communication,
+    linear_index,
     preset_r_of_d,
     win_prob_product,
     win_prob_solve,
@@ -31,12 +32,12 @@ for r in (1, 2):
           "| communicating:", check_communication(chain))
     rho_prod = win_prob_product(game)
     rho_solve = win_prob_solve(chain)
-    rho_dual = win_prob_pi_route(chain)
+    rho_dual = win_prob_pi_route(chain.matrix.toarray(), chain.dims)
     print("  product formula vs solve:   ",
           np.max(np.abs(rho_prod - rho_solve)))
     print("  duality route vs solve:     ",
           np.max(np.abs(rho_dual - rho_solve)))
-    start = chain.to_linear((2, 2))
+    start = linear_index(chain.dims, (2, 2))
     print(f"  win probability from (2, 2): {rho_prod[start]:.6f}")
     print()
 

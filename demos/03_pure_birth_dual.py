@@ -17,6 +17,7 @@ from krongambler import (
     build_dual,
     build_game,
     dual_initial,
+    linear_index,
     preset_r_of_d,
 )
 
@@ -25,6 +26,7 @@ b = BirthDeathSpec(N=3, p=(0.09, 0.11), q=(0.07, 0.05))
 game = preset_r_of_d([a, b], 1)
 chain = build_game(game)
 link, dual = build_dual(game)
+kernel, p_hat = chain.matrix.toarray(), dual.matrix.toarray()
 lam = reduce(np.kron, link.per_dim)
 
 print("link is lower triangular with the win column isolated:")
@@ -32,19 +34,19 @@ print(np.array_str(lam, precision=3, suppress_small=True))
 print("\nlink corner value = product of per-coordinate win probabilities:",
       link.iso_value)
 
-resid = np.max(np.abs(lam @ chain.dense() - dual.dense() @ lam))
+resid = np.max(np.abs(lam @ kernel - p_hat @ lam))
 print("intertwining residual:", resid)
 
 print("\ndual chain (holding probabilities on the diagonal):")
-print(np.array_str(dual.dense(), precision=3, suppress_small=True))
-spectrum = np.sort(np.linalg.eigvals(chain.dense()).real)
+print(np.array_str(p_hat, precision=3, suppress_small=True))
+spectrum = np.sort(np.linalg.eigvals(kernel).real)
 print("game spectrum vs sorted dual diagonal, max diff:",
       np.max(np.abs(spectrum - np.sort(dual.matrix.diagonal()))))
 
 # start away from the bottom corner: dual weights go signed, the mixed law
 # still reproduces the game's winning-time law exactly
 start = np.zeros(game.size)
-start[chain.to_linear((2, 2))] = 1.0
+start[linear_index(chain.dims, (2, 2))] = 1.0
 weights = dual_initial(link, start)
 print("\nstart (2,2) dual weights:", np.round(weights, 4),
       "| proper distribution:",

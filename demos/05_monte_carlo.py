@@ -14,6 +14,7 @@ from krongambler import (
     BirthDeathSpec,
     SimConfig,
     build_game,
+    linear_index,
     preset_r_of_d,
     simulate,
     simulate_coupled,
@@ -26,7 +27,7 @@ chain = build_game(game)
 
 cfg = SimConfig(runs=50_000, seed=123)
 report = simulate(chain, (2, 2), cfg)
-exact = win_prob_product(game)[chain.to_linear((2, 2))]
+exact = win_prob_product(game)[linear_index(chain.dims, (2, 2))]
 print(f"empirical win frequency: {report.win_freq:.5f} "
       f"(exact {exact:.5f}, standard error {report.win_se:.5f})")
 

@@ -16,7 +16,7 @@ Power iteration runs on a chain's transient block Q over lattice indices
 0..n-2 (``game.AbsorbingChain.transient``): the chain leaves it through
 one exit vector per target, the win column P[:-1, win] or the ruin
 deficit (``AbsorbingChain.exit``), so ruin needs no state of its own and
-no target needs ``AbsorbingChain.dense``.
+no target needs a dense kernel.
 
 One engine, ``_power_iteration``, iterates one start vector for
 ``absorb_dist``, on games and duals. Each step is one application of Q to

@@ -9,10 +9,9 @@ Kronecker product of tridiagonal factors has at most 3^d nonzeros per row,
 so the kernel is assembled and validated as a CSR matrix straight from the
 components' bands (``BirthDeathSpec.band``) by :func:`kron_mixture`, which
 takes the pure-birth dual's bidiagonal bands too (``intertwine.build_dual``).
-Every command reads the CSR kernel; ``AbsorbingChain.dense`` is the one
-place a kernel is made dense, for ``verify`` alone (the Siegmund partner
-and the spectrum check), and it raises past the dense cap. The assembly
-refuses, before it allocates, past ``linalg.MAX_TRIPLETS`` triplets.
+Every command reads the CSR kernel; only ``verify`` makes a copy of it dense.
+The assembly refuses, before it allocates, past ``linalg.MAX_TRIPLETS``
+triplets.
 
 States are lattice points indexed 0..n-1 in row-major order (coordinate d
 varies fastest), so the win corner (N_1, ..., N_d) is the last index and
@@ -41,7 +40,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .birth_death import BirthDeathSpec
 from .errors import CommunicationError, SizeError, SpecError, StochasticityError
-from .linalg import DEFAULT_TOL, MAX_ENTRIES, MAX_TRIPLETS
+from .linalg import DEFAULT_TOL, MAX_TRIPLETS
 
 
 def linear_index(dims: tuple, multi) -> int:
@@ -245,9 +244,7 @@ class AbsorbingChain:
     ``matrix`` is the substochastic kernel over lattice indices 0..n-1 as a
     ``scipy.sparse.csr_array`` (a dense argument is converted); the last
     index is the absorbing win corner (N_1..N_d), the others are transient,
-    and each row's deficit is its one-step probability of ruin. Code that
-    needs the kernel as a dense array calls :meth:`dense`, the one place it
-    is made dense.
+    and each row's deficit is its one-step probability of ruin.
     """
 
     matrix: sparse.csr_array
@@ -301,29 +298,6 @@ class AbsorbingChain:
         if target == "ruin":
             return self.ruin[:-1]
         raise ValueError(f"target must be 'win' or 'ruin', got {target!r}")
-
-    def dense(self) -> np.ndarray:
-        """The kernel as a dense array (cached, read-only).
-
-        Raises SizeError, naming the state count, when the array would hold
-        more than ``linalg.MAX_ENTRIES`` entries.
-        """
-        n = self.size
-        if n * n > MAX_ENTRIES:
-            raise SizeError(
-                f"a dense kernel of {n} states would hold {n * n} entries "
-                f"(cap {MAX_ENTRIES})"
-            )
-        return self._dense
-
-    @cached_property
-    def _dense(self) -> np.ndarray:
-        kernel = self.matrix.toarray()
-        kernel.flags.writeable = False
-        return kernel
-
-    def to_linear(self, multi) -> int:
-        return linear_index(self.dims, multi)
 
 
 def _band_nonzeros(band) -> tuple:

@@ -3,14 +3,15 @@
 The game kernel and the pure-birth dual are assembled in CSR form by
 :func:`krongambler.game.kron_mixture`, straight from their tridiagonal and
 bidiagonal factors, and every command reads them in that form. Only
-``verify`` makes a kernel dense (``game.AbsorbingChain.dense``), capped at
-``MAX_ENTRIES``. Every absorption quantity solves (I - sQ) x = b on a
-chain's transient block Q, b one of its exit vectors (the win column or the
-ruin deficit, ``game.AbsorbingChain.exit``): :func:`resolvent` is the one
-sparse LU behind ``win-prob``'s ``rho_solve``, the power iteration's tail
-and the pgf and mean of a game (:class:`krongambler.pgf.ResolventPgf`),
-and it refuses a chain whose LU would be too large (:func:`check_lu_size`,
-which the commands that factor also ask before they build the game).
+``verify`` makes a kernel dense (``verify.run_checks``), and it refuses a
+game past ``MAX_ENTRIES`` entries before it builds it. Every absorption
+quantity solves (I - sQ) x = b on a chain's transient block Q, b one of
+its exit vectors (the win column or the ruin deficit,
+``game.AbsorbingChain.exit``): :func:`resolvent` is the one sparse LU
+behind ``win-prob``'s ``rho_solve``, the power iteration's tail and the
+pgf and mean of a game (:class:`krongambler.pgf.ResolventPgf`), and it
+refuses a chain whose LU would be too large (:func:`check_lu_size`, which
+the commands that factor also ask before they build the game).
 
 The LU runs in SuperLU's symmetric mode: the columns are ordered by minimum
 degree on the pattern of A^T + A, and each pivot is the diagonal entry.

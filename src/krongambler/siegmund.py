@@ -8,7 +8,8 @@ which are exact on integers, one axis at a time by
 :func:`krongambler.game.kron_apply`. Conjugating with C turns absorption
 probabilities of the game chain into the stationary distribution of an
 ergodic partner chain, which is what makes the product formula for winning
-probabilities checkable by three independent routes.
+probabilities checkable by three independent routes. The partner routes
+take the game's kernel as a dense array, which only ``verify`` makes.
 """
 
 from __future__ import annotations
@@ -54,13 +55,13 @@ def mobius_cols(x: np.ndarray, dims) -> np.ndarray:
     return kron_apply(x, dims, [_difference] * len(dims))
 
 
-def reconstruct_primal(chain: AbsorbingChain) -> np.ndarray:
-    """Ergodic partner C (P')^T C^-1 of a built game's kernel P'.
+def reconstruct_primal(kernel: np.ndarray, dims) -> np.ndarray:
+    """Ergodic partner C (P')^T C^-1 of a game's dense kernel P' on ``dims``.
 
     Row sums are exactly 1; entrywise nonnegativity is equivalent to the
     Mobius monotonicity of the partner and holds for valid games.
     """
-    return mobius_cols(order_rows(chain.dense().T, chain.dims), chain.dims)
+    return mobius_cols(order_rows(kernel.T, dims), dims)
 
 
 def win_prob_product(game: GameSpec) -> np.ndarray:
@@ -94,10 +95,11 @@ def stationary_of(p_x: np.ndarray) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
-def win_prob_pi_route(chain: AbsorbingChain) -> np.ndarray:
+def win_prob_pi_route(kernel: np.ndarray, dims) -> np.ndarray:
     """Winning probabilities as cumulative stationary mass of the partner chain.
 
-    Third, duality-based route: reconstruct the ergodic partner, find its
-    stationary vector, and accumulate it along the order.
+    Third, duality-based route on a game's dense kernel: reconstruct the
+    ergodic partner, find its stationary vector, and accumulate it along
+    the order.
     """
-    return order_cols(stationary_of(reconstruct_primal(chain)), chain.dims)
+    return order_cols(stationary_of(reconstruct_primal(kernel, dims)), dims)

@@ -32,7 +32,8 @@ from math import sqrt
 import numpy as np
 
 from .errors import CouplingError, HorizonError
-from .game import AbsorbingChain, GameSpec, as_integer, build_game, start_law
+from .game import (AbsorbingChain, GameSpec, as_integer, build_game,
+                   linear_index, start_law)
 from .intertwine import build_dual, dual_initial
 
 #: State of a run that ended in ruin; lattice states are 0..n-1.
@@ -257,7 +258,7 @@ def simulate(chain: AbsorbingChain, start, cfg: SimConfig) -> SimReport:
     finish within ``cfg.max_steps`` steps with probability below
     ``TIMEOUT_SHARE`` (``_check_horizon``).
     """
-    s0 = chain.to_linear(start)
+    s0 = linear_index(chain.dims, start)
     if s0 != chain.win_index:
         _check_horizon(chain, cfg.max_steps)
     cum, dest = _cum_rows(chain)

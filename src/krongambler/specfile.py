@@ -35,6 +35,16 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
+def _numbers(values: list, field: str) -> tuple:
+    """The floats of a list of numbers. The entry types are checked in one
+    pass; only the first entry that is not a number names its field."""
+    if not set(map(type, values)) <= {int, float}:
+        for k, x in enumerate(values):
+            if type(x) not in (int, float):
+                _number(x, f"{field}[{k}]")
+    return tuple(map(float, values))
+
+
 def _int(value, field: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool),
              field, "expected an integer")
@@ -86,8 +96,8 @@ def parse_spec(doc: dict) -> ParsedSpec:
                      "expected an array")
             _require(len(entry[key]) == n - 1, f"{field}.{key}",
                      f"expected length N-1={n - 1}")
-        p = tuple(_number(x, f"{field}.p[{k}]") for k, x in enumerate(entry["p"]))
-        q = tuple(_number(x, f"{field}.q[{k}]") for k, x in enumerate(entry["q"]))
+        p = _numbers(entry["p"], f"{field}.p")
+        q = _numbers(entry["q"], f"{field}.q")
         try:
             dims.append(BirthDeathSpec(N=n, p=p, q=q))
         except SpecError as exc:
@@ -125,9 +135,7 @@ def parse_spec(doc: dict) -> ParsedSpec:
             _require(all(1 <= j <= d for j in members), field,
                      f"dimension indices must lie in 1..{d}")
             subsets.append(frozenset(members))
-        coeffs = tuple(
-            _number(b, f"mixing.coeffs[{i}]") for i, b in enumerate(raw_coeffs)
-        )
+        coeffs = _numbers(raw_coeffs, "mixing.coeffs")
         try:
             game = GameSpec(dims=tuple(dims), subsets=tuple(subsets),
                             coeffs=coeffs)

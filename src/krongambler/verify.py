@@ -37,11 +37,12 @@ entry: ``dual_nonnegative`` for a negative dual entry, ``dual_link`` for
 a component outside the spectral link's reach (``MonotonicityError``,
 ``DegenerateSpectrumError``, or ``LinkPrecisionError`` past double
 precision). ``verify`` is the one command that makes the kernel and the
-dual dense (the link is applied one factor per lattice axis), so a game
-too large to check raises SizeError instead, from the build or from the
-dense kernel. Checks that do not apply to a spec (state weights, a game
-without a dual, games of more than one dimension for the factorization)
-are skipped rather than failed.
+dual dense (the link is applied one factor per lattice axis): one
+``toarray`` copy of each. So a game too large to check raises SizeError
+before it is built: past the triplet cap (``game.check_triplets``), then
+past ``linalg.MAX_ENTRIES`` entries of a dense kernel. Checks that do not
+apply to a spec (state weights, a game without a dual, games of more than
+one dimension for the factorization) are skipped rather than failed.
 """
 
 from __future__ import annotations
@@ -60,8 +61,15 @@ from .errors import (
     SizeError,
     SpecError,
 )
-from .game import GameSpec, build_game, kron_apply, lattice_point_mass
+from .game import (
+    GameSpec,
+    build_game,
+    check_triplets,
+    kron_apply,
+    lattice_point_mass,
+)
 from .intertwine import build_dual, dual_initial, spectral_polynomials
+from .linalg import MAX_ENTRIES
 from .siegmund import (
     order_cols,
     reconstruct_primal,
@@ -124,14 +132,19 @@ def run_checks(
     dims = game.shape
     start = tuple(start) if start is not None else (1,) * game.d
 
+    check_triplets([s.band for s in game.dims], game.subsets)
+    n = game.size
+    if n * n > MAX_ENTRIES:
+        raise SizeError(
+            f"a dense kernel of {n} states would hold {n * n} entries "
+            f"(cap {MAX_ENTRIES})"
+        )
     try:
         chain = build_game(game)
-    except SizeError:
-        raise
     except SpecError as exc:
         checks.append(CheckResult("build", False, None, str(exc)))
         return checks
-    kernel = chain.dense()
+    kernel = chain.matrix.toarray()
 
     rho_prod = win_prob_product(game)
     rho_solve = win_prob_solve(chain)
@@ -140,7 +153,7 @@ def run_checks(
                 np.max(np.abs(rho_prod - rho_solve)), 1e-9)
     )
 
-    primal = reconstruct_primal(chain)
+    primal = reconstruct_primal(kernel, dims)
     checks.append(
         _result("mobius_monotone", max(0.0, -float(primal.min())), 1e-10)
     )
@@ -172,7 +185,7 @@ def run_checks(
         return checks
     checks.append(CheckResult("dual_nonnegative", True, 0.0))
 
-    p_hat = dual.dense()
+    p_hat = dual.matrix.toarray()
     # L P' - P_hat L, applying L = kron_j L_j one factor per lattice axis
     gap = (kron_apply(kernel.T, dims, [lam.T for lam in link.per_dim]).T
            - kron_apply(p_hat, dims, link.per_dim))

@@ -19,6 +19,7 @@ from krongambler import (
     build_dual,
     build_game,
     dual_initial,
+    linear_index,
     preset_r_of_d,
     simulate,
     simulate_coupled,
@@ -102,7 +103,7 @@ def test_criterion_2_win_probability_triple_agreement():
         chain = build_game(game)
         rho_prod = win_prob_product(game)
         rho_solve = win_prob_solve(chain)
-        rho_pi = win_prob_pi_route(chain)
+        rho_pi = win_prob_pi_route(chain.matrix.toarray(), chain.dims)
         worst = max(worst, float(np.max(np.abs(rho_prod - rho_solve))))
         worst = max(worst, float(np.max(np.abs(rho_pi - rho_solve))))
     elapsed = time.perf_counter() - t0
@@ -161,10 +162,8 @@ def test_criterion_4_intertwining_and_isolation():
         chain = build_game(game)
         link, dual = build_dual(game)
         lam = kron_all(link.per_dim)
-        worst_resid = max(
-            worst_resid,
-            float(np.max(np.abs(lam @ chain.dense() - dual.dense() @ lam))),
-        )
+        gap = lam @ chain.matrix.toarray() - dual.matrix.toarray() @ lam
+        worst_resid = max(worst_resid, float(np.max(np.abs(gap))))
         expected_iso = float(np.prod([bd_win_prob(s)[0] for s in game.dims]))
         worst_iso = max(worst_iso, float(np.max(np.abs(lam[:-1, -1]))))
         worst_iso = max(worst_iso, abs(lam[-1, -1] - expected_iso))
@@ -187,7 +186,7 @@ def test_criterion_5_dual_diagonal_is_spectrum():
         chain = build_game(game)
         _, dual = build_dual(game)
         check = diagonal_eigenvalue_check(
-            chain.dense(), dual.matrix.diagonal()
+            chain.matrix.toarray(), dual.matrix.diagonal()
         )
         worst = max(worst, check.residual)
     report(
@@ -236,7 +235,7 @@ def test_criterion_7_monte_carlo_concordance():
     chain = build_game(game)
     cfg = SimConfig(runs=100_000, seed=20240901)
     rep = simulate(chain, (2, 2), cfg)
-    exact = float(win_prob_product(game)[chain.to_linear((2, 2))])
+    exact = float(win_prob_product(game)[linear_index(chain.dims, (2, 2))])
     freq_ok = abs(rep.win_freq - exact) < 4 * rep.win_se
     identical = json.dumps(rep.as_dict()) == json.dumps(
         simulate(chain, (2, 2), cfg).as_dict()

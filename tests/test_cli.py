@@ -9,11 +9,12 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from krongambler import cli, intertwine, pgf
+from krongambler import cli, intertwine, pgf, verify
 from krongambler.cli import main
 from krongambler.absorption import absorb_dist
-from krongambler.game import AbsorbingChain, build_game, lattice_point_mass
+from krongambler.game import build_game, lattice_point_mass
 from krongambler.siegmund import win_prob_product
 from krongambler.specfile import SpecFileError, load_spec, parse_spec
 
@@ -96,6 +97,20 @@ def test_parse_errors_name_fields(mutate, field):
     with pytest.raises(SpecFileError) as err:
         parse_spec(doc)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("bad", ["0.3", True, None])
+def test_non_number_rate_deep_in_a_long_list_names_its_index(tmp_path, capsys,
+                                                             bad):
+    n = 50_001
+    rates = [0.3] * (n - 1)
+    rates[40_000] = bad
+    doc = {"version": 1, "dims": [{"N": n, "p": rates, "q": [0.3] * (n - 1)}],
+           "mixing": {"preset": {"type": "r_of_d", "r": 1}}}
+    code, out, err = run_cli(capsys, ["win-prob", write_spec(tmp_path, doc)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "dims[0].p[40000]: expected a number",
+                               "field": "dims[0].p[40000]"}
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
@@ -665,10 +680,15 @@ def test_sparse_commands_run_past_the_dense_cap(tmp_path, capsys, d, n, argv):
     ["simulate", "--coupled"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_commands_make_no_dense_kernel(capsys, monkeypatch, argv):
-    def refuse(self):
-        raise AssertionError("a command made the kernel dense")
+    true_toarray = sparse.csr_array.toarray
 
-    monkeypatch.setattr(AbsorbingChain, "dense", refuse)
+    def toarray(self, *args, **kwargs):
+        rows, cols = self.shape
+        if rows == cols > 1:
+            raise AssertionError(f"a command made a {rows} x {cols} matrix dense")
+        return true_toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.csr_array, "toarray", toarray)
     path = str(CORPUS / "d3_r2.json")
     code, out, err = run_cli(capsys, [argv[0], path, *argv[1:]])
     assert code == 0, err
@@ -717,6 +737,25 @@ def test_lu_commands_refuse_before_the_build(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert json.loads(err)["error"].startswith(
         "a game of 3 coordinates and 91125 states is past the dense cap")
+
+
+@pytest.mark.parametrize("d, n, message", [
+    # 300 x 300 = 90,000 states and 45^3 = 91,125 states: both within the
+    # triplet cap, so the game would build before its dense kernel refused it
+    (2, 300, "a dense kernel of 90000 states"),
+    (3, 45, "a dense kernel of 91125 states"),
+])
+def test_verify_refuses_before_the_build(tmp_path, capsys, monkeypatch, d, n,
+                                         message):
+    def build(game):
+        raise AssertionError("the game was built")
+
+    monkeypatch.setattr(verify, "build_game", build)
+    path = write_spec(tmp_path, lattice_doc(d, n))
+    code, out, err = run_cli(capsys, ["verify", path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"].startswith(message)
 
 
 LINK_CLIFF = re.compile(r"intertwining residual \d\.\d{3}e-0\d in dimension 1 \(N=26\)")

@@ -60,7 +60,8 @@ def assert_kernel_is_clipped_dense_mixture(game):
     assert isinstance(kernel, sparse.csr_array)
     assert kernel.has_canonical_format
     assert kernel.data.min() > 0.0
-    assert np.array_equal(chain.dense(), np.clip(dense_mixture(game), 0.0, None))
+    assert np.array_equal(chain.matrix.toarray(),
+                          np.clip(dense_mixture(game), 0.0, None))
 
 
 def test_single_dimension_reduces_to_component_matrix():
@@ -68,7 +69,7 @@ def test_single_dimension_reduces_to_component_matrix():
     game = GameSpec(dims=(spec,), subsets=(frozenset({1}),), coeffs=(1.0,))
     chain = build_game(game)
     full = bd_matrix(spec)
-    assert np.allclose(chain.dense(), full[1:, 1:], atol=1e-15)
+    assert np.allclose(chain.matrix.toarray(), full[1:, 1:], atol=1e-15)
     assert np.allclose(chain.ruin, full[1:, 0], atol=1e-15)
     assert chain.win_index == 3
 
@@ -83,7 +84,7 @@ def test_one_move_preset_matches_direct_construction():
         ]
         chain = build_game(preset_r_of_d(dims, 1))
         kernel, ruin = direct_game_matrix(dims)
-        assert np.max(np.abs(chain.dense() - kernel)) < 1e-14
+        assert np.max(np.abs(chain.matrix.toarray() - kernel)) < 1e-14
         assert np.max(np.abs(chain.ruin - ruin)) < 1e-14
 
 
@@ -93,7 +94,7 @@ def test_full_move_preset_is_kronecker_product():
     b = rand_bd(rng, 4, budget=0.4)
     chain = build_game(preset_r_of_d([a, b], 2))
     expected = np.kron(bd_restricted(a), bd_restricted(b))
-    assert np.allclose(chain.dense(), expected, atol=1e-15)
+    assert np.allclose(chain.matrix.toarray(), expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -159,7 +160,7 @@ def test_least_row_sum_is_cached_and_read_only():
     rng = np.random.default_rng(43)
     chain = build_game(rand_game(rng, d=2, r=1))
     r = chain.least_row_sum
-    assert abs(r - chain.dense()[:-1, :-1].sum(axis=1).min()) <= 1e-15
+    assert abs(r - chain.matrix.toarray()[:-1, :-1].sum(axis=1).min()) <= 1e-15
     assert chain.least_row_sum is r
     with pytest.raises(AttributeError):
         chain.least_row_sum = 1.0
@@ -293,7 +294,7 @@ def test_mixture_eigenvalues_are_products_over_subsets():
             for b, a in zip(game.coeffs, game.subsets):
                 value += b * np.prod([eigs[j - 1][multi[j - 1]] for j in a])
             candidates.append(value)
-        check = diagonal_eigenvalue_check(chain.dense(), np.array(candidates))
+        check = diagonal_eigenvalue_check(chain.matrix.toarray(), np.array(candidates))
         assert check.passed, check
 
 
@@ -476,14 +477,9 @@ def test_chain_converts_dense_matrix_to_csr():
     chain = AbsorbingChain(matrix=m, dims=(3,))
     assert isinstance(chain.matrix, sparse.csr_array)
     assert chain.matrix.nnz == 5
-    dense = chain.dense().copy()
-    assert np.array_equal(dense, m)
-    dense[0, 0] = 0.0
+    assert np.array_equal(chain.matrix.toarray(), m)
+    m[0, 0] = 0.0
     assert chain.matrix[0, 0] == 0.25
-    # one cached dense kernel is shared by every caller, so it is read-only
-    assert chain.dense() is chain.dense()
-    with pytest.raises(ValueError, match="read-only"):
-        chain.dense()[0, 0] = 0.0
     assert np.array_equal(chain.ruin, [0.25, 0.0, 0.0])
 
 
@@ -507,15 +503,6 @@ def test_chain_reads_transient_block_and_exits_once():
     for target in ("win", "ruin"):
         with pytest.raises(ValueError, match="read-only"):
             chain.exit(target)[0] = 1.0
-
-
-def test_dense_kernel_past_the_cap_raises_size_error():
-    rng = np.random.default_rng(44)
-    dims = [rand_bd(rng, 57, budget=0.45) for _ in range(2)]
-    chain = build_game(preset_r_of_d(dims, 1))
-    assert chain.matrix.shape == (3249, 3249)
-    with pytest.raises(SizeError, match="3249 states"):
-        chain.dense()
 
 
 def test_triplet_cap_counts_every_triplet(monkeypatch):
@@ -757,7 +744,7 @@ def test_matrix_coefficients_run_every_pipeline_on_the_built_chain():
     chain = build_game(game)
     start = (2, 2)
     nu = lattice_point_mass(chain.dims, start)
-    rho = float(win_prob_solve(chain)[chain.to_linear(start)])
+    rho = float(win_prob_solve(chain)[linear_index(chain.dims, start)])
     assert abs(absorb_dist(chain, nu).mass() - rho) < 1e-12
     assert abs(ResolventPgf(chain, nu).evaluate(1.0) - rho) < 1e-12
     report = simulate(chain, start, SimConfig(runs=4000, seed=7))

@@ -148,7 +148,7 @@ def test_dual_one_dimensional_form():
     spec = golden_spec()
     link, dual = build_dual(one_dim_game(spec))
     lam = bd_eigenvalues(spec)
-    assert np.allclose(dual.dense(), loop_pure_birth(lam), atol=1e-12)
+    assert np.allclose(dual.matrix.toarray(), loop_pure_birth(lam), atol=1e-12)
     assert abs(link.iso_value - bd_win_prob(spec)[0]) < 1e-14
 
 
@@ -158,7 +158,7 @@ def test_dual_one_move_two_dim_displayed_form():
     b = rand_bd(rng, 4, budget=0.12)
     game = preset_r_of_d([a, b], 1)
     link, dual = build_dual(game)
-    p_hat = dual.dense()
+    p_hat = dual.matrix.toarray()
     eigs = [bd_eigenvalues(a), bd_eigenvalues(b)]
     shape = (3, 4)
     for lin, multi in enumerate(np.ndindex(*shape)):
@@ -182,7 +182,7 @@ def test_dual_independent_game_is_kronecker_of_duals():
     expected = np.kron(
         loop_pure_birth(bd_eigenvalues(a)), loop_pure_birth(bd_eigenvalues(b))
     )
-    assert np.max(np.abs(dual.dense() - expected)) < 1e-12
+    assert np.max(np.abs(dual.matrix.toarray() - expected)) < 1e-12
 
 
 def test_dual_requires_scalar_coefficients():
@@ -215,7 +215,7 @@ def test_dual_kernel_matches_direct_formula():
     build_game(mixture)  # a valid game, negative weight and all
     for game in games + [mixture]:
         _, dual = build_dual(game)
-        assert np.max(np.abs(dual.dense() - direct_dual_kernel(game))) < 1e-12
+        assert np.max(np.abs(dual.matrix.toarray() - direct_dual_kernel(game))) < 1e-12
 
 
 def test_dual_is_the_clipped_dense_mixture_bit_for_bit():
@@ -237,7 +237,7 @@ def test_dual_is_the_clipped_dense_mixture_bit_for_bit():
         assert kernel.has_canonical_format
         assert kernel.data.min() > 0.0
         mixed = dense_mixture(game, birth_factors(game))
-        assert np.array_equal(dual.dense(), np.clip(mixed, 0.0, None))
+        assert np.array_equal(dual.matrix.toarray(), np.clip(mixed, 0.0, None))
         assert np.array_equal(
             dual.matrix.diagonal(), np.clip(np.diag(mixed), 0.0, None)
         )
@@ -315,13 +315,13 @@ def test_intertwining_and_isolation_on_random_games():
         chain = build_game(game)
         link, dual = build_dual(game)
         lam = kron_all(link.per_dim)
-        resid = np.max(np.abs(lam @ chain.dense() - dual.dense() @ lam))
-        assert resid < 1e-10
+        gap = lam @ chain.matrix.toarray() - dual.matrix.toarray() @ lam
+        assert np.max(np.abs(gap)) < 1e-10
         assert np.max(np.abs(lam[:-1, -1])) == 0.0
         expected_iso = np.prod([bd_win_prob(s)[0] for s in game.dims])
         assert abs(lam[-1, -1] - expected_iso) < 1e-10
         assert np.max(np.abs(np.triu(lam, k=1))) == 0.0
-        assert np.max(np.abs(dual.dense().sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(dual.matrix.toarray().sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_dual_diagonal_is_game_spectrum():
@@ -336,13 +336,13 @@ def test_dual_diagonal_is_game_spectrum():
         diag = dual.matrix.diagonal()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = diagonal_eigenvalue_check(chain.dense(), diag)
+            result = diagonal_eigenvalue_check(chain.matrix.toarray(), diag)
         assert result.passed and result.residual <= 1e-12, result
-        shifted = diagonal_eigenvalue_check(chain.dense(), diag - 0.05)
+        shifted = diagonal_eigenvalue_check(chain.matrix.toarray(), diag - 0.05)
         assert not shifted.passed, shifted
         moved = diag.copy()
         moved[int(rng.integers(len(moved)))] += 1e-6
-        assert not diagonal_eigenvalue_check(chain.dense(), moved).passed
+        assert not diagonal_eigenvalue_check(chain.matrix.toarray(), moved).passed
     assert np.min(np.diff(np.sort(diag))) == 0.0
 
 

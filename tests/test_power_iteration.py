@@ -37,7 +37,7 @@ def assert_matches_reference(chain, start, horizon=None, eps=1e-12):
     )
     got_pmf[0] = start[-1]
     want_pmf, want_absorbed = reference_power_iteration(
-        chain.dense(), start[None], chain.win_index, horizon, eps
+        chain.matrix.toarray(), start[None], chain.win_index, horizon, eps
     )
     got_absorbed = got_pmf.sum() + got_tail
     assert got_pmf.shape == want_pmf[0].shape
@@ -130,7 +130,7 @@ def test_stop_at_block_boundary(shape, offset):
     chain = build_game(random_game(rng, shape))
     stop = absorption.BLOCK_STEPS + offset
     start = lattice_point_mass(chain.dims, (1,) * len(shape))
-    masses = transient_masses(chain.dense(), start, stop)
+    masses = transient_masses(chain.matrix.toarray(), start, stop)
     assert np.all(np.diff(masses) < 0.0)
     # eps between the masses at stop - 1 and stop: the first step whose
     # transient mass falls below eps is exactly ``stop``.
@@ -162,7 +162,7 @@ def test_non_convergence_raises_like_reference(monkeypatch):
     start = lattice_point_mass(chain.dims, (1, 1))
     with pytest.raises(HorizonError) as want:
         reference_power_iteration(
-            chain.dense(), start[None], chain.win_index, None, 1e-12
+            chain.matrix.toarray(), start[None], chain.win_index, None, 1e-12
         )
     exit = chain.exit("win")
     with pytest.raises(HorizonError) as got:
@@ -181,7 +181,7 @@ def test_tail_matches_the_series_past_the_horizon(target):
     nu = lattice_point_mass(chain.dims, spec.start)
     horizon = 260
     dist = absorb_dist(chain, nu, target=target, horizon=horizon)
-    kernel = chain.dense()
+    kernel = chain.matrix.toarray()
     q = kernel[:-1, :-1]
     exit = (kernel[:-1, -1] if target == "win"
             else np.clip(1.0 - kernel.sum(axis=1), 0.0, None)[:-1])
@@ -203,7 +203,7 @@ def test_ruin_target_matches_reference(shape):
     chain = build_game(random_game(rng, shape))
     nu = lattice_point_mass(chain.dims, (2,) * len(shape))
     dist = absorb_dist(chain, nu, target="ruin")
-    kernel = chain.dense()
+    kernel = chain.matrix.toarray()
     with_ruin = np.zeros((chain.size + 1, chain.size + 1))
     with_ruin[0, 0] = 1.0
     with_ruin[1:, 0] = np.clip(1.0 - kernel.sum(axis=1), 0.0, None)

@@ -5,6 +5,7 @@ from krongambler import (
     BirthDeathSpec,
     bd_win_prob,
     build_game,
+    linear_index,
     preset_r_of_d,
     siegmund_dual_1d,
     win_prob_product,
@@ -128,14 +129,14 @@ def test_win_prob_product_fair_walks():
     for i in range(1, 4):
         for j in range(1, 4):
             expected = (i / 3) * (j / 3)
-            assert abs(rho[chain.to_linear((i, j))] - expected) < 1e-12
+            assert abs(rho[linear_index(chain.dims, (i, j))] - expected) < 1e-12
 
 
 def test_win_prob_product_golden_two_dim():
     spec = BirthDeathSpec(N=3, p=(0.3, 0.3), q=(0.1, 0.1))
     game = preset_r_of_d([spec, spec], 1)
     chain = build_game(game)
-    idx = chain.to_linear((2, 2))
+    idx = linear_index(chain.dims, (2, 2))
     assert abs(win_prob_product(game)[idx] - (12.0 / 13.0) ** 2) < 1e-12
     assert abs(win_prob_solve(chain)[idx] - (12.0 / 13.0) ** 2) < 1e-10
 
@@ -147,7 +148,7 @@ def test_win_prob_triple_agreement_random_games():
         chain = build_game(game)
         rho_prod = win_prob_product(game)
         rho_solve = win_prob_solve(chain)
-        rho_pi = win_prob_pi_route(chain)
+        rho_pi = win_prob_pi_route(chain.matrix.toarray(), chain.dims)
         assert np.max(np.abs(rho_prod - rho_solve)) < 1e-9
         assert np.max(np.abs(rho_pi - rho_solve)) < 1e-9
 
@@ -157,11 +158,11 @@ def test_reconstructed_primal_is_mobius_monotone_stochastic():
     for _ in range(20):
         game = rand_game(rng, dual_safe=False)
         chain = build_game(game)
-        primal = reconstruct_primal(chain)
+        primal = reconstruct_primal(chain.matrix.toarray(), chain.dims)
         assert np.max(np.abs(primal.sum(axis=1) - 1.0)) < 1e-12
         assert primal.min() > -1e-10
         c, mobius = product_order(game.shape)
-        dense = c.astype(float) @ chain.dense().T @ mobius.astype(float)
+        dense = c.astype(float) @ chain.matrix.toarray().T @ mobius.astype(float)
         assert np.max(np.abs(primal - dense)) < 1e-14
 
 
@@ -170,9 +171,9 @@ def test_duality_identity_at_powers():
     for _ in range(10):
         game = rand_game(rng, dual_safe=False)
         chain = build_game(game)
-        primal = reconstruct_primal(chain)
+        primal = reconstruct_primal(chain.matrix.toarray(), chain.dims)
         c = product_order(game.shape)[0].astype(float)
-        restricted = chain.dense()
+        restricted = chain.matrix.toarray()
         lhs = np.eye(len(primal))
         rhs = np.eye(len(primal))
         for _ in range(4):
@@ -186,7 +187,7 @@ def test_stationary_product_law():
     for _ in range(10):
         game = rand_game(rng, dual_safe=False)
         chain = build_game(game)
-        primal = reconstruct_primal(chain)
+        primal = reconstruct_primal(chain.matrix.toarray(), chain.dims)
         pi_parts = [np.diff(np.concatenate([[0.0], bd_win_prob(s)]))
                     for s in game.dims]
         pi = pi_parts[0]
@@ -201,11 +202,12 @@ def test_pi_route_equals_cumulative_stationary():
     rng = np.random.default_rng(26)
     game = rand_game(rng, d=2, dual_safe=False)
     chain = build_game(game)
-    primal = reconstruct_primal(chain)
+    kernel = chain.matrix.toarray()
+    primal = reconstruct_primal(kernel, chain.dims)
     pi = stationary_of(primal)
     c = product_order(game.shape)[0].astype(float)
     assert np.max(np.abs(pi @ c - win_prob_solve(chain))) < 1e-9
-    assert np.max(np.abs(win_prob_pi_route(chain) - pi @ c)) < 1e-14
+    assert np.max(np.abs(win_prob_pi_route(kernel, chain.dims) - pi @ c)) < 1e-14
 
 
 def test_win_prob_solve_on_ninety_thousand_states():

@@ -18,6 +18,7 @@ from krongambler import (
     SimConfig,
     absorb_dist,
     build_game,
+    linear_index,
     preset_r_of_d,
     simulate,
     simulate_coupled,
@@ -71,7 +72,7 @@ def test_two_dim_frequency_matches_product():
     chain = build_game(game)
     cfg = SimConfig(runs=100_000, seed=3)
     report = simulate(chain, (2, 2), cfg)
-    exact = win_prob_product(game)[chain.to_linear((2, 2))]
+    exact = win_prob_product(game)[linear_index(chain.dims, (2, 2))]
     assert abs(report.win_freq - exact) < 4 * report.win_se
 
 
@@ -111,7 +112,7 @@ def test_start_must_be_integer_coordinates():
     cfg = SimConfig(runs=500, seed=11)
     by_numpy = simulate(chain, (np.int64(2),), cfg)
     assert by_numpy.as_dict() == simulate(chain, (2,), cfg).as_dict()
-    for bad in (1, chain.to_linear((2,)), (2.7,), (0,), (4,)):
+    for bad in (1, linear_index(chain.dims, (2,)), (2.7,), (0,), (4,)):
         with pytest.raises(IndexError):
             simulate(chain, bad, cfg)
 
@@ -178,7 +179,7 @@ def test_coupled_conditional_kernel_two_state_by_hand():
     chain = build_game(game)
     link, dual = build_dual(game)
     lam1 = 1.0 - alpha - beta
-    p_hat = dual.dense()
+    p_hat = dual.matrix.toarray()
     # dual kernel and link have closed forms for two states
     assert np.allclose(p_hat, [[lam1, alpha + beta], [0.0, 1.0]], atol=1e-14)
     rho1 = alpha / (alpha + beta)
@@ -263,7 +264,7 @@ def test_three_coordinate_games_simulate_past_the_dense_cap():
     assert chain.size == 3375
     cfg = SimConfig(runs=2000, seed=61)
     report = simulate(chain, (8, 8, 8), cfg)
-    rho = win_prob_product(game)[chain.to_linear((8, 8, 8))]
+    rho = win_prob_product(game)[linear_index(chain.dims, (8, 8, 8))]
     assert report.n_timeout == 0
     assert abs(report.win_freq - rho) <= 4 * report.win_se
     # the links of 15-state components pass the precision gate

@@ -9,6 +9,7 @@ from krongambler import (
     BirthDeathSpec,
     GameSpec,
     build_game,
+    linear_index,
     preset_r_of_d,
     verify,
 )
@@ -108,10 +109,10 @@ def test_perturbed_partner_fails_pi_route(monkeypatch):
     by_name = {c.name: c for c in run_checks(game)}
     assert by_name["win_prob_pi_route"].passed
 
-    def perturbed(chain):
+    def perturbed(kernel, dims):
         # move 1e-3 of row 2's mass from its diagonal to its first entry:
         # still stochastic, but with another stationary law
-        p_x = reconstruct_primal(chain)
+        p_x = reconstruct_primal(kernel, dims)
         p_x[2, 2] -= 1e-3
         p_x[2, 0] += 1e-3
         return p_x
@@ -121,7 +122,8 @@ def test_perturbed_partner_fails_pi_route(monkeypatch):
     assert not by_name["win_prob_pi_route"].passed
     assert by_name["win_prob_pi_route"].residual > 1e-6
     # the solve is exact for the partner it is given
-    p_x = perturbed(build_game(game))
+    chain = build_game(game)
+    p_x = perturbed(chain.matrix.toarray(), chain.dims)
     pi = stationary_of(p_x)
     assert abs(pi.sum() - 1.0) < 1e-14
     assert np.max(np.abs(pi @ p_x - pi)) < 1e-14
@@ -137,8 +139,9 @@ def test_mutated_kernel_fails_product_checks(monkeypatch):
         # move 1e-6 of the centre state (2, 2)'s holding mass to (2, 3):
         # still substochastic and communicating, but no longer this game
         chain = true_build(spec)
-        kernel = chain.dense().copy()
-        centre, right = chain.to_linear((2, 2)), chain.to_linear((2, 3))
+        kernel = chain.matrix.toarray()
+        centre = linear_index(chain.dims, (2, 2))
+        right = linear_index(chain.dims, (2, 3))
         kernel[centre, centre] -= 1e-6
         kernel[centre, right] += 1e-6
         return AbsorbingChain(kernel, chain.dims)
