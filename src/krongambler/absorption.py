@@ -30,8 +30,9 @@ directly, a step (the block's reads included) takes about 0.9 us at 19
 transient states, 1.8 us at 195, 3.7 us at 511 and 15 us at 2,499; a dense
 block takes 2.7 and 7.2 us at the first two sizes, and ``q_t @ x`` 7.5 and
 19 us at the last two (one thread of a 2-vCPU Xeon, OpenBLAS). The target
-mass behind the horizon is read off the last iterate by one sparse LU
-solve (``linalg.resolvent``).
+mass behind the horizon is read off the last iterate through the chain's
+absorption vector, one sparse LU solve per chain and target
+(``AbsorbingChain.absorption``).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .birth_death import (
 )
 from .errors import HorizonError, SpecError
 from .game import AbsorbingChain, linear_index, start_vector
-from .linalg import resolvent
 from .pgf import GeometricProductPgf
 from .specfile import check_count, check_eps
 
@@ -188,11 +188,13 @@ def absorb_dist(
     of a nonnegative start, r the chain's ``least_row_sum``, is still at
     least eps. ``eps`` and ``horizon`` follow the spec file's rules
     (:func:`krongambler.specfile.check_eps`, ``check_count``) and are
-    checked before any step. So is the tail's sparse LU (``linalg.resolvent``),
-    made first: it raises SizeError for a chain of three or more coordinates
-    past the dense cap. The check that the dual mixture reproduces this
-    law for a game is ``distribution_equality`` in
-    :func:`krongambler.verify.run_checks`.
+    checked before any step. So is the tail's absorption vector
+    (``chain.absorption(target)``), read first: on its first use for a chain
+    and target it is one sparse LU solve (``linalg.resolvent``), which raises
+    SizeError for a chain of three or more coordinates past the dense cap;
+    afterwards it is the chain's cached vector, the one ``win_prob_solve``
+    reads. The check that the dual mixture reproduces this law for a game is
+    ``distribution_equality`` in :func:`krongambler.verify.run_checks`.
     """
     eps = check_eps(eps)
     if horizon is not None:
@@ -208,7 +210,7 @@ def absorb_dist(
                 f"transient mass stays >= {floor:.3e} for {MAX_HORIZON} "
                 f"steps (least row sum of Q {r!r}); pass a horizon"
             )
-    h = resolvent(chain).solve(exit)
+    h = chain.absorption(target)
     pmf, tail = _power_iteration(chain.transient, exit, h, x0, horizon, eps)
     if target == "win":
         pmf[0] = start[-1]

@@ -73,6 +73,13 @@ class BirthDeathSpec:
         p, q = np.array(self.p), np.array(self.q)
         return _read_only(np.append(1.0 - p - q, 1.0), p, np.append(q, 0.0)[1:])
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Read-only :func:`bd_eigenvalues`, solved once per spec."""
+        eigenvalues = np.append(tridiag_block_eigs(self, 1, self.N - 1), 1.0)
+        eigenvalues.flags.writeable = False
+        return eigenvalues
+
 
 @dataclass(frozen=True)
 class ErgodicBDSpec:
@@ -170,10 +177,12 @@ def bd_eigenvalues(spec: BirthDeathSpec) -> np.ndarray:
     """Ascending eigenvalues of the sink-restricted NxN matrix; last is 1.
 
     The spectrum splits into the strict transient block on {1..N-1} plus the
-    unit eigenvalue contributed by the absorbing win state.
+    unit eigenvalue contributed by the absorbing win state. The array is
+    the spec's cached ``eigenvalues``: one tridiagonal eigensolve per spec
+    serves the link, the dual's band and ``verify``'s checks, and the
+    array is read-only.
     """
-    interior = tridiag_block_eigs(spec, 1, spec.N - 1)
-    return np.append(interior, 1.0)
+    return spec.eigenvalues
 
 
 def bd_win_prob(spec: BirthDeathSpec) -> np.ndarray:

@@ -23,7 +23,9 @@ applies a Kronecker product one lattice axis at a time, and
 given over the lattice. Ruin is not a state
 index: a chain leaves its transient states through ruin (the row deficit)
 or the win corner, so every absorption solve reads the transient block and
-one exit vector (``AbsorbingChain.transient`` and ``AbsorbingChain.exit``).
+one exit vector (``AbsorbingChain.transient`` and ``AbsorbingChain.exit``),
+and a chain keeps each target's solved absorption vector
+(``AbsorbingChain.absorption``).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .birth_death import BirthDeathSpec
 from .errors import CommunicationError, SizeError, SpecError, StochasticityError
-from .linalg import DEFAULT_TOL, MAX_TRIPLETS
+from .linalg import DEFAULT_TOL, MAX_TRIPLETS, resolvent
 
 
 def linear_index(dims: tuple, multi) -> int:
@@ -298,6 +300,24 @@ class AbsorbingChain:
         if target == "ruin":
             return self.ruin[:-1]
         raise ValueError(f"target must be 'win' or 'ruin', got {target!r}")
+
+    @cached_property
+    def _absorbed(self) -> dict:
+        return {}
+
+    def absorption(self, target: str) -> np.ndarray:
+        """Absorption probabilities at ``target`` from the transient states.
+
+        (I - Q)^-1 ``exit(target)`` by one sparse LU solve
+        (``linalg.resolvent``, which may raise SizeError) per chain and
+        target; the solved vector is cached read-only, the LU is not kept.
+        """
+        exit = self.exit(target)
+        if target not in self._absorbed:
+            mass = resolvent(self).solve(exit)
+            mass.flags.writeable = False
+            self._absorbed[target] = mass
+        return self._absorbed[target]
 
 
 def _band_nonzeros(band) -> tuple:

@@ -7,11 +7,15 @@ bidiagonal factors, and every command reads them in that form. Only
 game past ``MAX_ENTRIES`` entries before it builds it. Every absorption
 quantity solves (I - sQ) x = b on a chain's transient block Q, b one of
 its exit vectors (the win column or the ruin deficit,
-``game.AbsorbingChain.exit``): :func:`resolvent` is the one sparse LU
-behind ``win-prob``'s ``rho_solve``, the power iteration's tail and the
-pgf and mean of a game (:class:`krongambler.pgf.ResolventPgf`), and it
-refuses a chain whose LU would be too large (:func:`check_lu_size`, which
-the commands that factor also ask before they build the game).
+``game.AbsorbingChain.exit``): :func:`resolvent` is the one sparse LU, and
+it refuses a chain whose LU would be too large (:func:`check_lu_size`,
+which the commands that factor also ask before they build the game). Two
+owners factor it. At s = 1 a chain factors once per target, the first time
+its absorption vector (I - Q)^-1 exit is asked for
+(``game.AbsorbingChain.absorption``); it keeps the solved vector, not the
+LU, and that one vector serves ``win-prob``'s ``rho_solve`` and the power
+iteration's tail on the same chain. The pgf and mean of a game
+(:class:`krongambler.pgf.ResolventPgf`) factor once per evaluation point.
 
 The LU runs in SuperLU's symmetric mode: the columns are ordered by minimum
 degree on the pattern of A^T + A, and each pivot is the diagonal entry.

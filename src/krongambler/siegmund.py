@@ -20,7 +20,6 @@ import numpy as np
 
 from .birth_death import bd_win_prob
 from .game import AbsorbingChain, GameSpec, kron_apply
-from .linalg import resolvent
 
 
 def _cumsum(z: np.ndarray) -> np.ndarray:
@@ -75,10 +74,11 @@ def win_prob_product(game: GameSpec) -> np.ndarray:
 def win_prob_solve(chain: AbsorbingChain) -> np.ndarray:
     """Winning probabilities from the fundamental-matrix solve on the built chain.
 
-    One sparse LU of the CSR kernel's transient block; no dense copy.
+    The chain's cached ``absorption("win")``: one sparse LU of the CSR
+    kernel's transient block per chain, shared with ``absorb_dist``'s tail;
+    no dense copy.
     """
-    h = resolvent(chain).solve(chain.exit("win"))
-    return np.append(h, 1.0)
+    return np.append(chain.absorption("win"), 1.0)
 
 
 def stationary_of(p_x: np.ndarray) -> np.ndarray:

@@ -32,17 +32,23 @@ def _require(cond: bool, field: str, message: str):
 def _number(value, field: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              field, "expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest double
+        raise SpecFileError(field, "integer too large for a float") from None
 
 
 def _numbers(values: list, field: str) -> tuple:
     """The floats of a list of numbers. The entry types are checked in one
-    pass; only the first entry that is not a number names its field."""
-    if not set(map(type, values)) <= {int, float}:
-        for k, x in enumerate(values):
-            if type(x) not in (int, float):
-                _number(x, f"{field}[{k}]")
-    return tuple(map(float, values))
+    pass, and the list converted in one more; only when either fails is
+    the list read entry by entry, so that the first entry that is not a
+    number, or is an integer too large for a float, names its field."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return tuple(map(float, values))
+        except OverflowError:
+            pass
+    return tuple(_number(x, f"{field}[{k}]") for k, x in enumerate(values))
 
 
 def _int(value, field: str) -> int:

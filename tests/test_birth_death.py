@@ -18,7 +18,11 @@ from krongambler import (
     siegmund_dual_1d,
     win_prob_solve,
 )
-from krongambler.birth_death import _band_dense, bd_restricted
+from krongambler.birth_death import (
+    _band_dense,
+    bd_restricted,
+    tridiag_block_eigs,
+)
 from krongambler.game import _band_nonzeros
 from krongambler.intertwine import (
     _birth_band,
@@ -127,6 +131,14 @@ def test_band_matrices_equal_the_loop_oracles():
     for spec in chains + walks:
         assert spec.band is spec.band
         assert not any(a.flags.writeable for a in spec.band)
+    # one eigensolve per spec, shared by every caller, so read-only
+    for spec in chains:
+        assert bd_eigenvalues(spec) is spec.eigenvalues
+        assert not spec.eigenvalues.flags.writeable
+        assert np.array_equal(
+            spec.eigenvalues,
+            np.append(tridiag_block_eigs(spec, 1, spec.N - 1), 1.0),
+        )
     # the dual's factors, one of them with a zero eigenvalue
     for lam in [np.array([0.0, 0.5, 1.0])] + [bd_eigenvalues(s) for s in chains]:
         assert np.array_equal(_band_dense(_birth_band(lam)), loop_pure_birth(lam))

@@ -113,6 +113,26 @@ def test_non_number_rate_deep_in_a_long_list_names_its_index(tmp_path, capsys,
                                "field": "dims[0].p[40000]"}
 
 
+@pytest.mark.parametrize("field, path", [
+    ("dims[0].p[1]", ("dims", 0, "p", 1)),
+    ("dims[1].q[0]", ("dims", 1, "q", 0)),
+    ("mixing.coeffs[1]", ("mixing", "coeffs", 1)),
+    ("eps", ("eps",)),
+])
+def test_integer_too_large_for_a_float_names_its_field(tmp_path, capsys,
+                                                      field, path):
+    doc = lazy_two_dim_doc(mixing={"subsets": [[1], [2]], "coeffs": [0.5, 0.5]})
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = 10**400
+    code, out, err = run_cli(capsys, ["win-prob", write_spec(tmp_path, doc)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": f"{field}: integer too large for a float", "field": field,
+    }
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -499,10 +499,23 @@ def test_chain_reads_transient_block_and_exits_once():
     assert np.array_equal(chain.exit("win"), [0.0, 0.5])
     assert np.array_equal(chain.exit("ruin"), [0.25, 0.0])
     assert chain.exit("win") is chain.exit("win")
+    # (I - Q)^-1 exit: state 1 holds 1/4, steps up 1/2 and is ruined 1/4;
+    # state 2 leaves only to the win
+    assert np.allclose(chain.absorption("win"), [2.0 / 3.0, 1.0], atol=1e-15)
+    assert np.allclose(chain.absorption("ruin"), [1.0 / 3.0, 0.0], atol=1e-15)
+    for target in ("win", "ruin"):
+        assert chain.absorption(target) is chain.absorption(target)
+        # the same LU and right-hand side as a fresh solve, bit for bit
+        assert np.array_equal(chain.absorption(target),
+                              linalg.resolvent(chain).solve(chain.exit(target)))
+    with pytest.raises(ValueError, match="target must be"):
+        chain.absorption("lose")
     # the cached vectors are shared by every caller, so they are read-only
     for target in ("win", "ruin"):
         with pytest.raises(ValueError, match="read-only"):
             chain.exit(target)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            chain.absorption(target)[0] = 1.0
 
 
 def test_triplet_cap_counts_every_triplet(monkeypatch):

@@ -13,12 +13,13 @@ from krongambler import (
     preset_r_of_d,
     verify,
 )
+from krongambler import birth_death, linalg
 from krongambler.intertwine import SpectralLink
 from krongambler.siegmund import reconstruct_primal, stationary_of
 from krongambler.specfile import load_spec
 from krongambler.verify import diagonal_eigenvalue_check, run_checks
 
-from conftest import rand_bd
+from conftest import dual_safe_budget, rand_bd, rand_game
 
 
 def test_full_suite_on_valid_game():
@@ -100,6 +101,124 @@ def test_char_poly_residual_detects_wrong_values():
     assert exact.passed and exact.residual == 0.0
     wrong = diagonal_eigenvalue_check(m, np.array([0.2, 0.5, 0.3]))
     assert not wrong.passed and wrong.residual > 1e-3
+    # two blocks: {0, 1} (eigenvalues 0.1, 0.7) leads into the lower block
+    # {2, 3} (0.3, 0.7), which never leads back
+    m = np.array([[0.4, 0.3, 0.2, 0.0],
+                  [0.3, 0.4, 0.0, 0.2],
+                  [0.0, 0.0, 0.5, 0.2],
+                  [0.0, 0.0, 0.2, 0.5]])
+    diag = np.array([0.1, 0.3, 0.7, 0.7])
+    exact = diagonal_eigenvalue_check(m, diag)
+    assert exact.passed and exact.residual < 1e-15
+    wrong = diagonal_eigenvalue_check(m, np.array([0.1, 0.3, 0.7, 0.6]))
+    assert not wrong.passed and abs(wrong.residual - 0.1) < 1e-12
+    # a wrong entry inside the lower block moves its eigenvalues to
+    # 0.45 +- sqrt(0.0425)
+    m[3, 3] = 0.4
+    wrong = diagonal_eigenvalue_check(m, diag)
+    assert not wrong.passed and wrong.residual > 0.04
+
+
+def record_eigvals(monkeypatch) -> list:
+    """Patch np.linalg.eigvals to record the order of every matrix it gets."""
+    sizes = []
+    true_eigvals = np.linalg.eigvals
+
+    def recording(a):
+        sizes.append(len(a))
+        return true_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return sizes
+
+
+def test_block_spectrum_matches_dense_eigvals():
+    rng = np.random.default_rng(64)
+    cases = [(d, r) for d in range(1, 5) for r in range(1, d + 1)]
+    for k in range(50):
+        d, r = cases[k % len(cases)]
+        game = rand_game(rng, d=d, r=r, dual_safe=False)
+        kernel = build_game(game).matrix.toarray()
+        dense = np.sort(np.linalg.eigvals(kernel).real)
+        # the residual against the dense spectrum is the larger of the
+        # sorted real gap and the blocks' largest imaginary part
+        result = diagonal_eigenvalue_check(kernel, dense)
+        assert result.residual <= 1e-12, (d, r, result)
+
+
+def test_irreducible_kernel_is_one_block(monkeypatch):
+    sizes = record_eigvals(monkeypatch)
+    m = np.array([[0.2, 0.5, 0.0], [0.0, 0.3, 0.6], [0.4, 0.0, 0.1]])
+    exact = np.linalg.eigvals(m)
+    sizes.clear()
+    result = diagonal_eigenvalue_check(m, exact.real)
+    assert sizes == [3]
+    # the cycle's complex pair is not a real spectrum
+    assert not result.passed and result.residual > 0.1
+
+
+def test_edge_back_from_a_top_face_merges_blocks(monkeypatch):
+    rng = np.random.default_rng(65)
+    game = preset_r_of_d([rand_bd(rng, 4, budget=0.2) for _ in range(2)], 1)
+    chain = build_game(game)
+    kernel = chain.matrix.toarray()
+    sizes = record_eigvals(monkeypatch)
+    diagonal_eigenvalue_check(kernel, np.zeros(16))
+    # the interior 3 x 3, the two top edges of 3 and the win corner
+    assert sorted(sizes) == [1, 3, 3, 9]
+    # (4, 2), on the top face of coordinate 1, moves back to (1, 2)
+    top, inner = linear_index(chain.dims, (4, 2)), linear_index(chain.dims, (1, 2))
+    kernel[top, top] -= 0.01
+    kernel[top, inner] += 0.01
+    dense = np.sort(np.linalg.eigvals(kernel).real)
+    sizes.clear()
+    result = diagonal_eigenvalue_check(kernel, dense)
+    assert sorted(sizes) == [1, 3, 12]
+    assert result.residual <= 1e-12, result
+
+
+@pytest.mark.parametrize("shape, r, largest", [
+    ((6, 6, 6), 1, 125),
+    ((4, 4, 4, 4), 4, 81),
+])
+def test_eigvals_sees_only_strongly_connected_blocks(monkeypatch, shape, r,
+                                                     largest):
+    rng = np.random.default_rng(66)
+    budget = dual_safe_budget(len(shape), r)
+    game = preset_r_of_d([rand_bd(rng, n, budget=budget) for n in shape], r)
+    sizes = record_eigvals(monkeypatch)
+    checks = {c.name: c for c in run_checks(game)}
+    assert checks["diagonal_eigenvalues"].passed
+    assert checks["diagonal_eigenvalues"].residual <= 1e-12
+    assert max(sizes) == largest
+    assert sum(sizes) == game.size
+
+
+def test_run_checks_factors_and_solves_each_spectrum_once(monkeypatch):
+    lu_calls = []
+    eig_calls = []
+    true_splu = linalg.splu
+    true_eigs = birth_death.eigvalsh_tridiagonal
+
+    def splu(*args, **kwargs):
+        lu_calls.append(args[0].shape)
+        return true_splu(*args, **kwargs)
+
+    def eigs(*args, **kwargs):
+        eig_calls.append(len(args[0]))
+        return true_eigs(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", splu)
+    monkeypatch.setattr(birth_death, "eigvalsh_tridiagonal", eigs)
+    spec = pathlib.Path(__file__).parent / "data" / "cli_corpus" / "d3_r2.json"
+    game = load_spec(str(spec)).game
+    assert game.d == 3 and game.scalar_coeffs
+    checks = run_checks(game)
+    assert all(c.passed for c in checks)
+    # one LU of the game (its win probabilities and its law's tail) and
+    # one of the dual; one eigensolve per component
+    assert lu_calls == [(11, 11), (11, 11)]
+    assert eig_calls == [1, 2, 1]
 
 
 def test_perturbed_partner_fails_pi_route(monkeypatch):
