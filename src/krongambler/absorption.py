@@ -27,12 +27,11 @@ dual has at most 3^d nonzeros, so every step, at every size, is one call
 of scipy's C kernel ``csr_matvec`` on a CSR copy of the transpose of Q:
 the kernel that ``q_t @ x`` reaches behind its Python dispatch. Called
 directly, a step (the block's reads included) takes about 0.9 us at 19
-transient states, 1.8 us at 195, 3.7 us at 511 and 15 us at 2,499; a dense
-block takes 2.7 and 7.2 us at the first two sizes, and ``q_t @ x`` 7.5 and
-19 us at the last two (one thread of a 2-vCPU Xeon, OpenBLAS). The target
-mass behind the horizon is read off the last iterate through the chain's
-absorption vector, one sparse LU solve per chain and target
-(``AbsorbingChain.absorption``).
+transient states, 1.8 us at 195, 3.7 us at 511 and 15 us at 2,499, where
+``q_t @ x`` takes 7.5 and 19 us at the last two (one thread of a 2-vCPU
+Xeon). The target mass behind the horizon is read off the last iterate
+through the chain's absorption vector, one sparse LU solve per chain and
+target (``AbsorbingChain.absorption``).
 """
 
 from __future__ import annotations

@@ -4,14 +4,16 @@ A game is a signed mixture of Kronecker products: each term picks a subset of
 coordinates that move together in one step, the remaining coordinates are
 frozen by identity factors, and the mixture weights sum to one. The mixture
 is the game's kernel on the lattice: a substochastic matrix whose row
-deficits are the one-step probabilities of the common ruin state. A
-Kronecker product of tridiagonal factors has at most 3^d nonzeros per row,
-so the kernel is assembled and validated as a CSR matrix straight from the
-components' bands (``BirthDeathSpec.band``) by :func:`kron_mixture`, which
-takes the pure-birth dual's bidiagonal bands too (``intertwine.build_dual``).
+deficits are the one-step probabilities of the common ruin state. Every
+factor is tridiagonal, so entry (x, y) of every term lies on the one step
+y - x in {-1, 0, +1}^d and a term holds it at most once: the kernel has at
+most 3^d nonzeros per row, and the terms add each entry in mixture order.
+:func:`kron_mixture` assembles and validates it that way, as a CSR matrix
+straight from the components' bands (``BirthDeathSpec.band``), and takes
+the pure-birth dual's bidiagonal bands too (``intertwine.build_dual``).
 Every command reads the CSR kernel; only ``verify`` makes a copy of it dense.
 The assembly refuses, before it allocates, past ``linalg.MAX_TRIPLETS``
-triplets.
+triplets (:func:`check_triplets`).
 
 States are lattice points indexed 0..n-1 in row-major order (coordinate d
 varies fastest), so the win corner (N_1, ..., N_d) is the last index and
@@ -355,10 +357,12 @@ def _kron_triplets(factors) -> tuple:
 def check_triplets(bands, subsets) -> list:
     """The bands' nonzeros for :func:`kron_mixture`, once its triplets fit.
 
-    Term k holds, exactly, the product over coordinates of the band's
-    nonzero count for j + 1 in ``subsets[k]`` and the side otherwise. Past
-    ``linalg.MAX_TRIPLETS`` triplets in all terms this raises SizeError,
-    before anything is allocated.
+    Entry (x, y) of a term lies on the one step y - x, where it is one
+    product of its factors' entries, so term k holds exactly one (row, col,
+    value) triplet per product of nonzeros: the product over coordinates of
+    the band's nonzero count for j + 1 in ``subsets[k]`` and the side
+    otherwise. Past ``linalg.MAX_TRIPLETS`` triplets in all terms this
+    raises SizeError, before anything is allocated.
     """
     factors = [_band_nonzeros(band) for band in bands]
     count = sum(
@@ -381,9 +385,10 @@ def kron_mixture(bands, subsets, coeffs, error, message) -> sparse.csr_array:
     ``bands`` holds one (diag, upper, lower) band per coordinate; F_kj is
     band j for the coordinates j + 1 in ``subsets[k]`` and the identity
     otherwise. A coefficient is a real or a vector of state weights, which
-    scales each row x of its term by coeffs[k][x]. The terms are added
-    entry by entry in mixture order, the order in which a dense mixture
-    adds them, so every entry equals the dense one. Entries in
+    scales each row x of its term by coeffs[k][x]. Entry (x, y) lies on the
+    one step y - x in {-1, 0, +1}^d, so a term holds it at most once, and
+    the terms add it one at a time in mixture order, the order in which a
+    dense mixture adds them: every entry equals the dense one. Entries in
     [-DEFAULT_TOL, 0) are clamped to zero and dropped; a more negative one
     raises ``error`` with ``message`` formatted with the entry ``low`` and
     its lattice states ``src`` and ``dst``. Past the triplet cap it raises

@@ -59,12 +59,14 @@ DEFAULT_TOL = 1e-12
 #: Cap on the entry count of a dense kernel.
 MAX_ENTRIES = 10**7
 
-#: Cap on the (row, col, value) triplets a sparse game build assembles. A
-#: triplet costs about 130 bytes at the build's peak against 8 for a dense
-#: entry, and the sparse LU of a 2-D game adds about 60 entries of fill per
-#: state (7 triplets; 8.4M on the d = 2, r = 1, N = 378 game at this cap),
-#: so at this cap a ``win-prob`` request peaks near 270 MB, below the 315 MB
-#: of a dense build at MAX_ENTRIES.
+#: Cap on the (row, col, value) triplets of a kernel's Kronecker terms: the
+#: nonzeros ``game.check_triplets`` counts before anything is allocated.
+#: On the d = 2, r = 1, N = 378 game (998k triplets, just under the cap)
+#: ``game.kron_mixture`` peaks at 71 MiB of numpy buffers, about 74 bytes
+#: per triplet, which is also the peak of ``game.build_game``. The sparse
+#: LU of a 2-D game adds about 60 entries of fill per state (8.4M on that
+#: game), so ``win_prob_solve`` on it peaks near 270 MB of RSS (numpy 2.4,
+#: scipy 1.17).
 MAX_TRIPLETS = MAX_ENTRIES // 10
 
 

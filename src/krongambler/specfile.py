@@ -83,7 +83,8 @@ def parse_spec(doc: dict) -> ParsedSpec:
     """Validate a decoded JSON document and build the game it describes."""
     _require(isinstance(doc, dict), "$", "top-level value must be an object")
     version = doc.get("version", SCHEMA_VERSION)
-    _require(version == SCHEMA_VERSION, "version",
+    # True and 1.0 equal 1 but are not the integer version
+    _require(type(version) is int and version == SCHEMA_VERSION, "version",
              f"unsupported version {version!r}")
 
     _require("dims" in doc, "dims", "missing")

@@ -80,6 +80,11 @@ def test_parse_round_trip(tmp_path):
         (lambda d: d["dims"][0].pop("p"), "dims[0].p"),
         (lambda d: d["dims"][0]["p"].append(0.1), "dims[0].p"),
         (lambda d: d.__setitem__("version", 2), "version"),
+        # equal to 1, but not the integer version
+        pytest.param(lambda d: d.__setitem__("version", True), "version",
+                     id="version-true"),
+        pytest.param(lambda d: d.__setitem__("version", 1.0), "version",
+                     id="version-float"),
         (lambda d: d.__setitem__("start", [9]), "start[0]"),
         (lambda d: d["mixing"].__setitem__("coeffs", [0.5]), "mixing"),
         (lambda d: d["mixing"]["subsets"][0].append(7), "mixing.subsets[0]"),

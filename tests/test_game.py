@@ -34,12 +34,14 @@ from krongambler import absorption, linalg
 from krongambler import game as game_module
 from krongambler.game import (
     kron_apply,
+    kron_mixture,
     lattice_point_mass,
     start_law,
     start_vector,
     state_labels,
 )
-from krongambler.birth_death import bd_restricted
+from krongambler.birth_death import bd_eigenvalues, bd_restricted
+from krongambler.intertwine import _birth_band
 from krongambler.verify import diagonal_eigenvalue_check
 
 from conftest import (
@@ -49,7 +51,10 @@ from conftest import (
     dual_safe_budget,
     game_safe_budget,
     kron_all,
+    loop_ergodic_matrix,
+    loop_pure_birth,
     rand_bd,
+    rand_ergodic,
     rand_game,
 )
 
@@ -97,6 +102,41 @@ def test_full_move_preset_is_kronecker_product():
     assert np.allclose(chain.matrix.toarray(), expected, atol=1e-15)
 
 
+def explicit_game(rng, d, state_weights):
+    """Random subsets (some empty) over sides 1 to 4, with signed scalar
+    coefficients or signed state weights."""
+    sides = rng.choice([1, 2, 2, 3, 4], d)
+    dims = tuple(rand_bd(rng, int(n), budget=0.2 / d) if n > 1
+                 else BirthDeathSpec(N=1, p=(), q=()) for n in sides)
+    m = int(rng.integers(1, 5))
+    subsets = tuple(frozenset(map(int, 1 + np.flatnonzero(rng.random(d) < 0.6)))
+                    for _ in range(m))
+    size = int(np.prod([s.N for s in dims]))
+    draws = [rng.uniform(-0.3, 0.8, size if state_weights else None)
+             for _ in range(m - 1)]
+    return GameSpec(dims=dims, subsets=subsets, coeffs=(*draws, 1.0 - sum(draws)))
+
+
+def assert_assembly_is_clipped_dense(game, bands, factors) -> bool:
+    """``kron_mixture`` of the bands equals the clipped dense mixture of the
+    factors bit for bit, or refuses the dense minimum at its first state."""
+    mixed = dense_mixture(game, factors)
+    assemble = partial(kron_mixture, bands, game.subsets, game.coeffs,
+                       StochasticityError, "{low:.3e} at {src} -> {dst}")
+    if mixed.min() < -linalg.DEFAULT_TOL:
+        i, j = np.unravel_index(int(mixed.argmin()), mixed.shape)
+        with pytest.raises(StochasticityError, match=re.escape(
+                f"{mixed.min():.3e} at {multi_index(game.shape, i)} -> "
+                f"{multi_index(game.shape, j)}")):
+            assemble()
+        return False
+    kernel = assemble()
+    assert isinstance(kernel, sparse.csr_array)
+    assert kernel.has_canonical_format
+    assert np.array_equal(kernel.toarray(), np.clip(mixed, 0.0, None))
+    return True
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("dual_safe", [True, False])
 def test_csr_kernel_equals_dense_kron_mixture(d, dual_safe):
@@ -105,6 +145,23 @@ def test_csr_kernel_equals_dense_kron_mixture(d, dual_safe):
         for _ in range(8):
             game = rand_game(rng, d=d, r=r, n_max=5, dual_safe=dual_safe)
             assert_kernel_is_clipped_dense_mixture(game)
+    # explicit subsets over sides 1 and 2 too, with signed scalar (dual_safe)
+    # or state-weighted coefficients, assembled from the game's bands, the
+    # pure-birth dual's bands and ergodic walks, whose end states hold
+    built = {"game": 0, "dual": 0, "walk": 0}
+    for _ in range(30):
+        game = explicit_game(rng, d, state_weights=not dual_safe)
+        lams = [bd_eigenvalues(s) for s in game.dims]
+        walks = [rand_ergodic(rng, s.N) if s.N > 1 else None for s in game.dims]
+        built["game"] += assert_assembly_is_clipped_dense(
+            game, [s.band for s in game.dims], None)
+        built["dual"] += assert_assembly_is_clipped_dense(
+            game, [_birth_band(lam) for lam in lams],
+            [loop_pure_birth(lam) for lam in lams])
+        built["walk"] += assert_assembly_is_clipped_dense(
+            game, [w.band if w else s.band for w, s in zip(walks, game.dims)],
+            [loop_ergodic_matrix(w) if w else np.eye(1) for w in walks])
+    assert min(built.values()) >= 10
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
