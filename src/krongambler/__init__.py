@@ -46,10 +46,9 @@ from .intertwine import (
     build_dual,
     classical_ssd_1d,
     dual_initial,
-    ehrenfest_pgf,
     spectral_link_1d,
 )
-from .pgf import GeometricProductPgf, MixturePgf, ResolventPgf
+from .pgf import GeometricProductPgf, ResolventPgf
 from .siegmund import win_prob_product, win_prob_solve
 from .simulate import SimConfig, SimReport, simulate, simulate_coupled
 

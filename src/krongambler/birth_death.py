@@ -204,10 +204,13 @@ def bd_win_prob(spec: BirthDeathSpec) -> np.ndarray:
 
 def bd_stationary(spec: ErgodicBDSpec) -> np.ndarray:
     """Stationary distribution from detailed balance: pi(i+1)/pi(i) = p'(i)/q'(i+1)."""
-    pi = np.ones(spec.M)
-    for i in range(1, spec.M):
-        pi[i] = pi[i - 1] * spec.p[i - 1] / spec.q[i - 1]
-    return pi / pi.sum()
+    return np.exp(_log_stationary(spec))
+
+
+def _log_stationary(spec: ErgodicBDSpec) -> np.ndarray:
+    """log of :func:`bd_stationary`, summed as logs: no rate product overflows."""
+    log_pi = np.concatenate(([0.0], np.cumsum(np.log(spec.p) - np.log(spec.q))))
+    return log_pi - np.logaddexp.reduce(log_pi)
 
 
 def bd_is_monotone(spec) -> bool:

@@ -35,12 +35,12 @@ from scipy.linalg import solve_triangular
 from .birth_death import (
     _EIG_TOL,
     _band_dense,
+    _log_stationary,
     BirthDeathSpec,
     ErgodicBDSpec,
     bd_eigenvalues,
     bd_is_monotone,
     bd_restricted,
-    bd_stationary,
     bd_win_prob,
 )
 from .errors import (
@@ -58,7 +58,6 @@ from .game import (
     linear_index,
     start_law,
 )
-from .pgf import GeometricProductPgf, MixturePgf
 
 _DEGENERATE_TOL = 1e-12
 _INTERTWINE_TOL = 1e-10
@@ -230,17 +229,15 @@ def classical_ssd_1d(x: ErgodicBDSpec) -> tuple:
     """
     if not bd_is_monotone(x):
         raise MonotonicityError("classical dual needs a monotone chain")
-    m = x.M
-    pi = bd_stationary(x)
-    h = np.cumsum(pi)
-    up = np.empty(m - 1)
-    down = np.empty(m - 1)
-    for i in range(1, m):
-        up[i - 1] = h[i] * x.q[i - 1] / h[i - 1]  # q'(i+1) = x.q[i-1]
-        down[i - 1] = (h[i - 2] if i >= 2 else 0.0) * x.p[i - 1] / h[i - 1]
-    spec = BirthDeathSpec(N=m, p=tuple(up), q=tuple(down))
-    link = np.tril(np.tile(pi, (m, 1))) / h[:, None]
-    return spec, link
+    # every ratio is a difference of logs, so neither pi nor H over- or
+    # underflows on a long walk
+    log_pi = _log_stationary(x)
+    log_h = np.logaddexp.accumulate(log_pi)
+    up = np.exp(log_h[1:] - log_h[:-1] + np.log(x.q))
+    down = np.exp(np.append(-np.inf, log_h[:-2]) - log_h[:-1] + np.log(x.p))
+    spec = BirthDeathSpec(N=x.M, p=tuple(up), q=tuple(down))
+    log_link = np.where(np.tri(x.M, dtype=bool), log_pi - log_h[:, None], -np.inf)
+    return spec, np.exp(log_link)
 
 
 # -- lazy two-urn diffusion family (closed forms) ---------------------------
@@ -279,16 +276,3 @@ def ehrenfest_dual_weights(n: int, m: int) -> np.ndarray:
         ) / ((n - j) * denom)
     return nu
 
-
-def ehrenfest_pgf(n: int, m: int) -> MixturePgf:
-    """pgf of the absorption time from state m, as a signed mixture of
-    geometric-factor products with parameters (k-1)/(n-1); its ``mean()``
-    is the expected absorption time."""
-    nu = ehrenfest_dual_weights(n, m)
-    parts = []
-    weights = []
-    for j in range(1, m + 1):
-        lam = tuple((k - 1.0) / (n - 1.0) for k in range(j, n))
-        parts.append(GeometricProductPgf(scale=1.0, num=lam))
-        weights.append(float(nu[j - 1]))
-    return MixturePgf(weights=tuple(weights), parts=tuple(parts))

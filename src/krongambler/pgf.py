@@ -1,8 +1,8 @@
 """Probability generating functions, represented semi-numerically.
 
-Three evaluable forms cover everything the package produces: products of
+Two evaluable forms cover everything the package produces: products of
 geometric factors, optionally divided by other factors (the closed forms of
-one-dimensional chains); finite mixtures with possibly signed weights; and
+one-dimensional chains, :func:`krongambler.absorption.pgf_two_sided`), and
 the resolvent of a game's CSR kernel, one sparse LU solve per evaluation
 point. For defective laws the value at s=1 is the total mass at the target
 rather than 1, and ``mean`` is the partial expectation sum(t * pmf(t)).
@@ -21,15 +21,20 @@ from .linalg import resolvent
 _SINGULARITY_TOL = 1e-14
 
 
-def _factor(lam: np.ndarray, s: float) -> float:
-    """prod over lam of (1-lam) / (1-lam s): the geometric factors without s."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.size == 0:
-        return 1.0
-    den = 1.0 - lam * s
-    if np.min(np.abs(den)) < _SINGULARITY_TOL:
+def _log_factor(lam, s: float) -> tuple:
+    """log|prod over lam of (1-lam) / (1-lam s)| and its count of negative terms.
+
+    Each log|1 - x| is a log1p (past x = 1, the log of x - 1), so the sum
+    stays finite where a long chain's product underflows.
+    """
+    x = np.array([lam, np.multiply(lam, s)], dtype=float)
+    if np.min(np.abs(1.0 - x[1]), initial=1.0) < _SINGULARITY_TOL:
         raise ValueError(f"pgf evaluated at a pole, s={s}")
-    return float(np.prod((1.0 - lam) / den))
+    above = x > 1.0
+    logs = np.empty_like(x)
+    np.log1p(-x, out=logs, where=~above)
+    np.log(x - 1.0, out=logs, where=above)
+    return float(np.sum(logs[0] - logs[1])), int(np.count_nonzero(above))
 
 
 @dataclass(frozen=True)
@@ -47,9 +52,17 @@ class GeometricProductPgf:
     def evaluate(self, s: float) -> float:
         if not math.isfinite(s):
             raise ValueError(f"pgf evaluated at a non-finite s={s}")
-        # the factors' powers of s cancel, so s = 0 is no 0/0
-        power = s ** (len(self.num) - len(self.den))
-        return self.scale * power * _factor(self.num, s) / _factor(self.den, s)
+        log_num, neg_num = _log_factor(self.num, s)
+        log_den, neg_den = _log_factor(self.den, s)
+        # the factors' powers of s cancel down to s^k, so s = 0 is no 0/0
+        k = len(self.num) - len(self.den)
+        if k and s == 0.0:
+            if k < 0:
+                raise ValueError(f"pgf evaluated at a pole, s={s}")
+            return 0.0
+        log_abs = log_num - log_den + (k * math.log(abs(s)) if k else 0.0)
+        negatives = neg_num + neg_den + (k if s < 0.0 else 0)
+        return self.scale * (-1.0) ** negatives * math.exp(log_abs)
 
     def mass(self) -> float:
         """Value at s=1: the total probability carried by the law."""
@@ -96,23 +109,3 @@ class ResolventPgf:
         """nu . (I - Q)^-1 h(1): the derivative at s=1, by one more solve."""
         lu = resolvent(self.chain)
         return float(self.nu[:-1] @ lu.solve(lu.solve(self.chain.exit("win"))))
-
-
-@dataclass(frozen=True)
-class MixturePgf:
-    """sum of weight_i * part_i(s); weights may be negative."""
-
-    weights: tuple
-    parts: tuple
-
-    def _mix(self, values) -> float:
-        return float(sum(w * v for w, v in zip(self.weights, values)))
-
-    def evaluate(self, s: float) -> float:
-        return self._mix(p.evaluate(s) for p in self.parts)
-
-    def mass(self) -> float:
-        return self._mix(p.mass() for p in self.parts)
-
-    def mean(self) -> float:
-        return self._mix(p.mean() for p in self.parts)

@@ -1,6 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
 import itertools
+from dataclasses import dataclass
 from functools import reduce
 from math import comb
 
@@ -13,13 +14,18 @@ from krongambler import (
     BirthDeathSpec,
     CouplingError,
     ErgodicBDSpec,
+    GeometricProductPgf,
     HorizonError,
     absorption,
     bd_eigenvalues,
     preset_r_of_d,
 )
 from krongambler.errors import SpecError
-from krongambler.intertwine import classical_ssd_1d, ehrenfest_ergodic
+from krongambler.intertwine import (
+    classical_ssd_1d,
+    ehrenfest_dual_weights,
+    ehrenfest_ergodic,
+)
 
 
 def loop_bd_matrix(spec):
@@ -159,6 +165,43 @@ def ehrenfest_dual_weights_link_route(n: int, m: int) -> np.ndarray:
     nu_star = np.zeros(n)
     nu_star[m - 1] = 1.0
     return nu_star @ link_classical @ ehrenfest_binomial_link_inv(n)
+
+
+@dataclass(frozen=True)
+class SignedMixturePgf:
+    """sum of weight_j * part_j(s) over pgfs; the weights may be negative."""
+
+    weights: tuple
+    parts: tuple
+
+    def _mix(self, values) -> float:
+        return float(sum(w * v for w, v in zip(self.weights, values)))
+
+    def evaluate(self, s: float) -> float:
+        return self._mix(p.evaluate(s) for p in self.parts)
+
+    def mean(self) -> float:
+        return self._mix(p.mean() for p in self.parts)
+
+
+def two_urn_mixture_pgf(n: int, m: int) -> SignedMixturePgf:
+    """The paper's pgf of the two-urn dual's time to the top from state m.
+
+    A signed mixture, weighted by the closed-form dual start weights
+    (``intertwine.ehrenfest_dual_weights``), of geometric-factor products
+    over the closed-form spectrum (k-1)/(n-1), k = j..n-1, for j = 1..m.
+    The reference for Fill's ratio on the classical dual,
+    ``pgf_two_sided(classical_ssd_1d(ehrenfest_ergodic(n))[0], m)[0]``;
+    its cancellation grows with n (about 1e-10 relative at n = 25).
+    """
+    nu = ehrenfest_dual_weights(n, m)
+    parts = [
+        GeometricProductPgf(
+            scale=1.0, num=tuple((k - 1.0) / (n - 1.0) for k in range(j, n))
+        )
+        for j in range(1, m + 1)
+    ]
+    return SignedMixturePgf(weights=tuple(nu[:m]), parts=tuple(parts))
 
 
 def moveaxis_dual_initial(link, nu_star):

@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -440,6 +441,27 @@ def test_geometric_product_at_zero_is_the_pmf_at_zero():
     pmf = absorb_dist(AbsorbingChain(bd_restricted(interior), (4,)),
                       np.eye(4)[1]).pmf
     assert pgf_two_sided(interior, 2)[0].evaluate(0.0) == pmf[0]
+
+
+@pytest.mark.parametrize("n", [700, 1000, 1500])
+def test_geometric_product_stays_finite_on_long_chains(n):
+    # p = 0.3, q(1) = 0, q = 0.3 elsewhere, 200 states below the win: the
+    # products of the factors underflow (0.0 at N = 700, 0/0 from N = 1,000),
+    # their logs do not; the reference is a 50-digit product of the same
+    # eigenvalues
+    spec = BirthDeathSpec(N=n, p=(0.3,) * (n - 1), q=(0.0,) + (0.3,) * (n - 2))
+    win = pgf_two_sided(spec, n - 200)[0]
+    for s in (-0.5, 0.5, 0.9):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = Decimal(win.scale)
+            for lam in map(Decimal, win.num):
+                exact *= (1 - lam) * Decimal(s) / (1 - lam * Decimal(s))
+            for lam in map(Decimal, win.den):
+                exact /= (1 - lam) * Decimal(s) / (1 - lam * Decimal(s))
+            got = win.evaluate(s)
+            assert got != 0.0
+            assert abs((Decimal(got) - exact) / exact) <= Decimal("1e-12")
 
 
 @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])

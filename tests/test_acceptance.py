@@ -32,7 +32,6 @@ from krongambler.intertwine import (
     classical_ssd_1d,
     ehrenfest_dual_weights,
     ehrenfest_ergodic,
-    ehrenfest_pgf,
 )
 from krongambler.siegmund import win_prob_pi_route
 from krongambler.verify import diagonal_eigenvalue_check, geometric_convolution_pmf
@@ -213,8 +212,10 @@ def test_criterion_6_two_urn_closed_forms():
             worst_nu = max(worst_nu, float(np.max(np.abs(nu - route))))
             worst_sum = max(worst_sum, abs(float(nu.sum()) - 1.0))
             fund = expected_fund[m - 1] if m < n else 0.0
-            worst_e = max(worst_e, abs(ehrenfest_pgf(n, m).mean() - fund))
-    exact3 = abs(ehrenfest_pgf(3, 1).mean() - 3.0)
+            fill = pgf_two_sided(ssd, m)[0]
+            worst_e = max(worst_e, abs(fill.mean() - fund))
+    three_state, _ = classical_ssd_1d(ehrenfest_ergodic(3))
+    exact3 = abs(pgf_two_sided(three_state, 1)[0].mean() - 3.0)
     passed = (
         worst_nu < 1e-9 and worst_sum < 1e-12 and worst_e < 1e-8
         and exact3 < 1e-10

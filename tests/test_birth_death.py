@@ -279,6 +279,17 @@ def test_stationary_binomial_for_two_urn_walk():
         assert np.allclose(pi, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("m", [513, 1500])
+def test_stationary_of_a_long_walk(m):
+    # pi grows by p'/q' = 4 per state: the running product 4^512 overflows
+    # at M = 513, and at M = 1,500 the bottom of pi underflows
+    pi = bd_stationary(ErgodicBDSpec(M=m, p=(0.4,) * (m - 1), q=(0.1,) * (m - 1)))
+    assert np.all(np.isfinite(pi)) and abs(pi.sum() - 1.0) <= 1e-12
+    normal = pi[:-1] >= np.finfo(float).tiny
+    assert np.count_nonzero(normal) >= 500
+    assert np.max(np.abs(pi[1:][normal] / pi[:-1][normal] - 4.0)) <= 4e-12
+
+
 def test_stationary_solves_balance_equations():
     rng = np.random.default_rng(3)
     for _ in range(30):

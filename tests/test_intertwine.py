@@ -1,5 +1,6 @@
 import pathlib
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from krongambler import (
     build_game,
     classical_ssd_1d,
     dual_initial,
+    pgf_two_sided,
     preset_r_of_d,
     spectral_link_1d,
 )
@@ -27,7 +29,6 @@ from krongambler.errors import LinkPrecisionError
 from krongambler.intertwine import (
     ehrenfest_dual_weights,
     ehrenfest_ergodic,
-    ehrenfest_pgf,
     spectral_polynomials,
 )
 from krongambler.specfile import load_spec, parse_spec
@@ -47,6 +48,7 @@ from conftest import (
     rand_bd,
     rand_ergodic,
     rand_game,
+    two_urn_mixture_pgf,
 )
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
@@ -457,10 +459,15 @@ def test_two_urn_classical_link_closed_form():
                 assert abs(link[i - 1, j - 1] - expected) < 1e-12
 
 
+def two_urn_pgf(n: int, m: int):
+    """Fill's pgf of the two-urn dual's time to the top from state m."""
+    return pgf_two_sided(classical_ssd_1d(ehrenfest_ergodic(n))[0], m)[0]
+
+
 def test_two_urn_dual_weights_and_expectations():
     assert np.allclose(ehrenfest_dual_weights(3, 1), [1.0, 0.0, 0.0],
                        atol=1e-14)
-    assert abs(ehrenfest_pgf(3, 1).mean() - 3.0) < 1e-12
+    assert abs(two_urn_pgf(3, 1).mean() - 3.0) < 1e-12
 
     assert np.allclose(ehrenfest_dual_weights(3, 2), [-1 / 3, 4 / 3, 0.0],
                        atol=1e-12)
@@ -468,8 +475,8 @@ def test_two_urn_dual_weights_and_expectations():
         for m in range(1, n + 1):
             nu = ehrenfest_dual_weights(n, m)
             assert abs(nu.sum() - 1.0) < 1e-12
-            # the dual has no ruin: the signed mixture carries mass 1
-            assert abs(ehrenfest_pgf(n, m).mass() - 1.0) < 1e-12
+            # the dual has no ruin: its time law carries mass 1
+            assert abs(two_urn_pgf(n, m).mass() - 1.0) < 1e-12
             assert np.max(
                 np.abs(nu - ehrenfest_dual_weights_link_route(n, m))
             ) < 1e-9
@@ -493,3 +500,51 @@ def test_two_urn_spectral_link_matches_link_route():
         direct = spectral_link_1d(ssd)
         route = ehrenfest_binomial_link(n) @ np.linalg.inv(link_classical)
         assert np.max(np.abs(direct - route)) < 1e-9
+
+
+def test_two_urn_mixture_matches_fill_ratio():
+    # the paper's signed mixture against Fill's ratio on the classical dual:
+    # the two agree to 2.2e-10 relative at n <= 25, the mixture's
+    # cancellation grows past that (9.0e-9 at n = 30, 6.8e-6 at n = 40)
+    worst = 0.0
+    for n in range(3, 26):
+        ssd, _ = classical_ssd_1d(ehrenfest_ergodic(n))
+        for m in range(1, n + 1):
+            fill = pgf_two_sided(ssd, m)[0]
+            mixture = two_urn_mixture_pgf(n, m)
+            pairs = [(fill.evaluate(s), mixture.evaluate(s))
+                     for s in (0.5, 0.9, 1.0)]
+            for kept, reference in pairs + [(fill.mean(), mixture.mean())]:
+                gap = abs(kept - reference)
+                worst = max(worst, gap / abs(kept) if gap else 0.0)
+    assert worst <= 1e-9, worst
+
+
+@pytest.mark.parametrize("n, tol", [(30, 1e-12), (60, 1e-12), (200, 1e-12),
+                                    (1000, 1e-11), (1100, 1e-11)])
+def test_two_urn_expected_time_matches_fundamental_solve(n, tol):
+    # the classical dual builds past n = 1,030, where the walk's stationary
+    # products overflow, and Fill's mean from the middle start matches a
+    # dense solve of (I - Q) h = 1 on the same dual
+    ssd, _ = classical_ssd_1d(ehrenfest_ergodic(n))
+    q_block = bd_restricted(ssd)[:-1, :-1]
+    fund = np.linalg.solve(np.eye(n - 1) - q_block, np.ones(n - 1))
+    m = n // 2
+    assert abs(two_urn_pgf(n, m).mean() - fund[m - 1]) <= tol * fund[m - 1]
+
+
+def test_classical_dual_of_a_long_walk():
+    # p' = 0.4, q' = 0.1 on 1,500 states: pi grows by 4 per state, so the
+    # cumulative masses H(i) = pi(1) (4^i - 1) / 3 underflow at the bottom;
+    # the dual's rates are q' H(i+1) / H(i) and p' H(i-1) / H(i), here in
+    # exact integer ratios
+    m = 1500
+    spec, link = classical_ssd_1d(
+        ErgodicBDSpec(M=m, p=(0.4,) * (m - 1), q=(0.1,) * (m - 1))
+    )
+    for i in range(1, m):
+        up = 0.1 * float(Fraction(4 ** (i + 1) - 1, 4**i - 1))
+        down = 0.4 * float(Fraction(4 ** (i - 1) - 1, 4**i - 1))
+        assert abs(spec.p[i - 1] - up) <= 1e-12 * up
+        assert abs(spec.q[i - 1] - down) <= 1e-12 * down
+    assert np.all(np.isfinite(link)) and np.allclose(link.sum(axis=1), 1.0)
