@@ -41,12 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
 
-from .birth_death import (
-    BirthDeathSpec,
-    bd_eigenvalues,
-    bd_win_prob,
-    tridiag_block_eigs,
-)
+from .birth_death import BirthDeathSpec, _sym_tridiag_eigs, bd_win_prob
 from .errors import HorizonError, SpecError
 from .game import AbsorbingChain, linear_index, start_vector
 from .pgf import GeometricProductPgf
@@ -61,6 +56,19 @@ BLOCK_STEPS = 64
 TINY = np.finfo(float).tiny
 
 
+def _block_rates(spec: BirthDeathSpec, lo: int, hi: int) -> tuple:
+    """Eigenvalues of I - Q on the transient states {lo..hi}: the rates 1 - lam.
+
+    The block has diagonal p + q and off-diagonals -p, -q, so it is
+    similar to the symmetric one with off-diagonal sqrt(p q). Solved as
+    such, a small rate keeps the digits that 1 - lam loses near lam = 1.
+    """
+    if hi < lo:
+        return ()
+    p, q = np.array(spec.p[lo - 1 : hi]), np.array(spec.q[lo - 1 : hi])
+    return tuple(_sym_tridiag_eigs(p + q, p[:-1], q[1:]))
+
+
 def pgf_two_sided(spec: BirthDeathSpec, start: int) -> tuple:
     """(win, lose) pgfs of the absorption time from a state 1..N.
 
@@ -70,16 +78,17 @@ def pgf_two_sided(spec: BirthDeathSpec, start: int) -> tuple:
     with q(1) = 0 has rho = 1, so the lose law is 0 and the win law is
     Keilson's product of geometric factors at start 1 (no block below) and
     Fill's interior-start ratio elsewhere. At start N the factors cancel
-    to the laws 1 and 0.
+    to the laws 1 and 0. Each factor's rate is an eigenvalue of a block of
+    I - Q (``_block_rates``), never 1 minus an eigenvalue of Q.
     """
     try:
         linear_index((spec.N,), (start,))
     except IndexError:
         raise SpecError(f"start must be a state 1..{spec.N}, got {start!r}") from None
     rho = float(bd_win_prob(spec)[start - 1])
-    full = tuple(bd_eigenvalues(spec)[:-1])
-    lower = tuple(tridiag_block_eigs(spec, 1, start - 1))
-    upper = tuple(tridiag_block_eigs(spec, start + 1, spec.N - 1))
+    full = _block_rates(spec, 1, spec.N - 1)
+    lower = _block_rates(spec, 1, start - 1)
+    upper = _block_rates(spec, start + 1, spec.N - 1)
     win = GeometricProductPgf(scale=rho, num=full, den=lower)
     lose = GeometricProductPgf(scale=1.0 - rho, num=full, den=upper)
     return win, lose

@@ -2,10 +2,12 @@
 
 For each one-dimensional component, stacking the first rows of normalized
 spectral polynomials of its restricted matrix gives a lower-triangular link
-whose Kronecker product intertwines the multidimensional game with a
-pure-birth chain on the same lattice. Absorption of the game at the win
-corner then has the same (suitably weighted) law as absorption of the
-pure-birth chain, which is cheap to analyze.
+(:func:`spectral_link_1d`, one row recurrence; the full polynomial
+matrices are never formed) whose Kronecker product intertwines the
+multidimensional game with a pure-birth chain on the same lattice.
+Absorption of the game at the win corner then has the same (suitably
+weighted) law as absorption of the pure-birth chain, which is cheap to
+analyze.
 
 :func:`build_dual` gates the per-dimension link identities, then
 assembles the dual once, as a CSR Kronecker mixture of bidiagonal bands
@@ -77,38 +79,22 @@ def _checked_eigenvalues(spec: BirthDeathSpec) -> np.ndarray:
     return lam
 
 
-def _spectral_recurrence(spec: BirthDeathSpec, q: np.ndarray) -> list:
-    """[q Q_1, .., q Q_N] for Q_1 = I, Q_{k+1} = Q_k (P' - lam_k I) / (1 - lam_k).
+def spectral_link_1d(spec: BirthDeathSpec) -> np.ndarray:
+    """Lower-triangular link with rows Q_k(1, .) of the spectral polynomials.
 
-    Eigenvalues are taken in ascending order; ``q`` is a row vector or a
-    matrix multiplying from the left.
+    Row 1 is e_1 and row k+1 is row k times (P' - lam_k I) / (1 - lam_k),
+    the eigenvalues taken in ascending order: only first rows of the
+    normalized polynomials Q_k are formed. Row k is supported on columns
+    1..k, the (1,1) entry is 1, and the (N,N) entry is the winning
+    probability from state 1.
     """
     lam = _checked_eigenvalues(spec)
     p_res = bd_restricted(spec)
     eye = np.eye(spec.N)
-    out = [q]
-    for k in range(1, spec.N):
-        q = q @ (p_res - lam[k - 1] * eye) / (1.0 - lam[k - 1])
-        out.append(q)
-    return out
-
-
-def spectral_link_1d(spec: BirthDeathSpec) -> np.ndarray:
-    """Lower-triangular link with rows Q_k(1, .) of the spectral polynomials.
-
-    Only first rows are materialized. Row k is supported on columns 1..k,
-    the (1,1) entry is 1, and the (N,N) entry is the winning probability
-    from state 1.
-    """
-    return np.array(_spectral_recurrence(spec, np.eye(spec.N)[0]))
-
-
-def spectral_polynomials(spec: BirthDeathSpec) -> list:
-    """Full normalized spectral polynomial matrices Q_1 .. Q_N.
-
-    Materialized only for verification; the link itself needs first rows.
-    """
-    return _spectral_recurrence(spec, np.eye(spec.N))
+    rows = [eye[0]]
+    for lam_k in lam[:-1]:
+        rows.append(rows[-1] @ (p_res - lam_k * eye) / (1.0 - lam_k))
+    return np.array(rows)
 
 
 def _birth_band(lam: np.ndarray) -> tuple:
@@ -254,7 +240,13 @@ def ehrenfest_ergodic(n: int) -> ErgodicBDSpec:
 
 
 def ehrenfest_dual_weights(n: int, m: int) -> np.ndarray:
-    """Closed-form start weights of the pure-birth dual for start state m."""
+    """Closed-form start weights of the pure-birth dual for start state m.
+
+    Weight j <= m is (-1)^(m+j) 2^(j-1) (m-j+1) C(n-1, m) C(m, j-1) over
+    (n-j) sum_{k<m} C(n-1, k). Numerator and denominator are exact
+    integers, divided once, so each weight is correctly rounded; a weight
+    past the float range raises SpecError.
+    """
     try:
         linear_index((n,), (m,))
     except IndexError:
@@ -266,13 +258,13 @@ def ehrenfest_dual_weights(n: int, m: int) -> np.ndarray:
         nu[n - 1] = 1.0
         return nu
     denom = sum(comb(n - 1, k) for k in range(m))
-    for j in range(1, m + 1):
-        nu[j - 1] = (
-            2.0 ** (j - 1)
-            * (-1.0) ** (m + j)
-            * (m - j + 1)
-            * comb(n - 1, m)
-            * comb(m, j - 1)
-        ) / ((n - j) * denom)
+    top = comb(n - 1, m)
+    try:
+        for j in range(1, m + 1):
+            num = 2 ** (j - 1) * (m - j + 1) * top * comb(m, j - 1)
+            nu[j - 1] = (-1) ** (m + j) * num / ((n - j) * denom)
+    except OverflowError:
+        raise SpecError(
+            f"two-urn dual weights for n={n}, m={m} exceed the float range"
+        ) from None
     return nu
-

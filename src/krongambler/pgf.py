@@ -21,28 +21,27 @@ from .linalg import resolvent
 _SINGULARITY_TOL = 1e-14
 
 
-def _log_factor(lam, s: float) -> tuple:
-    """log|prod over lam of (1-lam) / (1-lam s)| and its count of negative terms.
+def _log_factor(rates, s: float) -> tuple:
+    """log|prod of mu / (1 - s + mu s)| over the rates mu, and its sign.
 
-    Each log|1 - x| is a log1p (past x = 1, the log of x - 1), so the sum
-    stays finite where a long chain's product underflows.
+    The sign is a count of negative terms. The product is summed as logs,
+    so it stays finite where a long chain's product underflows.
     """
-    x = np.array([lam, np.multiply(lam, s)], dtype=float)
-    if np.min(np.abs(1.0 - x[1]), initial=1.0) < _SINGULARITY_TOL:
+    mu = np.asarray(rates, dtype=float)
+    x = np.array([mu, (1.0 - s) + mu * s])
+    if np.min(np.abs(x[1]), initial=1.0) < _SINGULARITY_TOL:
         raise ValueError(f"pgf evaluated at a pole, s={s}")
-    above = x > 1.0
-    logs = np.empty_like(x)
-    np.log1p(-x, out=logs, where=~above)
-    np.log(x - 1.0, out=logs, where=above)
-    return float(np.sum(logs[0] - logs[1])), int(np.count_nonzero(above))
+    logs = np.log(np.abs(x))
+    return float(np.sum(logs[0] - logs[1])), int(np.count_nonzero(x < 0.0))
 
 
 @dataclass(frozen=True)
 class GeometricProductPgf:
     """scale * prod of geometric factors over num, divided by those over den.
 
-    Each factor (1-lam) s / (1-lam s) is the pgf of a geometric waiting time
-    with success probability 1-lam. Evaluable wherever no factor has a pole.
+    ``num`` and ``den`` hold rates: each factor mu s / (1 - s + mu s) is the
+    pgf of a geometric waiting time with success probability mu. Evaluable
+    wherever no factor has a pole.
     """
 
     scale: float
@@ -70,14 +69,9 @@ class GeometricProductPgf:
 
     def mean(self) -> float:
         """Partial expectation sum(t * pmf(t)), i.e. the derivative at s=1."""
-        num = np.asarray(self.num, dtype=float)
-        den = np.asarray(self.den, dtype=float)
-        acc = 0.0
-        if num.size:
-            acc += float(np.sum(1.0 / (1.0 - num)))
-        if den.size:
-            acc -= float(np.sum(1.0 / (1.0 - den)))
-        return self.scale * acc
+        num = np.sum(1.0 / np.asarray(self.num, dtype=float))
+        den = np.sum(1.0 / np.asarray(self.den, dtype=float))
+        return self.scale * float(num - den)
 
 
 @dataclass(frozen=True, eq=False)

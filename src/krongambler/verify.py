@@ -19,8 +19,6 @@ win_prob_pi_route                   stationary law of P_x (one linear solve),   
 intertwining                        global L P' = P_hat L on the built game (the  1e-10
                                     build checks each dimension)
 pure_birth_rows                     every dual row sums to 1                      1e-12
-spectral_polynomials_substochastic  full matrices Q_k are substochastic (the      1e-10
-                                    link uses first rows)
 diagonal_eigenvalues                sorted eigenvalues of P' (an eigensolve of    1e-9
                                     each strongly connected block of P') =
                                     sorted dual diagonal; imaginary parts count
@@ -44,6 +42,10 @@ before it is built: past the triplet cap (``game.check_triplets``), then
 past ``linalg.MAX_ENTRIES`` entries of a dense kernel. Checks that do not
 apply to a spec (state weights, a game without a dual, games of more than
 one dimension for the factorization) are skipped rather than failed.
+
+The spectral link's rows are checked only through what they intertwine,
+the built game with its built dual: a wrong row fails the per-dimension
+gate (``dual_link``) or ``intertwining``.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .game import (
     kron_apply,
     lattice_point_mass,
 )
-from .intertwine import build_dual, dual_initial, spectral_polynomials
+from .intertwine import build_dual, dual_initial
 from .linalg import MAX_ENTRIES
 from .siegmund import (
     order_cols,
@@ -213,13 +215,6 @@ def run_checks(
     checks.append(
         _result("pure_birth_rows", np.max(np.abs(p_hat.sum(axis=1) - 1.0)), 1e-12)
     )
-    qk_resid = 0.0
-    for spec in game.dims:
-        for qk in spectral_polynomials(spec):
-            qk_resid = max(qk_resid, float(qk.sum(axis=1).max()) - 1.0)
-            qk_resid = max(qk_resid, -float(qk.min()))
-    checks.append(_result("spectral_polynomials_substochastic", qk_resid, 1e-10))
-
     checks.append(diagonal_eigenvalue_check(kernel, dual.matrix.diagonal()))
 
     nu_star = lattice_point_mass(dims, start)

@@ -129,6 +129,23 @@ def product_order(dims):
     return c, mobius
 
 
+def spectral_polynomial_matrices(spec):
+    """Full normalized spectral polynomial matrices Q_1 .. Q_N of a component.
+
+    Q_1 = I and Q_{k+1} = Q_k (P' - lam_k I) / (1 - lam_k), the eigenvalues
+    in ascending order, on the restricted matrix of :func:`loop_bd_matrix`.
+    The reference for ``intertwine.spectral_link_1d``, whose rows are the
+    first rows of these matrices.
+    """
+    lam = bd_eigenvalues(spec)
+    p_res = loop_bd_matrix(spec)[1:, 1:]
+    eye = np.eye(spec.N)
+    out = [eye]
+    for k in range(1, spec.N):
+        out.append(out[-1] @ (p_res - lam[k - 1] * eye) / (1.0 - lam[k - 1]))
+    return out
+
+
 def ehrenfest_binomial_link(n: int) -> np.ndarray:
     """Two-urn link with rows binom(i-1, j-1) / 2^(i-1)."""
     out = np.zeros((n, n))
@@ -189,7 +206,8 @@ def two_urn_mixture_pgf(n: int, m: int) -> SignedMixturePgf:
 
     A signed mixture, weighted by the closed-form dual start weights
     (``intertwine.ehrenfest_dual_weights``), of geometric-factor products
-    over the closed-form spectrum (k-1)/(n-1), k = j..n-1, for j = 1..m.
+    over the closed-form rates 1 - (k-1)/(n-1) = (n-k)/(n-1), k = j..n-1,
+    for j = 1..m.
     The reference for Fill's ratio on the classical dual,
     ``pgf_two_sided(classical_ssd_1d(ehrenfest_ergodic(n))[0], m)[0]``;
     its cancellation grows with n (about 1e-10 relative at n = 25).
@@ -197,7 +215,7 @@ def two_urn_mixture_pgf(n: int, m: int) -> SignedMixturePgf:
     nu = ehrenfest_dual_weights(n, m)
     parts = [
         GeometricProductPgf(
-            scale=1.0, num=tuple((k - 1.0) / (n - 1.0) for k in range(j, n))
+            scale=1.0, num=tuple((n - k) / (n - 1.0) for k in range(j, n))
         )
         for j in range(1, m + 1)
     ]

@@ -124,10 +124,10 @@ def test_two_sided_covers_ruin_free_chains_and_the_win_state():
         n = int(rng.integers(2, 8))
         spec = rand_bd(rng, n, q1_zero=True, budget=0.5)
         win, _ = pgf_two_sided(spec, 1)
-        assert win == GeometricProductPgf(
-            scale=1.0, num=tuple(bd_eigenvalues(spec)[:-1])
-        )
-        assert win.den == ()
+        # the rates are the eigenvalues of I - Q: 1 - lam, up to rounding
+        assert win.scale == 1.0 and win.den == ()
+        rates = np.sort(1.0 - bd_eigenvalues(spec)[:-1])
+        assert np.max(np.abs(np.sort(win.num) - rates)) <= 1e-15
         pmf = power_iteration_pmf(bd_restricted(spec), 0, n - 1, 400)
         for s in (0.3, 0.7, 0.95):
             series = float(np.polynomial.polynomial.polyval(s, pmf))
@@ -150,7 +150,7 @@ def test_two_sided_covers_ruin_free_chains_and_the_win_state():
 def test_two_sided_golden_closed_form():
     for p, q in [(0.3, 0.1), (0.25, 0.15)]:
         win, lose = pgf_two_sided(golden_spec(p, q), 2)
-        assert win.den == (1.0 - (p + q),)
+        assert win.den == (p + q,)
         for s in np.arange(0.1, 0.95, 0.1):
             assert abs(win.evaluate(s) - eq61_closed_form(p, q, s)) < 1e-13
         assert abs(win.mass() + lose.mass() - 1.0) < 1e-14
@@ -447,18 +447,18 @@ def test_geometric_product_at_zero_is_the_pmf_at_zero():
 def test_geometric_product_stays_finite_on_long_chains(n):
     # p = 0.3, q(1) = 0, q = 0.3 elsewhere, 200 states below the win: the
     # products of the factors underflow (0.0 at N = 700, 0/0 from N = 1,000),
-    # their logs do not; the reference is a 50-digit product of the same
-    # eigenvalues
+    # their logs do not; the reference is a 50-digit product over the same
+    # rates
     spec = BirthDeathSpec(N=n, p=(0.3,) * (n - 1), q=(0.0,) + (0.3,) * (n - 2))
     win = pgf_two_sided(spec, n - 200)[0]
     for s in (-0.5, 0.5, 0.9):
         with localcontext() as ctx:
             ctx.prec = 50
             exact = Decimal(win.scale)
-            for lam in map(Decimal, win.num):
-                exact *= (1 - lam) * Decimal(s) / (1 - lam * Decimal(s))
-            for lam in map(Decimal, win.den):
-                exact /= (1 - lam) * Decimal(s) / (1 - lam * Decimal(s))
+            for mu in map(Decimal, win.num):
+                exact *= mu * Decimal(s) / (1 - Decimal(s) + mu * Decimal(s))
+            for mu in map(Decimal, win.den):
+                exact /= mu * Decimal(s) / (1 - Decimal(s) + mu * Decimal(s))
             got = win.evaluate(s)
             assert got != 0.0
             assert abs((Decimal(got) - exact) / exact) <= Decimal("1e-12")

@@ -71,7 +71,7 @@ def test_criterion_1_golden_one_dim_pgf():
         assert np.max(np.abs(weights - expected_weights)) < 1e-12
         mixed = link.iso_value * absorb_dist(dual, weights).pmf
         ratio_win, _ = pgf_two_sided(spec, 2)
-        assert ratio_win.den == (1.0 - (p + q),)
+        assert ratio_win.den == (p + q,)
         root = np.sqrt(p * q)
         for s in np.arange(0.1, 0.95, 0.1):
             closed = (

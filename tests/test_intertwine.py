@@ -1,6 +1,7 @@
 import pathlib
 import warnings
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -26,14 +27,11 @@ from krongambler import (
 )
 from krongambler.birth_death import bd_restricted
 from krongambler.errors import LinkPrecisionError
-from krongambler.intertwine import (
-    ehrenfest_dual_weights,
-    ehrenfest_ergodic,
-    spectral_polynomials,
-)
+from krongambler.intertwine import ehrenfest_dual_weights, ehrenfest_ergodic
 from krongambler.specfile import load_spec, parse_spec
 from krongambler.verify import diagonal_eigenvalue_check
 
+from exact import rel_error
 from conftest import (
     dense_mixture,
     direct_dual_kernel,
@@ -48,6 +46,7 @@ from conftest import (
     rand_bd,
     rand_ergodic,
     rand_game,
+    spectral_polynomial_matrices,
     two_urn_mixture_pgf,
 )
 
@@ -141,9 +140,14 @@ def test_spectral_polynomials_substochastic():
     for _ in range(20):
         spec = rand_bd(rng, int(rng.integers(2, 6)), budget=0.4,
                        q1_zero=bool(rng.integers(2)))
-        for qk in spectral_polynomials(spec):
+        matrices = spectral_polynomial_matrices(spec)
+        for qk in matrices:
             assert qk.min() > -1e-10
             assert qk.sum(axis=1).max() < 1.0 + 1e-10
+        # the link keeps the first rows; a vector and a matrix product
+        # round differently, so the two agree to rounding, not bit for bit
+        first_rows = np.array([qk[0] for qk in matrices])
+        assert np.max(np.abs(first_rows - spectral_link_1d(spec))) <= 1e-14
 
 
 def test_dual_one_dimensional_form():
@@ -445,8 +449,6 @@ def test_classical_dual_rejects_non_monotone():
 
 
 def test_two_urn_classical_link_closed_form():
-    from math import comb
-
     for n in (3, 5, 8):
         _, link = classical_ssd_1d(ehrenfest_ergodic(n))
         for i in range(1, n + 1):
@@ -485,6 +487,35 @@ def test_two_urn_dual_weights_and_expectations():
     for m in (0, 4, 1.5, 2.0):
         with pytest.raises(SpecError, match=r"start must lie in 1..3"):
             ehrenfest_dual_weights(3, m)
+
+
+def exact_two_urn_weights(n: int, m: int) -> list:
+    """The two-urn dual start weights as Fractions, by the link route.
+
+    Row m of the classical link, C(n-1, i-1) / sum_{r<m} C(n-1, r) for
+    i <= m, times the inverse binomial link, (-1)^(i-j) 2^(j-1) C(i-1, j-1).
+    """
+    total = sum(comb(n - 1, r) for r in range(m))
+    return [
+        Fraction(2 ** (j - 1) * sum((-1) ** (i - j) * comb(n - 1, i - 1)
+                                    * comb(i - 1, j - 1)
+                                    for i in range(j, m + 1)), total)
+        for j in range(1, n + 1)
+    ]
+
+
+def test_two_urn_dual_weights_are_correctly_rounded_in_float_range():
+    # from n = 574 the middle start's weights pass 1e133: they are one exact
+    # integer ratio each, finite up to n = 1,300 and refused past that
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n in (30, 574):
+            got = ehrenfest_dual_weights(n, n // 2)
+            want = exact_two_urn_weights(n, n // 2)
+            assert max(map(rel_error, got, want)) <= 4e-16
+        assert np.all(np.isfinite(ehrenfest_dual_weights(1300, 650)))
+        with pytest.raises(SpecError, match="n=1400, m=700"):
+            ehrenfest_dual_weights(1400, 700)
 
 
 def test_two_urn_binomial_link_inverse_is_exact():

@@ -13,13 +13,17 @@ from krongambler import (
     preset_r_of_d,
     verify,
 )
-from krongambler import birth_death, linalg
+from krongambler import birth_death, intertwine, linalg
 from krongambler.intertwine import SpectralLink
 from krongambler.siegmund import reconstruct_primal, stationary_of
 from krongambler.specfile import load_spec
 from krongambler.verify import diagonal_eigenvalue_check, run_checks
 
 from conftest import dual_safe_budget, rand_bd, rand_game
+
+# a valid 12-state component: its intertwining residual is 3.3e-11, and its
+# full spectral polynomial matrices, in double precision, round past 1e-10
+VERIFY_N12 = pathlib.Path(__file__).parent / "data" / "verify_n12.json"
 
 
 def test_full_suite_on_valid_game():
@@ -30,6 +34,45 @@ def test_full_suite_on_valid_game():
     names = [c.name for c in checks]
     assert "intertwining" in names
     assert "diagonal_eigenvalues" in names
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["alone", "paired"])
+def test_twelve_state_component_passes_every_entry(paired):
+    spec = load_spec(str(VERIFY_N12)).game.dims[0]
+    dims = [spec, BirthDeathSpec(N=2, p=(0.1,), q=(0.05,))] if paired else [spec]
+    checks = run_checks(preset_r_of_d(dims, len(dims)))
+    assert [c.name for c in checks if not c.passed] == []
+    assert checks[-1].name == "distribution_equality"
+
+
+def scale_row(link):
+    link[2] *= 1.0 + 1e-8
+
+
+def nudge_entry(link):
+    link[2, 1] += 1e-8
+
+
+def swap_rows(link):
+    link[[1, 2]] = link[[2, 1]]
+
+
+@pytest.mark.parametrize("mutate", [scale_row, nudge_entry, swap_rows])
+def test_mutated_link_rows_fail_dual_link(monkeypatch, mutate):
+    # the link is checked through what it intertwines: build_dual's
+    # per-dimension gate refuses a wrong row before the dual exists
+    game = load_spec(str(VERIFY_N12)).game
+    exact = intertwine.spectral_link_1d
+
+    def mutated(spec):
+        link = exact(spec)
+        mutate(link)
+        return link
+
+    monkeypatch.setattr(intertwine, "spectral_link_1d", mutated)
+    entry = run_checks(game)[-1]
+    assert entry.name == "dual_link" and not entry.passed, entry
+    assert "intertwining residual" in entry.detail
 
 
 def test_matrix_coefficient_games_skip_dual_checks():
