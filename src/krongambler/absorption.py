@@ -62,9 +62,8 @@ def _block_rates(spec: BirthDeathSpec, lo: int, hi: int) -> tuple:
     The block has diagonal p + q and off-diagonals -p, -q, so it is
     similar to the symmetric one with off-diagonal sqrt(p q). Solved as
     such, a small rate keeps the digits that 1 - lam loses near lam = 1.
+    An empty block (hi < lo) has none.
     """
-    if hi < lo:
-        return ()
     p, q = np.array(spec.p[lo - 1 : hi]), np.array(spec.q[lo - 1 : hi])
     return tuple(_sym_tridiag_eigs(p + q, p[:-1], q[1:]))
 

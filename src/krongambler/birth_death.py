@@ -75,8 +75,13 @@ class BirthDeathSpec:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Read-only :func:`bd_eigenvalues`, solved once per spec."""
-        eigenvalues = np.append(tridiag_block_eigs(self, 1, self.N - 1), 1.0)
+        """Read-only :func:`bd_eigenvalues`, solved once per spec.
+
+        The strict transient block on {1..N-1} is symmetrizable because its
+        products p(i) q(i+1) are positive; the win state adds the 1.
+        """
+        block = _sym_tridiag_eigs(*(a[:-1] for a in self.band))
+        eigenvalues = np.append(block, 1.0)
         eigenvalues.flags.writeable = False
         return eigenvalues
 
@@ -154,23 +159,11 @@ def _sym_tridiag_eigs(diag, upper, lower) -> np.ndarray:
 
     Positive products upper[i] * lower[i] make it similar, through a
     diagonal scaling, to the symmetric tridiagonal matrix with off-diagonal
-    sqrt(upper * lower), so the spectrum is real.
+    sqrt(upper * lower), so the spectrum is real. An empty matrix has none.
     """
-    return eigvalsh_tridiagonal(diag, np.sqrt(np.multiply(upper, lower)))
-
-
-def tridiag_block_eigs(spec: BirthDeathSpec, lo: int, hi: int) -> np.ndarray:
-    """Ascending eigenvalues of the strict transient block on states {lo..hi}.
-
-    The block is symmetrizable because the interior products p(i)q(i+1) are
-    positive.
-    """
-    if hi < lo:
+    if len(diag) == 0:
         return np.empty(0)
-    diag, upper, lower = spec.band
-    return _sym_tridiag_eigs(
-        diag[lo - 1 : hi], upper[lo - 1 : hi - 1], lower[lo - 1 : hi - 1]
-    )
+    return eigvalsh_tridiagonal(diag, np.sqrt(np.multiply(upper, lower)))
 
 
 def bd_eigenvalues(spec: BirthDeathSpec) -> np.ndarray:

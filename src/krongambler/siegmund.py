@@ -8,8 +8,10 @@ which are exact on integers, one axis at a time by
 :func:`krongambler.game.kron_apply`. Conjugating with C turns absorption
 probabilities of the game chain into the stationary distribution of an
 ergodic partner chain, which is what makes the product formula for winning
-probabilities checkable by three independent routes. The partner routes
-take the game's kernel as a dense array, which only ``verify`` makes.
+probabilities checkable by three independent routes: the product formula,
+the fundamental-matrix solve and the partner's stationary law (the pi
+route). ``verify`` runs the first two and checks the partner itself.
+The partner routes take the game's kernel as a dense array.
 """
 
 from __future__ import annotations

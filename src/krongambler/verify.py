@@ -14,8 +14,6 @@ mobius_monotone                     ergodic partner P_x = C P'^T C^-1 has no    
                                     entry below 0
 stationary_product                  product of 1-D stationary laws diff(rho_j)    1e-10
                                     is stationary for P_x
-win_prob_pi_route                   stationary law of P_x (one linear solve),     1e-9
-                                    accumulated through C, = the solve
 intertwining                        global L P' = P_hat L on the built game (the  1e-10
                                     build checks each dimension)
 pure_birth_rows                     every dual row sums to 1                      1e-12
@@ -32,7 +30,8 @@ Build-time invariants (substochastic kernel, one communication class, a
 nonnegative dual, per-dimension links, the link's isolated win corner) are
 enforced by ``build_game`` and ``build_dual``, which raise; they show up
 here only as a failed ``build``, ``dual_nonnegative`` or ``dual_link``
-entry: ``dual_nonnegative`` for a negative dual entry, ``dual_link`` for
+entry (a built dual adds ``dual_nonnegative`` as passed):
+``dual_nonnegative`` for a negative dual entry, ``dual_link`` for
 a component outside the spectral link's reach (``MonotonicityError``,
 ``DegenerateSpectrumError``, or ``LinkPrecisionError`` past double
 precision). ``verify`` is the one command that makes the kernel and the
@@ -41,11 +40,18 @@ dual dense (the link is applied one factor per lattice axis): one
 before it is built: past the triplet cap (``game.check_triplets``), then
 past ``linalg.MAX_ENTRIES`` entries of a dense kernel. Checks that do not
 apply to a spec (state weights, a game without a dual, games of more than
-one dimension for the factorization) are skipped rather than failed.
+one dimension for the factorization) are skipped rather than failed. A
+power iteration that raises (transient mass left at its step cap, or a
+clearly negative mixture pmf) fails the entry that reads it, with the
+message as its detail.
 
 The spectral link's rows are checked only through what they intertwine,
 the built game with its built dual: a wrong row fails the per-dimension
 gate (``dual_link``) or ``intertwining``.
+
+The Siegmund partner is checked by ``mobius_monotone`` and
+``stationary_product``. Its accumulated stationary law equals the solve
+for every kernel (``siegmund.win_prob_pi_route``), so it is not compared.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from .absorption import absorb_dist
 from .birth_death import bd_eigenvalues, bd_win_prob
 from .errors import (
     DegenerateSpectrumError,
+    HorizonError,
     LinkPrecisionError,
     MonotonicityError,
     SizeError,
@@ -75,13 +82,7 @@ from .game import (
 )
 from .intertwine import build_dual, dual_initial
 from .linalg import MAX_ENTRIES
-from .siegmund import (
-    order_cols,
-    reconstruct_primal,
-    stationary_of,
-    win_prob_product,
-    win_prob_solve,
-)
+from .siegmund import reconstruct_primal, win_prob_product, win_prob_solve
 
 #: Bound on the distance between the sorted spectrum of the game's kernel
 #: and the sorted dual diagonal; honest games stay near 1e-14.
@@ -189,11 +190,6 @@ def run_checks(
         _result("stationary_product",
                 np.max(np.abs(pi_kron @ primal - pi_kron)), 1e-10)
     )
-    pi = stationary_of(primal)
-    checks.append(
-        _result("win_prob_pi_route",
-                np.max(np.abs(order_cols(pi, dims) - rho_solve)), 1e-9)
-    )
 
     if not game.scalar_coeffs:
         return checks
@@ -219,34 +215,35 @@ def run_checks(
 
     nu_star = lattice_point_mass(dims, start)
     weights = dual_initial(link, nu_star)
-    direct = absorb_dist(chain, nu_star, eps=eps)
-    try:
+
+    def distribution_gap():
+        direct = absorb_dist(chain, nu_star, eps=eps).pmf
         mixed = link.iso_value * absorb_dist(dual, weights, eps=eps).pmf
-    except SpecError as exc:
-        checks.append(
-            CheckResult("distribution_equality", False, None, str(exc))
-        )
-    else:
         # the dual law, cut or padded with zeros to the game's horizon
-        mixed = np.pad(mixed, (0, len(direct.pmf)))[: len(direct.pmf)]
-        checks.append(_result("distribution_equality",
-                              np.max(np.abs(mixed - direct.pmf)), 1e-9))
+        mixed = np.pad(mixed, (0, len(direct)))[: len(direct)]
+        return np.max(np.abs(mixed - direct))
+
+    checks.append(_law_entry("distribution_equality", 1e-9, distribution_gap))
 
     if game.d == 1 and not game.dims[0].sink_reachable:
-        # the factorization law concerns the time from the bottom state
-        spec = game.dims[0]
-        lam = bd_eigenvalues(spec)[:-1]
-        bottom = lattice_point_mass(dims, (1,))
-        dist = absorb_dist(chain, bottom, eps=eps)
-        conv = geometric_convolution_pmf(1.0 - lam, len(dist.pmf) - 1)
-        checks.append(
-            _result(
-                "keilson_factorization",
-                np.max(np.abs(conv - dist.pmf)),
-                1e-10,
-            )
-        )
+        def keilson_gap():
+            # the factorization law concerns the time from the bottom state
+            lam = bd_eigenvalues(game.dims[0])[:-1]
+            dist = absorb_dist(chain, lattice_point_mass(dims, (1,)), eps=eps)
+            conv = geometric_convolution_pmf(1.0 - lam, len(dist.pmf) - 1)
+            return np.max(np.abs(conv - dist.pmf))
+
+        checks.append(_law_entry("keilson_factorization", 1e-10, keilson_gap))
     return checks
+
+
+def _law_entry(name: str, tol: float, gap) -> CheckResult:
+    """The entry ``name`` for ``gap()``; an ``absorb_dist`` that raises fails it."""
+    try:
+        residual = gap()
+    except (SpecError, HorizonError) as exc:
+        return CheckResult(name, False, None, str(exc))
+    return _result(name, residual, tol)
 
 
 def geometric_convolution_pmf(rates, horizon: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from krongambler import cli, intertwine, pgf, verify
+from krongambler import absorption, cli, intertwine, pgf, verify
 from krongambler.cli import main
 from krongambler.absorption import absorb_dist
 from krongambler.game import build_game, lattice_point_mass
@@ -371,6 +371,25 @@ def test_verify_reports_a_failed_build(capsys):
         "name": "build", "pass": False, "residual": None,
         "detail": "transient states split into several classes",
     }]}
+
+
+def test_verify_reports_a_power_iteration_at_its_cap(capsys, monkeypatch):
+    # a slow 9-state chain leaves transient mass at the step cap (at the
+    # default cap of 10^6 steps too): that entry fails, every entry is
+    # printed, exit 1
+    monkeypatch.setattr(absorption, "MAX_HORIZON", 1000)
+    code, out, err = run_cli(capsys, ["verify", str(DATA / "verify_slow.json")])
+    assert code == 1 and err == ""
+    checks = json.loads(out, parse_constant=refuse_constant)["checks"]
+    assert [c["name"] for c in checks] == [
+        "win_prob_product_vs_solve", "mobius_monotone", "stationary_product",
+        "dual_nonnegative", "intertwining", "pure_birth_rows",
+        "diagonal_eigenvalues", "distribution_equality",
+    ]
+    failed = [c for c in checks if not c["pass"]]
+    assert [c["name"] for c in failed] == ["distribution_equality"]
+    assert failed[0]["residual"] is None
+    assert "transient mass" in failed[0]["detail"]
 
 
 def test_malformed_start_flag_exits_two(tmp_path, capsys):

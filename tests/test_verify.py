@@ -13,7 +13,7 @@ from krongambler import (
     preset_r_of_d,
     verify,
 )
-from krongambler import birth_death, intertwine, linalg
+from krongambler import absorption, birth_death, intertwine, linalg
 from krongambler.intertwine import SpectralLink
 from krongambler.siegmund import reconstruct_primal, stationary_of
 from krongambler.specfile import load_spec
@@ -136,6 +136,33 @@ def test_dual_law_error_is_a_failed_entry(monkeypatch):
     entry = by_name["distribution_equality"]
     assert not entry.passed
     assert "inconsistent weights" in entry.detail
+
+
+def test_power_iteration_at_its_cap_fails_its_entries(monkeypatch):
+    # both laws of a 1-D chain without ruin leave transient mass at a cap
+    # of 10 steps: each entry that reads one fails, and the suite goes on
+    monkeypatch.setattr(absorption, "MAX_HORIZON", 10)
+    spec = BirthDeathSpec(N=4, p=(0.3, 0.25, 0.3), q=(0.0, 0.1, 0.1))
+    checks = run_checks(preset_r_of_d([spec], 1))
+    failed = [c for c in checks if not c.passed]
+    assert [c.name for c in failed] == ["distribution_equality",
+                                        "keilson_factorization"]
+    for entry in failed:
+        assert entry.residual is None
+        assert "transient mass" in entry.detail, entry
+
+
+def test_entry_names_are_the_docstring_table_rows():
+    lines = verify.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("=====")]
+    rows = [line.split()[0] for line in lines[rules[1] + 1 : rules[2]]
+            if line[:1].strip()]
+    spec = pathlib.Path(__file__).parent / "data" / "cli_corpus" / "d3_r2.json"
+    names = [c.name for c in run_checks(load_spec(str(spec)).game)]
+    # the build-time gate's entry, passed once the dual is built
+    names.remove("dual_nonnegative")
+    # the factorization concerns 1-D games only
+    assert names == [row for row in rows if row != "keilson_factorization"]
 
 
 def test_char_poly_residual_detects_wrong_values():
@@ -264,12 +291,12 @@ def test_run_checks_factors_and_solves_each_spectrum_once(monkeypatch):
     assert eig_calls == [1, 2, 1]
 
 
-def test_perturbed_partner_fails_pi_route(monkeypatch):
+def test_perturbed_partner_fails_stationary_product(monkeypatch):
     rng = np.random.default_rng(62)
     dims = [rand_bd(rng, 3, budget=0.2), rand_bd(rng, 4, budget=0.2)]
     game = preset_r_of_d(dims, 1)
     by_name = {c.name: c for c in run_checks(game)}
-    assert by_name["win_prob_pi_route"].passed
+    assert by_name["stationary_product"].passed
 
     def perturbed(kernel, dims):
         # move 1e-3 of row 2's mass from its diagonal to its first entry:
@@ -281,9 +308,10 @@ def test_perturbed_partner_fails_pi_route(monkeypatch):
 
     monkeypatch.setattr(verify, "reconstruct_primal", perturbed)
     by_name = {c.name: c for c in run_checks(game)}
-    assert not by_name["win_prob_pi_route"].passed
-    assert by_name["win_prob_pi_route"].residual > 1e-6
-    # the solve is exact for the partner it is given
+    assert not by_name["stationary_product"].passed
+    assert by_name["stationary_product"].residual > 1e-6
+    # the product law is not stationary for it, while the partner's own
+    # stationary law, solved exactly, is
     chain = build_game(game)
     p_x = perturbed(chain.matrix.toarray(), chain.dims)
     pi = stationary_of(p_x)
